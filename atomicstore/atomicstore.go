@@ -29,8 +29,8 @@
 //
 // Behavior is tuned with functional options: WithWriteLanes picks the
 // ring lane fanout, WithTrainLength the per-frame ring message budget
-// (frame trains), WithPinnedServer pins a client to one server,
-// WithLegacyPeers admits v2-era peers without a HELLO, and so on.
+// (frame trains), WithPinnedServer pins a client to one server, and so
+// on.
 package atomicstore
 
 import (
@@ -62,7 +62,6 @@ type Option func(*config)
 type config struct {
 	lanes           int
 	trainLength     int
-	noTrains        bool
 	readConcurrency int
 	objectShards    int
 	logger          *slog.Logger
@@ -70,13 +69,11 @@ type config struct {
 	maxAttempts     int
 	pinned          ServerID
 	clientID        ServerID
-	allowLegacy     bool
 	noPiggyback     bool
 	noElision       bool
 	noFairness      bool
 	maxBatchBytes   int
 	flushInterval   time.Duration
-	noWritev        bool
 	walDir          string
 	walSync         WALSyncMode
 	walAudit        bool
@@ -104,17 +101,10 @@ func WithWriteLanes(n int) Option { return func(c *config) { c.lanes = n } }
 
 // WithTrainLength sets the maximum number of ring messages one frame
 // may carry ("frame trains"): a saturated lane drains up to n
-// fairness-selected messages into a single wire-v4 frame, amortizing
-// per-frame costs. Trains are negotiated per connection — peers whose
-// HELLO lacks the capability receive classic piggyback frames. Zero
-// means the default (8); 1 (or negative) keeps the classic framing; at
-// most wire.MaxFrameEnvelopes (16).
+// fairness-selected messages into a single frame, amortizing per-frame
+// costs. Zero means the default (8); 1 (or negative) keeps the classic
+// framing; at most wire.MaxFrameEnvelopes (16).
 func WithTrainLength(n int) Option { return func(c *config) { c.trainLength = n } }
-
-// WithoutFrameTrains makes a server behave like a pre-train build: it
-// neither advertises the frame-train capability nor sends trains.
-// Mainly useful to stage mixed-version rings and tests.
-func WithoutFrameTrains() Option { return func(c *config) { c.noTrains = true } }
 
 // WithReadConcurrency sets the read-path worker pool size serving
 // client reads off the lane event loops. Zero means the default;
@@ -148,8 +138,7 @@ func WithRetryBackoff(base, max time.Duration) Option {
 
 // WithServerOptions overlays opts on one server's configuration when an
 // in-process cluster builds (or restarts) that server — the way to
-// stage heterogeneous rings, e.g. one pre-train server in a train
-// cluster (WithoutFrameTrains) or one server without a WAL. Repeated
+// stage heterogeneous rings, e.g. one server without a WAL. Repeated
 // uses for the same id accumulate; call-site options passed to
 // RestartWith still win over these.
 func WithServerOptions(id ServerID, opts ...Option) Option {
@@ -171,13 +160,6 @@ func WithPinnedServer(id ServerID) Option { return func(c *config) { c.pinned = 
 // clients draw from a high auto-assigned range.
 func WithClientID(id ServerID) Option { return func(c *config) { c.clientID = id } }
 
-// WithLegacyPeers makes a server accept v2-era peers that open
-// connections with the bare preamble instead of a versioned HELLO.
-// Such peers bypass session validation, so their lane fanout and
-// membership cannot be checked; inbound ring frames from them fall
-// back to header routing with log-and-drop as the only guard.
-func WithLegacyPeers() Option { return func(c *config) { c.allowLegacy = true } }
-
 // WithoutPiggyback disables bundling a write-phase ring message with a
 // pre-write-phase message in one frame (ablation; the paper's §4.2
 // mechanism stays on by default).
@@ -191,13 +173,6 @@ func WithoutValueElision() Option { return func(c *config) { c.noElision = true 
 // WithoutFairness replaces the nb_msg fairness rule with plain FIFO
 // forwarding (ablation).
 func WithoutFairness() Option { return func(c *config) { c.noFairness = true } }
-
-// WithoutVectoredWrites forces the TCP egress back to the
-// copy-everything writer (ablation): every encoded frame is memcpy'd
-// into one batch buffer and shipped with a single write instead of the
-// hybrid slab+iovec writev. Frames are still encoded at enqueue time
-// either way.
-func WithoutVectoredWrites() Option { return func(c *config) { c.noWritev = true } }
 
 // WithBatchWindow tunes the TCP writer's coalescing: maxBytes caps one
 // flushed batch (zero keeps the default) and flush lets a non-full

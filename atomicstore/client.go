@@ -27,8 +27,8 @@ type Client struct {
 // the WithPinnedServer option when one was given, otherwise (for Dial)
 // the member whose session handshake the dial validated. It returns 0
 // for an unpinned in-process client, which has no preferred member.
-// Bench harnesses record this as placement provenance next to their
-// measurements, the way the grid records GOMAXPROCS.
+// Harnesses record this as placement provenance next to their
+// measurements.
 func (c *Client) PinnedServer() ServerID { return c.pinned }
 
 // Write stores value in the given register, returning the version it

@@ -19,7 +19,6 @@ func (c config) coreConfig(id ServerID, members []ServerID) core.Config {
 		Members:             members,
 		WriteLanes:          c.lanes,
 		TrainLength:         c.trainLength,
-		DisableFrameTrains:  c.noTrains,
 		ReadConcurrency:     c.readConcurrency,
 		ObjectShards:        c.objectShards,
 		DisablePiggyback:    c.noPiggyback,
@@ -230,10 +229,9 @@ func (c *Cluster) Restart(id ServerID) error {
 }
 
 // RestartWith is Restart with extra options overlaid on the server's
-// configuration for this incarnation — e.g. WithoutFrameTrains to bring
-// a server back pre-train, or WithoutDurability to drop its WAL. The
-// options win over both the cluster base and any WithServerOptions
-// overrides, and last only until the next restart.
+// configuration for this incarnation — e.g. WithoutDurability to drop
+// its WAL. The options win over both the cluster base and any
+// WithServerOptions overrides, and last only until the next restart.
 func (c *Cluster) RestartWith(id ServerID, opts ...Option) error {
 	c.mu.Lock()
 	if c.closed {

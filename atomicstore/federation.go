@@ -120,7 +120,7 @@ func (f *Federation) Close() error {
 // FederatedClient multiplexes one client per ring behind the single-
 // ring Client API: every operation is routed client-side to the ring
 // owning its object (placement.RingOf — a handful of arithmetic ops,
-// no allocation, benchmarked under -hotpath-strict). The rings may
+// no allocation, an allocation test in internal/placement guards it). The rings may
 // live on different transports: NewFederatedClient accepts any mix of
 // in-process and TCP clients.
 type FederatedClient struct {

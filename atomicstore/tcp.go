@@ -71,11 +71,9 @@ func ringParts(ring []Member) ([]ServerID, tcpnet.AddressBook, error) {
 // tcpOptions maps the façade options onto transport options.
 func (c config) tcpOptions(hello wire.Hello) tcpnet.Options {
 	return tcpnet.Options{
-		Hello:                 &hello,
-		AllowLegacy:           c.allowLegacy,
-		MaxBatchBytes:         c.maxBatchBytes,
-		FlushInterval:         c.flushInterval,
-		DisableVectoredWrites: c.noWritev,
+		Hello:         &hello,
+		MaxBatchBytes: c.maxBatchBytes,
+		FlushInterval: c.flushInterval,
 	}
 }
 

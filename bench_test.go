@@ -10,19 +10,13 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/simstore"
-	"repro/internal/tag"
-	"repro/internal/tcpnet"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -287,264 +281,6 @@ func BenchmarkAsyncMixedContention(b *testing.B) {
 	res := runAsync(b, 4, 1, 1, nil)
 	b.ReportMetric(res.ReadOpsPerSec, "reads/s")
 	b.ReportMetric(res.WriteOpsPerSec, "writes/s")
-}
-
-// BenchmarkWireCodec measures the allocating frame encode/decode (the
-// seed's hot path, kept as the baseline for the pooled variants below).
-func BenchmarkWireCodec(b *testing.B) {
-	val := make([]byte, 1024)
-	pb := wire.Envelope{Kind: wire.KindWrite, Origin: 2, Tag: tag.Tag{TS: 9, ID: 2}, Flags: wire.FlagValueElided}
-	f := wire.Frame{
-		Env:       wire.Envelope{Kind: wire.KindPreWrite, Origin: 1, Tag: tag.Tag{TS: 10, ID: 1}, Value: val},
-		Piggyback: &pb,
-	}
-	b.ReportAllocs()
-	var buf []byte
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = wire.AppendFrame(buf[:0], &f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := wire.DecodeFrameBody(buf[4:]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(f.WireSize()))
-}
-
-// BenchmarkWireEncode measures the pooled encoder: AppendTo into a
-// reused buffer must run at 0 allocs/op in steady state. The loop lives
-// in internal/bench so the BENCH_hotpath.json report measures the
-// identical thing.
-func BenchmarkWireEncode(b *testing.B) { bench.WireEncodeLoop(b) }
-
-// BenchmarkWireEncodeDecodePooled measures the full pooled round trip:
-// AppendTo plus the aliasing DecodeFrom into a reused Frame — the
-// request/ack path of the TCP transport — at 0 allocs/op.
-func BenchmarkWireEncodeDecodePooled(b *testing.B) { bench.WireRoundTripLoop(b) }
-
-// BenchmarkFederationRoute measures the federated client's per-
-// operation routing decision (placement.RingOf) at 0 allocs/op. The
-// loop lives in internal/bench so BENCH_hotpath.json measures the
-// identical thing.
-func BenchmarkFederationRoute(b *testing.B) { bench.RouteLoop(b) }
-
-// BenchmarkPendingSet measures the sorted pending set's steady-state
-// add/prune cycle — the per-committed-envelope churn of a saturated
-// lane — at several backlog depths, at 0 allocs/op (the old map pair
-// paid two hash-map operations plus a full scan per read admission).
-func BenchmarkPendingSet(b *testing.B) {
-	for _, depth := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("depth=%d", depth), bench.PendingSetOpsLoop(depth))
-	}
-}
-
-// BenchmarkWALAppend measures staging one record into the write-ahead
-// log's lane buffer — encode, CRC, copy — the cost every committed
-// envelope pays on the commit path, at 0 allocs/op. The loop lives in
-// internal/bench so BENCH_hotpath.json measures the identical thing.
-func BenchmarkWALAppend(b *testing.B) { bench.WALAppendLoop(b) }
-
-// BenchmarkReadPathLockFree measures the snapshot-based read serve
-// decision (one atomic load, 0 allocs/op, no shard lock)...
-func BenchmarkReadPathLockFree(b *testing.B) { bench.ReadPathFastLoop(b) }
-
-// BenchmarkReadPathLocked ...against the locked decision it replaced.
-func BenchmarkReadPathLocked(b *testing.B) { bench.ReadPathLockedLoop(b) }
-
-// BenchmarkTCPEcho measures end-to-end message throughput over loopback
-// TCP, comparing the coalescing writer against the flush-per-frame
-// baseline (the acceptance bar is coalesced >= 1.5x unbatched).
-func BenchmarkTCPEcho(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		opts tcpnet.Options
-	}{
-		{"coalesced", tcpnet.Options{}},
-		{"unbatched", tcpnet.Options{DisableCoalescing: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			// 256-byte payloads keep the echo syscall-bound, isolating
-			// the writer's coalescing from loopback memory bandwidth.
-			rate, err := bench.TCPEchoThroughput(tc.opts, b.N, 256)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(256)
-			b.ReportMetric(rate, "msgs/s")
-		})
-	}
-}
-
-// BenchmarkTCPEchoBatchSweep sweeps the coalescing writer's two knobs —
-// MaxBatchBytes and FlushInterval — around the defaults, re-tuned for
-// the per-lane-connection era (each lane now owns a socket, so batches
-// form per lane). Run with a fixed count, e.g. -benchtime 40000x;
-// EXPERIMENTS.md records the sweep behind the current defaults.
-func BenchmarkTCPEchoBatchSweep(b *testing.B) {
-	for _, batch := range []int{16 << 10, 32 << 10, 64 << 10, 128 << 10} {
-		for _, flush := range []time.Duration{0, 100 * time.Microsecond} {
-			b.Run(fmt.Sprintf("batch=%dKiB/flush=%s", batch>>10, flush), func(b *testing.B) {
-				rate, err := bench.TCPEchoThroughput(tcpnet.Options{
-					MaxBatchBytes: batch, FlushInterval: flush,
-				}, b.N, 256)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.SetBytes(256)
-				b.ReportMetric(rate, "msgs/s")
-			})
-		}
-	}
-}
-
-// BenchmarkMultiObjectThroughput measures aggregate multi-object
-// read/write throughput on the real implementation, sharded read path
-// versus the inline baseline.
-func BenchmarkMultiObjectThroughput(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		mod  func(*coreConfig)
-	}{
-		{"sharded", nil},
-		{"inline", func(c *coreConfig) { c.ReadConcurrency = -1; c.WriteLanes = -1 }},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var reads, writes float64
-			for i := 0; i < b.N; i++ {
-				var err error
-				reads, writes, err = bench.MultiObjectThroughput(context.Background(), 3, 8, 300*time.Millisecond, tc.mod)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(reads, "reads/s")
-			b.ReportMetric(writes, "writes/s")
-		})
-	}
-}
-
-// BenchmarkMultiObjectWriteThroughput measures aggregate multi-object
-// write throughput on the real implementation across the lane fanout:
-// 8 objects at 1, 2, and 4 ring lanes. The contended variant (2 readers
-// per object, the workload where one event loop caps writes) is the
-// lane-scaling acceptance metric — lanes=4 must be >= 1.5x lanes=1,
-// recorded in EXPERIMENTS.md and BENCH_hotpath.json; the write-only
-// variant isolates the bare ring write path (CPU-bound on one core).
-func BenchmarkMultiObjectWriteThroughput(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		readers int
-	}{
-		{"contended", 2},
-		{"writeonly", 0},
-	} {
-		for _, lanes := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/lanes=%d", tc.name, lanes), func(b *testing.B) {
-				var writes float64
-				for i := 0; i < b.N; i++ {
-					var err error
-					writes, err = bench.MultiObjectWriteThroughput(context.Background(), 3, 8, lanes, 1, tc.readers, 300*time.Millisecond)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(writes, "writes/s")
-			})
-		}
-	}
-}
-
-// BenchmarkRingTrainThroughput measures the ring write path's capacity
-// across the frame-train length at the default 4-lane fanout, with
-// windowed request drivers (128 writes outstanding per server over 256
-// objects; the contended variant adds a 32-read window per server) so
-// the ring pipeline, not client scheduling, is the bottleneck. The
-// contended variant is the train-scaling acceptance metric — train=8
-// must be >= 1.5x train=1, recorded in EXPERIMENTS.md and
-// BENCH_hotpath.json.
-func BenchmarkRingTrainThroughput(b *testing.B) {
-	for _, tc := range []struct {
-		name       string
-		readWindow int
-	}{
-		{"contended", 32},
-		{"writeonly", 0},
-	} {
-		for _, train := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/train=%d", tc.name, train), func(b *testing.B) {
-				var res bench.RingLoadResult
-				for i := 0; i < b.N; i++ {
-					var err error
-					res, err = bench.RingWriteThroughput(3, 256, 4, train, 128, tc.readWindow, 300*time.Millisecond)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(res.WritesPerSec, "writes/s")
-				b.ReportMetric(res.AvgTrainLen, "envs/frame")
-			})
-		}
-	}
-}
-
-// BenchmarkTCPTrainThroughput is the same comparison over real loopback
-// TCP (session endpoints, per-lane connections, pooled inbound values),
-// with closed-loop clients: per-frame costs here include real encode
-// and socket work. Slower and noisier than the in-memory driver
-// harness; useful as the deployment-shaped cross-check.
-func BenchmarkTCPTrainThroughput(b *testing.B) {
-	for _, train := range []int{1, 8} {
-		b.Run(fmt.Sprintf("train=%d", train), func(b *testing.B) {
-			var writes float64
-			for i := 0; i < b.N; i++ {
-				cluster, err := bench.NewTCPCluster(3, func(c *coreConfig) {
-					c.WriteLanes = 4
-					c.TrainLength = train
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var done atomic.Uint64
-				var wg sync.WaitGroup
-				value := make([]byte, 1024)
-				const objects = 64
-				// Dial every client before the clock starts: 64 TCP
-				// handshakes on a loaded runner would otherwise eat a
-				// variable slice of the measured window.
-				clients := make([]*client.Client, objects)
-				for obj := 0; obj < objects; obj++ {
-					cl, err := cluster.NewClient(cluster.Members[obj%3])
-					if err != nil {
-						b.Fatal(err)
-					}
-					clients[obj] = cl
-				}
-				runCtx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-				for obj := 0; obj < objects; obj++ {
-					cl := clients[obj]
-					wg.Add(1)
-					go func(obj int) {
-						defer wg.Done()
-						for runCtx.Err() == nil {
-							if _, err := cl.Write(runCtx, wire.ObjectID(obj), value); err == nil {
-								done.Add(1)
-							}
-						}
-					}(obj)
-				}
-				start := time.Now()
-				<-runCtx.Done()
-				elapsed := time.Since(start).Seconds()
-				cancel()
-				wg.Wait()
-				cluster.Close()
-				writes = float64(done.Load()) / elapsed
-			}
-			b.ReportMetric(writes, "writes/s")
-		})
-	}
 }
 
 // runAsync drives the real implementation for a short measured window.

@@ -53,10 +53,7 @@ func run() error {
 		noElide     = flag.Bool("no-elision", false, "ship full values in write-phase messages (ablation)")
 		noFair      = flag.Bool("no-fairness", false, "FIFO forwarding instead of the nb_msg rule (ablation)")
 		lanes       = flag.Int("lanes", 0, "ring write lanes (hash(object) mod lanes; validated against peers at handshake; 0 = default, negative = 1)")
-		train       = flag.Int("train", 0, "max ring messages per frame (frame trains, negotiated per peer; 0 = default 8, 1 = classic piggyback)")
-		noTrains    = flag.Bool("no-trains", false, "behave like a pre-train build: do not advertise or send wire-v4 train frames")
-		legacy      = flag.Bool("legacy-peers", false, "accept v2-era peers that connect without a session handshake")
-		noWritev    = flag.Bool("no-writev", false, "copy-everything TCP egress instead of the hybrid slab+iovec writev (ablation)")
+		train       = flag.Int("train", 0, "max ring messages per frame (frame trains; 0 = default 8, 1 = classic piggyback)")
 		walDir      = flag.String("wal-dir", "", "write-ahead-log directory; empty runs without durability")
 		walSync     = flag.String("wal-sync", "train", "WAL sync policy: train (ack after a covering fdatasync), interval (periodic sync, bounded loss), none (never sync)")
 		walAudit    = flag.Bool("wal-audit", false, "append a chained Merkle batch-root record per WAL sync (tamper evidence; check with -wal-verify)")
@@ -106,9 +103,6 @@ func run() error {
 		atomicstore.WithTrainLength(*train),
 		atomicstore.WithLogger(logger),
 	}
-	if *noTrains {
-		opts = append(opts, atomicstore.WithoutFrameTrains())
-	}
 	if *noPiggy {
 		opts = append(opts, atomicstore.WithoutPiggyback())
 	}
@@ -117,12 +111,6 @@ func run() error {
 	}
 	if *noFair {
 		opts = append(opts, atomicstore.WithoutFairness())
-	}
-	if *legacy {
-		opts = append(opts, atomicstore.WithLegacyPeers())
-	}
-	if *noWritev {
-		opts = append(opts, atomicstore.WithoutVectoredWrites())
 	}
 	if *walDir != "" {
 		mode, err := wal.ParseSyncMode(*walSync)
@@ -170,9 +158,9 @@ func run() error {
 				return
 			}
 			// Not the typed rejection, but persistent failure still
-			// deserves a visible diagnostic: it may be a legacy (v2)
-			// successor or a foreign service on the port, which close
-			// the connection without a classifiable reply. Warn on the
+			// deserves a visible diagnostic: it may be a raw endpoint
+			// or a foreign service on the port, which close the
+			// connection without a classifiable reply. Warn on the
 			// first failure and periodically after, Debug in between.
 			if attempt == 1 || attempt%30 == 0 {
 				logger.Warn("cannot validate ring session with successor; still retrying",

@@ -2,6 +2,7 @@ package ackq
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -270,4 +271,55 @@ func TestShardedFastPathExclusive(t *testing.T) {
 	if fast != 50 || queued != 0 {
 		t.Fatalf("fast %d queued %d, want 50/0", fast, queued)
 	}
+}
+
+// TestShardedEnqueueNoAlloc gates both Enqueue paths at zero steady-state
+// allocations: the fast path (idle lane, willing transport: the item is
+// sent inline on the enqueueing goroutine) and the queued path (append
+// under the lane lock, hand-off to the drain goroutine, the two backing
+// arrays recycled). Every client ack of a server goes through one of
+// them.
+func TestShardedEnqueueNoAlloc(t *testing.T) {
+	t.Run("fast", func(t *testing.T) {
+		s := NewSharded(
+			func(uint32, int) error { return nil },
+			func(uint32, int) bool { return true },
+			nil,
+		)
+		defer s.Stop()
+		s.Enqueue(7, 0) // create the lane outside the measured runs
+		if allocs := testing.AllocsPerRun(1000, func() { s.Enqueue(7, 1) }); allocs != 0 {
+			t.Fatalf("fast path allocates %.1f/op, want 0", allocs)
+		}
+		if fast, queued, _ := s.Stats(); queued != 0 || fast == 0 {
+			t.Fatalf("fast/queued = %d/%d, want every item on the fast path", fast, queued)
+		}
+	})
+	t.Run("queued", func(t *testing.T) {
+		var delivered atomic.Uint64
+		s := NewSharded(
+			func(uint32, int) error { delivered.Add(1); return nil },
+			nil, // no fast path: everything queues
+			nil,
+		)
+		defer s.Stop()
+		const burst = 64
+		sent := uint64(0)
+		round := func() {
+			for i := 0; i < burst; i++ {
+				s.Enqueue(7, i)
+			}
+			sent += burst
+			for delivered.Load() < sent {
+				runtime.Gosched()
+			}
+		}
+		// Grow both backing arrays to the burst size before measuring.
+		for i := 0; i < 8; i++ {
+			round()
+		}
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			t.Fatalf("queued path allocates %.1f per %d-item burst, want 0", allocs, burst)
+		}
+	})
 }

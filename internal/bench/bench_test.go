@@ -186,34 +186,6 @@ func TestAllIncludesEveryExperiment(t *testing.T) {
 	}
 }
 
-func TestMeasureWALRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pays real fsyncs")
-	}
-	st, err := MeasureWAL(32, 8, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.AppendAllocsPerOp != 0 {
-		t.Fatalf("wal append path allocates: %d allocs/op", st.AppendAllocsPerOp)
-	}
-	for _, row := range []struct {
-		name string
-		r    WALSyncRow
-	}{{"per-envelope", st.PerEnvelope}, {"per-train", st.PerTrain}, {"interval", st.Interval}} {
-		if row.r.RecsPerSec <= 0 {
-			t.Fatalf("%s: recs/s = %v", row.name, row.r.RecsPerSec)
-		}
-	}
-	// Group commit must not be slower than fsync-per-record by more
-	// than noise; on any real disk it is several times faster.
-	if st.PerTrain.SyncsPerSec > 0 && st.PerEnvelope.SyncsPerSec > 0 &&
-		st.PerTrain.BytesPerSync <= st.PerEnvelope.BytesPerSync {
-		t.Fatalf("per-train batches (%v bytes/sync) no larger than per-envelope (%v)",
-			st.PerTrain.BytesPerSync, st.PerEnvelope.BytesPerSync)
-	}
-}
-
 func TestAsyncValidationRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("async validation is wall-clock bound")

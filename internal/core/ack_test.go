@@ -45,28 +45,11 @@ func TestAckPathHappyPath(t *testing.T) {
 	}
 }
 
-// TestAckShardingAblation pins the DisableAckSharding knob: the legacy
-// single-goroutine ack path must still be fully functional (it is the
-// benchmark baseline), with the sharded stats reading zero.
-func TestAckShardingAblation(t *testing.T) {
-	c := newCluster(t, 3, func(cfg *core.Config) { cfg.DisableAckSharding = true })
-	h := runMixedWorkload(t, c, 3, 3, 20)
-	if err := checker.CheckTagged(h); err != nil {
-		t.Fatalf("history not atomic: %v", err)
-	}
-	assertNoAckFailures(t, c)
-	for id, srv := range c.servers {
-		if fast, queued, lanes := srv.AckPathStats(); fast+queued+lanes != 0 {
-			t.Errorf("server %d reports sharded stats %d/%d/%d under ablation", id, fast, queued, lanes)
-		}
-	}
-}
-
 // TestSlowClientIsolation is the property this PR's tentpole exists
 // for: a client that stops draining its connection must wedge only its
 // own ack lane, never acks bound for other clients. The stalled client
-// floods read requests without ever reading an ack; its inbox (memnet
-// direct mode, capacity 64) fills, the transport fast path starts
+// floods read requests without ever reading an ack; its inbox (memnet,
+// capacity 64) fills, the transport fast path starts
 // refusing, and its lane's drain goroutine blocks inside Send. A
 // healthy client pinned to the same server must keep completing
 // operations — with the old single shared ackLoop this exact scenario
@@ -79,7 +62,7 @@ func TestSlowClientIsolation(t *testing.T) {
 		t.Fatalf("seed write: %v", err)
 	}
 
-	stalled, err := c.net.Register(2000)
+	stalled, err := c.net.RegisterSession(c.clientHello(2000))
 	if err != nil {
 		t.Fatalf("register stalled client: %v", err)
 	}
@@ -116,7 +99,7 @@ func TestSlowClientIsolation(t *testing.T) {
 	// so Server.Stop can join it. Those failures are real and counted.
 	_ = stalled.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for c.servers[1].AckSendFailures() == 0 {
+	for c.servers[1].CounterSnapshot().AckSendFailures == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("stalled client's surplus acks never surfaced as counted failures")
 		}

@@ -50,16 +50,9 @@ func assertCleanCounters(t *testing.T, id wire.ProcessID, srv *core.Server) {
 // newCluster starts servers 1..n on a fresh in-memory network.
 func newCluster(t *testing.T, n int, mods ...configMod) *cluster {
 	t.Helper()
-	return newClusterNet(t, n, transport.MemNetworkOptions{}, mods...)
-}
-
-// newClusterNet is newCluster with explicit transport options (queued
-// delivery, encode-at-enqueue, …).
-func newClusterNet(t *testing.T, n int, netOpts transport.MemNetworkOptions, mods ...configMod) *cluster {
-	t.Helper()
 	c := &cluster{
 		t:          t,
-		net:        transport.NewMemNetwork(netOpts),
+		net:        transport.NewMemNetwork(transport.MemNetworkOptions{}),
 		servers:    make(map[wire.ProcessID]*core.Server),
 		eps:        make(map[wire.ProcessID]*transport.MemEndpoint),
 		nextClient: 1000,
@@ -73,9 +66,7 @@ func newClusterNet(t *testing.T, n int, netOpts transport.MemNetworkOptions, mod
 			mod(&cfg)
 		}
 		// Session endpoints, as real deployments use: servers negotiate
-		// capabilities (per-lane links, frame trains) among themselves.
-		// Clients below stay session-less, covering the legacy-client
-		// compatibility path at the same time.
+		// per-lane links among themselves.
 		ep, err := c.net.RegisterSession(cfg.SessionHello())
 		if err != nil {
 			t.Fatalf("register server %d: %v", id, err)
@@ -113,6 +104,16 @@ func (c *cluster) crash(id wire.ProcessID) {
 	srv.Stop()
 }
 
+// clientHello is the lane-unaware HELLO a client of this cluster asserts.
+func (c *cluster) clientHello(id wire.ProcessID) wire.Hello {
+	return wire.Hello{
+		Version:        wire.HelloVersion,
+		From:           id,
+		Link:           wire.LinkGeneral,
+		MembershipHash: wire.MembershipHash(c.members),
+	}
+}
+
 // newClient returns a started client over the same network.
 func (c *cluster) newClient(opts client.Options) *client.Client {
 	c.t.Helper()
@@ -120,7 +121,7 @@ func (c *cluster) newClient(opts client.Options) *client.Client {
 	c.nextClient++
 	id := c.nextClient
 	c.mu.Unlock()
-	ep, err := c.net.Register(id)
+	ep, err := c.net.RegisterSession(c.clientHello(id))
 	if err != nil {
 		c.t.Fatalf("register client: %v", err)
 	}

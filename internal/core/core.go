@@ -54,21 +54,6 @@ type Config struct {
 	// writes. This is the strawman the paper argues against (a busy
 	// server's own writers starve); used as an ablation.
 	DisableFairness bool
-	// DisableReadSnapshots turns off the lock-free read fast path: every
-	// read takes the object's shard lock to decide serve-or-park, the
-	// pre-snapshot behavior. Ablation knob; the hot-path report's
-	// multi_object section uses it to keep the inline baseline frozen at
-	// the pre-PR5 read path.
-	DisableReadSnapshots bool
-	// DisableAckSharding funnels every client-bound ack through one
-	// shared sender goroutine draining one queue — the pre-sharding
-	// behavior, a literal transcription of the paper's single dedicated
-	// client NIC. The default shards the ack sender per client (one
-	// FIFO lane and drain goroutine per destination, with a
-	// non-blocking transport fast path that bypasses the queue when the
-	// lane is idle), so one slow client delays only its own acks.
-	// Ablation knob for the ack_path benchmark section.
-	DisableAckSharding bool
 	// DisableValueElision makes write-phase ring messages carry the full
 	// value, as in the paper's pseudo-code. By default the value is
 	// elided: every server already stores it in its pending set from the
@@ -98,18 +83,12 @@ type Config struct {
 	// TrainLength is the maximum number of ring envelopes one outbound
 	// frame may carry ("frame trains", DESIGN.md §9): the lane's queue
 	// handler drains up to TrainLength fairness-selected messages into
-	// one wire-v4 frame, amortizing the per-frame costs of a saturated
-	// ring. Trains are only spoken to successors whose session
-	// negotiated wire.CapFrameTrains; other links get classic v3
-	// piggyback frames. Zero means DefaultTrainLength; 1 (or negative)
-	// keeps the classic framing — one fairness-selected primary plus at
-	// most one opposite-phase piggyback, the pre-train behavior; at
-	// most wire.MaxFrameEnvelopes.
+	// one frame, amortizing the per-frame costs of a saturated ring.
+	// Every wire-v4 peer decodes trains. Zero means DefaultTrainLength;
+	// 1 (or negative) keeps the classic framing — one fairness-selected
+	// primary plus at most one opposite-phase piggyback; at most
+	// wire.MaxFrameEnvelopes.
 	TrainLength int
-	// DisableFrameTrains models a pre-train build: the server neither
-	// advertises wire.CapFrameTrains in its HELLO nor plans trains,
-	// whatever TrainLength says. Used to exercise mixed-version rings.
-	DisableFrameTrains bool
 
 	// WAL configures the durable write-ahead log (DESIGN.md §13). An
 	// empty WAL.Dir disables durability entirely — the pre-WAL behavior.
@@ -169,7 +148,7 @@ func (c *Config) writeLanes() int {
 // the classic primary+piggyback framing. The piggyback ablation caps
 // the frame at one envelope elsewhere, so it forces 1 here too.
 func (c *Config) trainLength() int {
-	if c.DisableFrameTrains || c.DisablePiggyback || c.TrainLength < 0 {
+	if c.DisablePiggyback || c.TrainLength < 0 {
 		return 1
 	}
 	if c.TrainLength == 0 {
@@ -207,17 +186,13 @@ func (c *Config) validate() error {
 // it reject peers with a different WriteLanes or membership at
 // handshake time instead of misrouting ring frames at runtime.
 func (c *Config) SessionHello() wire.Hello {
-	caps := wire.CapLaneLinks
-	if !c.DisableFrameTrains {
-		caps |= wire.CapFrameTrains
-	}
 	return wire.Hello{
 		Version:        wire.HelloVersion,
 		From:           c.ID,
 		Lanes:          uint16(c.writeLanes()),
 		Link:           wire.LinkGeneral,
 		MembershipHash: wire.MembershipHash(c.Members),
-		Capabilities:   caps,
+		Capabilities:   wire.CapLaneLinks,
 	}
 }
 

@@ -1,9 +1,8 @@
 package core
 
 // CounterSnapshot is one sampling of every robustness counter the server
-// keeps. The individual getters (LaneDrops, AckSendFailures, and so on)
-// remain for point queries; tests and the scenario harness assert this
-// one struct instead of five getters, so a new invariant counter added
+// keeps, and the only way to read them: tests, the scenario harness and
+// the benchmark assert this one struct, so a new invariant counter added
 // here is automatically carried into every whole-server assertion.
 //
 // The fields are read with independent atomic loads, not one global
@@ -12,29 +11,34 @@ package core
 // servers, where the distinction vanishes.
 type CounterSnapshot struct {
 	// LaneDrops counts inbound ring frames dropped for naming a lane
-	// outside this server's fanout (WriteLanes mismatch on a legacy
-	// link). Healthy clusters read 0.
+	// outside this server's fanout (a WriteLanes mismatch on a link no
+	// handshake validated — raw endpoints). Healthy clusters read 0.
 	LaneDrops uint64
 	// AckSendFailures counts client acks whose transport send failed and
 	// was dropped. Happy-path clusters read 0; full-membership restarts
 	// may legitimately re-ack clients that already moved on.
 	AckSendFailures uint64
 	// RecoveryBufferLeaks counts crash-recovery re-queued envelopes that
-	// still claimed pool ownership at the requeue choke point. Always 0
-	// on a correct server, faulted or not.
+	// still claimed pool ownership at the requeue choke point. The choke
+	// point strips the claim (no buffer is recycled under a live alias),
+	// but non-zero means a recovery path failed to strike the buffer from
+	// the pool-ownership books first. Always 0 on a correct server,
+	// faulted or not.
 	RecoveryBufferLeaks uint64
 	// WALTornTails counts torn or corrupt WAL segment tails truncated at
 	// startup. 0 without a WAL; non-zero is expected after a kill and
 	// forbidden after a graceful stop.
 	WALTornTails uint64
-	// AckFastPath, AckQueued, and AckLanes mirror AckPathStats: acks
-	// delivered via the non-blocking transport fast path, acks that went
-	// through a per-client lane queue, and client lanes ever created.
+	// AckFastPath, AckQueued, and AckLanes: acks delivered via the
+	// non-blocking transport fast path, acks that went through a
+	// per-client lane queue, and client lanes ever created.
 	AckFastPath uint64
 	AckQueued   uint64
 	AckLanes    uint64
-	// RingFrames and RingEnvelopes mirror RingFrameStats: committed
-	// outbound ring frames and the envelopes they carried.
+	// RingFrames and RingEnvelopes: committed outbound ring frames and
+	// the envelopes they carried. RingEnvelopes/RingFrames is the
+	// achieved train length — 1.0 means framing never amortized
+	// anything, TrainLength is the ceiling.
 	RingFrames    uint64
 	RingEnvelopes uint64
 }
@@ -56,8 +60,9 @@ func (s *Server) CounterSnapshot() CounterSnapshot {
 		AckSendFailures:     s.ackFails.Load(),
 		RecoveryBufferLeaks: s.recoveryLeaks.Load(),
 		WALTornTails:        s.WALTornTails(),
+		RingFrames:          s.ringFrames.Load(),
+		RingEnvelopes:       s.ringEnvs.Load(),
 	}
-	snap.AckFastPath, snap.AckQueued, snap.AckLanes = s.AckPathStats()
-	snap.RingFrames, snap.RingEnvelopes = s.RingFrameStats()
+	snap.AckFastPath, snap.AckQueued, snap.AckLanes = s.acks.Stats()
 	return snap
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ackq"
 	"repro/internal/tag"
 	"repro/internal/wire"
 )
@@ -263,23 +264,27 @@ func TestObjectStateReadableNow(t *testing.T) {
 
 // TestObjectStateParkAndRelease drives the in-place parked-read release
 // through applyAndRelease: the queued acks name the released clients and
-// the survivors stay parked in the same backing array. A zero Server has
-// a nil sharded sender, so enqueueAck falls back to the legacy queue,
-// whose zero value supports Enqueue — handy for inspecting acks here.
+// the survivors stay parked in the same backing array. The ack sender's
+// fast path runs on the enqueueing goroutine, so a recording trySend
+// sees every ack synchronously.
 func TestObjectStateParkAndRelease(t *testing.T) {
-	s := &Server{}
+	var q []outFrame
+	s := &Server{acks: ackq.NewSharded(nil, func(to wire.ProcessID, f wire.Frame) bool {
+		q = append(q, outFrame{to: to, f: f})
+		return true
+	}, nil)}
+	defer s.acks.Stop()
 	o := newObjectState()
 	o.park(100, 1, tag.Tag{TS: 3, ID: 1})
 	o.park(101, 2, tag.Tag{TS: 5, ID: 1})
 	s.applyAndRelease(7, o, tag.Tag{TS: 3, ID: 1}, []byte("x"), false)
-	if q := s.legacyAcks.Pending(); len(q) != 1 || q[0].to != 100 {
+	if len(q) != 1 || q[0].to != 100 {
 		t.Fatalf("acks after first apply = %+v", q)
 	}
 	if len(o.parked) != 1 || o.parked[0].client != 101 {
 		t.Fatalf("parked = %+v", o.parked)
 	}
 	s.applyAndRelease(7, o, tag.Tag{TS: 7, ID: 2}, []byte("y"), false)
-	q := s.legacyAcks.Pending()
 	if len(q) != 2 || q[1].to != 101 {
 		t.Fatalf("acks after second apply = %+v", q)
 	}

@@ -78,19 +78,6 @@ type lane struct {
 	// one frame get strictly increasing tags. Cleared per train plan.
 	planTags map[wire.ObjectID]tag.Tag
 
-	// capsPeer/capsKnown/capsTrains cache the successor's negotiated
-	// capabilities (transport.PeerCapser) so the per-iteration planner
-	// does not take the endpoint's lock once the handshake has
-	// completed. Re-queried when the successor changes, while the
-	// capabilities are still unknown, and every capsRecheckInterval
-	// state changes — a peer that reconnects with a different build can
-	// change capabilities without the successor identity changing, and
-	// the periodic recheck converges the budget without a per-plan lock.
-	capsPeer   wire.ProcessID
-	capsKnown  bool
-	capsTrains bool
-	capsVer    uint64
-
 	// stateVer counts mutations of the plan's inputs (forward queue,
 	// write queue, per-object tags/pending of this lane, the view).
 	// Read requests leave it untouched — they change nothing a plan
@@ -99,57 +86,15 @@ type lane struct {
 	// iteration, and without the cache a discarded train plan's
 	// selection work and envelope copy would be paid per inbound read.
 	stateVer uint64
-	// cachedPlan/cachedVer/cachedBudget/cachedOK memoize the last
-	// computed plan; it is returned as long as stateVer and the train
-	// budget are unchanged.
-	cachedPlan   sendPlan
-	cachedVer    uint64
-	cachedBudget int
-	cachedOK     bool
+	// cachedPlan/cachedVer/cachedOK memoize the last computed plan; it
+	// is returned as long as stateVer is unchanged.
+	cachedPlan sendPlan
+	cachedVer  uint64
+	cachedOK   bool
 }
 
 // noteStateChange invalidates the cached plan.
 func (ln *lane) noteStateChange() { ln.stateVer++ }
-
-// capsRecheckInterval is how many lane state changes may elapse before
-// the successor's cached capabilities are re-queried from the endpoint.
-// Under load that is a small fraction of a second of traffic; the
-// stale window only matters across a peer's restart with a different
-// build, and the transports' legacy split keeps even that window safe.
-const capsRecheckInterval = 4096
-
-// trainBudget resolves how many envelopes the lane's next outbound ring
-// frame may carry: the configured train length when the successor's
-// session negotiated wire.CapFrameTrains, and 1 (classic piggyback
-// framing) otherwise — before the successor's capabilities are known,
-// and toward legacy or pre-train peers, the lane stays on v3 frames.
-func (ln *lane) trainBudget() int {
-	t := ln.srv.trainLen
-	if t <= 1 {
-		return 1
-	}
-	succ := ln.view.Successor(ln.srv.cfg.ID)
-	if succ != ln.capsPeer || !ln.capsKnown || ln.stateVer-ln.capsVer >= capsRecheckInterval {
-		ln.capsPeer = succ
-		ln.capsVer = ln.stateVer
-		ln.capsKnown = false
-		ln.capsTrains = false
-		if pc := ln.srv.capser; pc != nil {
-			if caps, ok := pc.PeerCaps(succ); ok {
-				ln.capsKnown = true
-				ln.capsTrains = caps&wire.CapFrameTrains != 0
-			}
-		} else {
-			// The endpoint cannot report capabilities at all: stay on
-			// classic frames forever rather than guessing.
-			ln.capsKnown = true
-		}
-	}
-	if !ln.capsTrains {
-		return 1
-	}
-	return t
-}
 
 // loop owns the lane's algorithm state. Each iteration first drains
 // every event already delivered to the lane (without blocking), then
@@ -301,8 +246,8 @@ func (ln *lane) handleEnvelope(from wire.ProcessID, env *wire.Envelope) {
 	case wire.KindWrite:
 		ln.onWrite(env)
 	case wire.KindCrash:
-		// Misrouted (pre-demux or legacy peer): hand it to the
-		// control plane, which owns crash handling.
+		// Misrouted (delivered before the demux was installed): hand
+		// it to the control plane, which owns crash handling.
 		select {
 		case ln.srv.ctrlc <- transport.Inbound{From: from, Frame: wire.NewFrame(*env)}:
 		case <-ln.srv.stopc:

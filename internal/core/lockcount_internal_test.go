@@ -155,6 +155,17 @@ func TestReadServeTakesNoLock(t *testing.T) {
 	if lc.total != 0 {
 		t.Fatalf("readable read took %d acquisitions, want 0", lc.total)
 	}
+	// The serve decision itself — index lookup, snapshot load, admission
+	// check — is on every read's path and must not allocate.
+	if !raceEnabled {
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if _, ok := h.s.loadSnapshot(0); !ok {
+				t.Fatal("published snapshot not servable")
+			}
+		}); allocs != 0 {
+			t.Fatalf("read fast path allocates %.1f/op, want 0", allocs)
+		}
+	}
 	ln.onPreWrite(&wire.Envelope{Kind: wire.KindPreWrite, Object: 0, Tag: tag.Tag{TS: 2, ID: 2}, Origin: 2, Value: []byte("w")})
 	lc.reset()
 	ln.onReadRequest(500, &wire.Envelope{Kind: wire.KindReadRequest, Object: 0, ReqID: 51})

@@ -49,36 +49,29 @@ type sendPlan struct {
 //
 // The result is memoized: the event loop calls this every select
 // iteration, but the plan only depends on lane state that read traffic
-// never touches (stateVer) and on the successor's train budget, so
-// between state changes the cached plan — including its already-built
-// frame — is returned as is.
+// never touches (stateVer), so between state changes the cached plan —
+// including its already-built frame — is returned as is.
 func (ln *lane) planRingSend() sendPlan {
-	budget := 1
-	if !ln.srv.cfg.DisableFairness {
-		budget = ln.trainBudget()
-	}
-	if ln.cachedOK && ln.cachedVer == ln.stateVer && ln.cachedBudget == budget {
+	if ln.cachedOK && ln.cachedVer == ln.stateVer {
 		return ln.cachedPlan
 	}
 	var plan sendPlan
 	switch {
 	case ln.srv.cfg.DisableFairness:
 		plan = ln.planFIFO()
-	case budget > 1:
-		plan = ln.planTrain(budget)
+	case ln.srv.trainLen > 1:
+		plan = ln.planTrain(ln.srv.trainLen)
 	default:
 		plan = ln.planClassic()
 	}
 	ln.cachedPlan = plan
 	ln.cachedVer = ln.stateVer
-	ln.cachedBudget = budget
 	ln.cachedOK = true
 	return plan
 }
 
-// planClassic is the pre-train framing (TrainLength 1, or a successor
-// that did not negotiate trains): one fairness-selected primary plus at
-// most one opposite-phase piggyback.
+// planClassic is the TrainLength 1 framing: one fairness-selected
+// primary plus at most one opposite-phase piggyback.
 func (ln *lane) planClassic() sendPlan {
 	// Paper lines 54-58: with an empty forward queue the only possible
 	// action is initiating a local write.

@@ -128,15 +128,8 @@ type Server struct {
 	// acks is the sharded per-client ack sender: every client-bound
 	// frame from the lanes, read workers, and delivering goroutines
 	// goes through it (non-blocking enqueue, one FIFO lane per client,
-	// transport fast path when Send provably cannot block). Nil when
-	// Config.DisableAckSharding pins the legacy single-goroutine path
-	// below.
+	// transport fast path when Send provably cannot block).
 	acks *ackq.Sharded[wire.ProcessID, wire.Frame]
-
-	// legacyAcks is the pre-sharding shared ack queue, drained by one
-	// ackLoop goroutine. Only used when Config.DisableAckSharding is
-	// set (the ack_path benchmark baseline).
-	legacyAcks ackq.Queue[outFrame]
 
 	// ackFails counts client acks whose transport send failed; the
 	// client retries against another server, so the ack is dropped, but
@@ -151,8 +144,8 @@ type Server struct {
 
 	// laneDrops counts inbound ring frames discarded because they named
 	// a lane this server does not have — a peer with a mismatched
-	// WriteLanes that slipped past the handshake (legacy link). Dropping
-	// beats the old behavior of silently misrouting them to lane 0.
+	// WriteLanes on a link no handshake validated (raw endpoints).
+	// Dropping beats silently misrouting them to lane 0.
 	laneDrops atomic.Uint64
 
 	// recoveryLeaks counts crash-recovery re-queued envelopes that still
@@ -160,11 +153,6 @@ type Server struct {
 	// invariant violation (the single requeue choke point defuses it);
 	// healthy servers read 0.
 	recoveryLeaks atomic.Uint64
-
-	// capser reports peer capabilities when the endpoint supports it
-	// (transport.PeerCapser); the train planner consults it to decide
-	// whether the successor accepts wire-v4 frames.
-	capser transport.PeerCapser
 
 	// trainLen is the resolved Config.TrainLength.
 	trainLen int
@@ -183,7 +171,7 @@ type Server struct {
 
 	// ringFrames/ringEnvs count committed outbound ring frames and the
 	// envelopes they carried: ringEnvs/ringFrames is the achieved train
-	// length, the observable behind the train_scaling benchmark.
+	// length (the benchmark's core.envelopes_per_frame).
 	ringFrames, ringEnvs atomic.Uint64
 
 	stopOnce sync.Once
@@ -229,21 +217,14 @@ func NewServer(cfg Config, ep transport.Endpoint) (*Server, error) {
 		stopc:    make(chan struct{}),
 		trainLen: cfg.trainLength(),
 	}
-	if pc, ok := ep.(transport.PeerCapser); ok {
-		s.capser = pc
-	}
 	s.objIndex = make([]atomic.Pointer[map[wire.ObjectID]*objectState], s.objects.NumShards())
-	if cfg.DisableAckSharding {
-		s.legacyAcks.Init()
-	} else {
-		var try func(wire.ProcessID, wire.Frame) bool
-		if ts, ok := ep.(transport.TrySender); ok {
-			try = ts.TrySend
-		}
-		s.acks = ackq.NewSharded(ep.Send, try, func(wire.ProcessID, error) {
-			s.ackFails.Add(1)
-		})
+	var try func(wire.ProcessID, wire.Frame) bool
+	if ts, ok := ep.(transport.TrySender); ok {
+		try = ts.TrySend
 	}
+	s.acks = ackq.NewSharded(ep.Send, try, func(wire.ProcessID, error) {
+		s.ackFails.Add(1)
+	})
 	nLanes := cfg.writeLanes()
 	s.lanes = make([]*lane, nLanes)
 	for i := range s.lanes {
@@ -292,8 +273,9 @@ func (s *Server) laneFor(obj wire.ObjectID) int {
 
 // route maps an inbound frame to its inbox index: ring data frames go
 // to the lane their link was pinned to at handshake time (the
-// negotiated lane map) — only frames from legacy, unpinned links fall
-// back to the lane byte in the frame header — crash notices go to the
+// negotiated lane map) — only frames from unpinned links (raw
+// endpoints) fall back to the lane byte in the frame header — crash
+// notices go to the
 // control plane (index len(lanes)), and client requests — whose senders
 // do not know the lane fanout — are routed by object hash. A ring frame
 // naming a lane this server does not have is counted and dropped
@@ -357,55 +339,12 @@ func (s *Server) serveReadFromSnapshot(from wire.ProcessID, env *wire.Envelope) 
 	return true
 }
 
-// enqueueAck hands one client-bound frame to the ack sender. It never
-// blocks, whichever path is configured: the sharded sender's per-client
-// lane (possibly delivering right here via the transport fast path when
-// the lane is idle and the transport's Send provably cannot block), or
-// the legacy shared queue under DisableAckSharding.
+// enqueueAck hands one client-bound frame to the ack sender's
+// per-client lane. It never blocks; when the lane is idle and the
+// transport's Send provably cannot block, the frame is delivered right
+// here via the transport fast path.
 func (s *Server) enqueueAck(to wire.ProcessID, f wire.Frame) {
-	if s.acks != nil {
-		s.acks.Enqueue(to, f)
-		return
-	}
-	s.legacyAcks.Enqueue(outFrame{to: to, f: f})
-}
-
-// LaneDrops returns the number of inbound ring frames dropped because
-// they named a lane outside this server's fanout (a diagnostic for
-// WriteLanes misconfiguration surviving on legacy links).
-func (s *Server) LaneDrops() uint64 { return s.laneDrops.Load() }
-
-// RecoveryBufferLeaks returns the number of crash-recovery re-queued
-// envelopes that reached the forward queue still claiming a pooled
-// value buffer. The requeue choke point strips the claim (so no buffer
-// is ever recycled under a live alias), but a non-zero reading means a
-// recovery path failed to strike the buffer from the pool-ownership
-// books first — it should always read 0.
-func (s *Server) RecoveryBufferLeaks() uint64 { return s.recoveryLeaks.Load() }
-
-// AckSendFailures returns the number of client acks whose transport
-// send failed and was dropped (the client retries against another
-// server). A happy-path cluster reads 0; non-zero without client
-// crashes means acks are being lost.
-func (s *Server) AckSendFailures() uint64 { return s.ackFails.Load() }
-
-// AckPathStats returns how many client acks left via the non-blocking
-// transport fast path versus through a per-client lane queue, and how
-// many client lanes were ever created. All zeros when
-// Config.DisableAckSharding pins the legacy shared-queue path.
-func (s *Server) AckPathStats() (fast, queued, lanes uint64) {
-	if s.acks == nil {
-		return 0, 0, 0
-	}
-	return s.acks.Stats()
-}
-
-// RingFrameStats returns the number of ring frames this server has
-// committed to its successors and the total envelopes they carried.
-// envelopes/frames is the achieved train length — 1.0 means framing
-// never amortized anything, TrainLength is the ceiling.
-func (s *Server) RingFrameStats() (frames, envelopes uint64) {
-	return s.ringFrames.Load(), s.ringEnvs.Load()
+	s.acks.Enqueue(to, f)
 }
 
 // inboxAt returns the inbox channel for a route index.
@@ -419,7 +358,7 @@ func (s *Server) inboxAt(i int) chan transport.Inbound {
 // Start launches the lane event loops and ring senders, the control
 // plane, the router, and the read-path workers. The sharded ack sender
 // needs no launch — its per-client drain goroutines are created lazily
-// on first ack — but the legacy shared ackLoop does.
+// on first ack.
 func (s *Server) Start() {
 	if s.wal != nil {
 		s.wal.Start()
@@ -435,10 +374,6 @@ func (s *Server) Start() {
 	s.wg.Add(2)
 	go s.controlLoop()
 	go s.routerLoop()
-	if s.acks == nil {
-		s.wg.Add(1)
-		go s.ackLoop()
-	}
 	for _, ln := range s.lanes {
 		s.wg.Add(2)
 		go ln.loop()
@@ -464,9 +399,7 @@ func (s *Server) Kill() { s.stop(true) }
 func (s *Server) stop(abrupt bool) {
 	s.stopOnce.Do(func() { close(s.stopc) })
 	s.wg.Wait()
-	if s.acks != nil {
-		s.acks.Stop()
-	}
+	s.acks.Stop()
 	if s.wal != nil {
 		if abrupt {
 			s.wal.Kill()
@@ -567,20 +500,6 @@ func (s *Server) noteCrash(crashed wire.ProcessID) {
 	}
 }
 
-// ackLoop is the legacy shared ack sender (Config.DisableAckSharding):
-// one goroutine draining one queue, serializing every client's Sends,
-// like the paper's dedicated client NIC. Kept as the ablation baseline
-// the ack_path benchmarks pin. A send failure is counted and dropped:
-// the client retries against another server.
-func (s *Server) ackLoop() {
-	defer s.wg.Done()
-	s.legacyAcks.Drain(s.stopc, func(of outFrame) {
-		if err := s.ep.Send(of.to, of.f); err != nil {
-			s.ackFails.Add(1)
-		}
-	})
-}
-
 // lockedObj returns the replica state for an object with its shard
 // locked, creating the state on first use. The caller unlocks the shard
 // when done with the objectState.
@@ -634,13 +553,9 @@ func (s *Server) fastObj(id wire.ObjectID) *objectState {
 // loadSnapshot returns the object's published read snapshot when it is
 // servable by the lock-free fast path: the admission check passed at
 // publish time and the value's buffer can no longer be recycled under
-// the ack. Everything else (park, pooled value, cold object, the
-// DisableReadSnapshots ablation) reports false and falls to the locked
-// slow path.
+// the ack. Everything else (park, pooled value, cold object) reports
+// false and falls to the locked slow path.
 func (s *Server) loadSnapshot(id wire.ObjectID) (*readSnapshot, bool) {
-	if s.cfg.DisableReadSnapshots {
-		return nil, false
-	}
 	o := s.fastObj(id)
 	if o == nil {
 		return nil, false

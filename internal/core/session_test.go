@@ -16,9 +16,8 @@ import (
 
 // newSessionTCPCluster is newTCPCluster with every endpoint in session
 // mode: servers assert their Config.SessionHello, so connections are
-// validated, ring traffic runs over per-lane links, and negotiated
-// capabilities (frame trains) engage. mods tweak each server's config
-// after ID/Members/WriteLanes are set.
+// validated and ring traffic runs over per-lane links. mods tweak each
+// server's config after ID/Members/WriteLanes are set.
 func newSessionTCPCluster(t *testing.T, n, lanes int, mods ...configMod) (*tcpCluster, []*core.Server) {
 	t.Helper()
 	c := &tcpCluster{
@@ -75,6 +74,18 @@ func newSessionTCPCluster(t *testing.T, n, lanes int, mods ...configMod) (*tcpCl
 // lane-unaware HELLO committed to the cluster membership.
 func (c *tcpCluster) newSessionClient(timeout time.Duration) *client.Client {
 	c.t.Helper()
+	return c.sessionClient(client.Options{Servers: c.members, AttemptTimeout: timeout})
+}
+
+// pinnedSessionClient attaches a session client that only ever talks to
+// one server.
+func (c *tcpCluster) pinnedSessionClient(server wire.ProcessID) *client.Client {
+	c.t.Helper()
+	return c.sessionClient(client.Options{Servers: []wire.ProcessID{server}, Policy: client.PolicyPinned})
+}
+
+func (c *tcpCluster) sessionClient(opts client.Options) *client.Client {
+	c.t.Helper()
 	c.mu.Lock()
 	c.next++
 	id := c.next
@@ -86,10 +97,10 @@ func (c *tcpCluster) newSessionClient(timeout time.Duration) *client.Client {
 		MembershipHash: wire.MembershipHash(c.members),
 	}
 	ep := tcpnet.NewClient(id, c.book, tcpnet.Options{Hello: &hello})
-	if timeout <= 0 {
-		timeout = 5 * time.Second
+	if opts.AttemptTimeout <= 0 {
+		opts.AttemptTimeout = 5 * time.Second
 	}
-	cl, err := client.New(ep, client.Options{Servers: c.members, AttemptTimeout: timeout})
+	cl, err := client.New(ep, opts)
 	if err != nil {
 		c.t.Fatal(err)
 	}
@@ -235,15 +246,15 @@ func TestSessionWriteLanesMismatch(t *testing.T) {
 	})
 }
 
-// TestStrayLaneByteDropped covers the pre-handshake diagnostic: a ring
-// frame from a legacy (unvalidated) link whose lane byte names a lane
-// this server does not have is logged and dropped, not routed to lane
-// 0, and the server keeps serving.
+// TestStrayLaneByteDropped covers the diagnostic for links no handshake
+// validated (a server on a raw endpoint): a ring frame whose lane byte
+// names a lane this server does not have is logged and dropped, not
+// routed to lane 0, and the server keeps serving.
 func TestStrayLaneByteDropped(t *testing.T) {
 	net := transport.NewMemNetwork(transport.MemNetworkOptions{})
 	members := []wire.ProcessID{1}
 	cfg := core.Config{ID: 1, Members: members, WriteLanes: 2}
-	ep, err := net.RegisterSession(cfg.SessionHello())
+	ep, err := net.Register(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +266,8 @@ func TestStrayLaneByteDropped(t *testing.T) {
 	srv.Start()
 	defer srv.Stop()
 
-	// A legacy endpoint (no session) posing as a mismatched peer: its
-	// frame header names lane 5 of a 2-lane server.
+	// A raw endpoint posing as a mismatched peer: its frame header names
+	// lane 5 of a 2-lane server.
 	rogue, err := net.Register(9)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +282,7 @@ func TestStrayLaneByteDropped(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.LaneDrops() == 0 {
+	for srv.CounterSnapshot().LaneDrops == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("stray-lane frame was never counted as dropped")
 		}
@@ -279,10 +290,7 @@ func TestStrayLaneByteDropped(t *testing.T) {
 	}
 
 	// The server is unharmed: a real client round trip still works.
-	clEP, err := net.RegisterSession(wire.Hello{
-		Version: wire.HelloVersion, From: 100, Link: wire.LinkGeneral,
-		MembershipHash: wire.MembershipHash(members),
-	})
+	clEP, err := net.Register(100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,24 +28,11 @@ func newStormHarness(t *testing.T, seed int64, mods ...func(*Config)) *stormHarn
 	for _, mod := range mods {
 		mod(&cfg)
 	}
-	// Session endpoints for every member: the planner's capability query
-	// then resolves against real HELLOs, so the train planner is
-	// exercised by the storms (the peers never read their inboxes; the
-	// event loops are not running and planned frames are dropped).
 	ep, err := net.RegisterSession(cfg.SessionHello())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ep.Close() })
-	for _, peer := range cfg.Members[1:] {
-		pcfg := cfg
-		pcfg.ID = peer
-		pep, err := net.RegisterSession(pcfg.SessionHello())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = pep.Close() })
-	}
 	s, err := NewServer(cfg, ep)
 	if err != nil {
 		t.Fatal(err)
@@ -366,13 +353,13 @@ func TestLaneRouting(t *testing.T) {
 		t.Fatalf("crash notice routed to %d, want control index %d", got, len(s.lanes))
 	}
 	// A lane byte beyond the local fanout (a WriteLanes-mismatched peer
-	// on a legacy link) is dropped and counted, never wrapped onto an
-	// arbitrary lane.
+	// on an unvalidated link) is dropped and counted, never wrapped onto
+	// an arbitrary lane.
 	stray := transport.Inbound{Frame: wire.NewLaneFrame(wire.Envelope{Kind: wire.KindPreWrite, Object: 1, Tag: tag.Tag{TS: 2, ID: 2}, Origin: 2}, 7)}
 	if got := s.route(&stray); got != transport.RouteDrop {
 		t.Fatalf("stray-lane frame routed to %d, want RouteDrop", got)
 	}
-	if s.LaneDrops() == 0 {
+	if s.CounterSnapshot().LaneDrops == 0 {
 		t.Fatal("stray-lane drop was not counted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/tag"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -76,61 +75,5 @@ func TestTrainPlanInterleavesForwardsAndInitiations(t *testing.T) {
 	ln.commitRingSend(plan)
 	if !ln.fq.empty() || len(ln.writeQueue) != 0 {
 		t.Fatalf("commit left fq=%d writeQueue=%d", ln.fq.len(), len(ln.writeQueue))
-	}
-}
-
-// TestTrainBudgetRespectsPeerCapability: a successor whose HELLO lacks
-// CapFrameTrains must keep the lane on classic (≤2 envelope) frames,
-// whatever TrainLength says, and the planner re-engages trains when the
-// successor changes to a capable one.
-func TestTrainBudgetRespectsPeerCapability(t *testing.T) {
-	net := transport.NewMemNetwork(transport.MemNetworkOptions{})
-	members := []wire.ProcessID{1, 2, 3}
-	cfg := Config{ID: 1, Members: members, WriteLanes: 1, TrainLength: 8}
-	ep, err := net.RegisterSession(cfg.SessionHello())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ep.Close() }()
-	// Successor 2 models a pre-train build: no CapFrameTrains.
-	legacyCfg := cfg
-	legacyCfg.ID = 2
-	legacyCfg.DisableFrameTrains = true
-	lep, err := net.RegisterSession(legacyCfg.SessionHello())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = lep.Close() }()
-	// Successor-after-crash 3 is train-capable.
-	capCfg := cfg
-	capCfg.ID = 3
-	cep, err := net.RegisterSession(capCfg.SessionHello())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = cep.Close() }()
-
-	s, err := NewServer(cfg, ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := s.lanes[0]
-	if got := ln.trainBudget(); got != 1 {
-		t.Fatalf("budget toward no-train successor = %d, want 1", got)
-	}
-	// Queue enough work that an unbounded plan would exceed 2 envelopes.
-	for i := 0; i < 4; i++ {
-		ln.onWriteRequest(500, &wire.Envelope{Kind: wire.KindWriteRequest, Object: 0, ReqID: uint64(i), Value: []byte{byte(i)}})
-	}
-	if plan := ln.planRingSend(); !plan.ok || plan.frame.EnvelopeCount() > 2 {
-		t.Fatalf("planned %d envelopes toward a no-train successor", plan.frame.EnvelopeCount())
-	}
-	// Server 2 crashes; the successor becomes train-capable server 3.
-	ln.handleCrash(2)
-	if got := ln.trainBudget(); got != 8 {
-		t.Fatalf("budget toward train-capable successor = %d, want 8", got)
-	}
-	if plan := ln.planRingSend(); !plan.ok || plan.frame.EnvelopeCount() <= 2 {
-		t.Fatalf("planned %d envelopes toward a train-capable successor, want a train", plan.frame.EnvelopeCount())
 	}
 }

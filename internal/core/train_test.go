@@ -147,61 +147,3 @@ func TestTrainLengthsLinearizableTCP(t *testing.T) {
 		})
 	}
 }
-
-// TestMixedTrainClusterMem is the rolling-upgrade shape on the
-// in-memory transport: server 2 models a pre-train build (no
-// CapFrameTrains in its HELLO), its ring predecessor is train-capable.
-// The cluster must stay fully operational — the predecessor downgrades
-// to classic frames on that link — and no ring frame may be dropped for
-// lane reasons.
-func TestMixedTrainClusterMem(t *testing.T) {
-	c := newCluster(t, 3, func(cfg *core.Config) {
-		if cfg.ID == 2 {
-			cfg.DisableFrameTrains = true
-		}
-	})
-	mk := func(pin wire.ProcessID) *client.Client {
-		return c.newClient(client.Options{
-			Servers:        []wire.ProcessID{pin},
-			Policy:         client.PolicyPinned,
-			AttemptTimeout: 2 * time.Second,
-		})
-	}
-	runTrainWorkload(t, mk, mk, c.members, 8, 250*time.Millisecond)
-	for id, srv := range c.servers {
-		assertCleanCounters(t, id, srv)
-	}
-}
-
-// TestMixedTrainClusterTCP is the same over real TCP. This is the
-// strongest interop check available: if the train-capable predecessor
-// ever emitted a v4 frame on the pre-train server's link, that server's
-// decoder would reject it as corrupt, kill the connection, and the
-// broken link would be reported as a crash — the workload below would
-// lose server 2 and the final per-server reads would fail.
-func TestMixedTrainClusterTCP(t *testing.T) {
-	c, servers := newSessionTCPCluster(t, 3, 4, func(cfg *core.Config) {
-		if cfg.ID == 2 {
-			cfg.DisableFrameTrains = true
-		}
-	})
-	mk := func(pin wire.ProcessID) *client.Client {
-		return c.newSessionClient(2 * time.Second)
-	}
-	runTrainWorkload(t, mk, mk, c.members, 4, 200*time.Millisecond)
-
-	// Every server is still alive and serving every object: no
-	// connection was killed by an unreadable frame mid-run.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	cl := c.newSessionClient(2 * time.Second)
-	for obj := 0; obj < 4; obj++ {
-		want := fmt.Sprintf("final-%d", obj)
-		if _, err := cl.Write(ctx, wire.ObjectID(obj), []byte(want)); err != nil {
-			t.Fatalf("final write to object %d: %v", obj, err)
-		}
-	}
-	for _, srv := range servers {
-		assertCleanCounters(t, srv.ID(), srv)
-	}
-}

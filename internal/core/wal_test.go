@@ -10,7 +10,6 @@ import (
 	"repro/internal/checker"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/transport"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -82,49 +81,53 @@ func TestAckedWriteDurableAfterKill(t *testing.T) {
 }
 
 // TestAckedWriteDurableAfterKillEncodedEgress re-runs the durability
-// contract over the §14 egress semantics: a queued transport that
-// encodes every frame at enqueue time into pooled refcounted buffers —
-// the memnet mirror of the vectored TCP egress. The WAL send gate runs
-// strictly before SendLane, so no encoded byte of a gated train may
-// exist before its covering fdatasync; killing every server mid-stream
-// must neither lose an acked write nor strand a pooled encode buffer.
+// contract over the egress that ships (DESIGN.md §14): session endpoints
+// on loopback TCP, every frame encoded at enqueue time into pooled
+// refcounted buffers. The WAL send gate runs strictly before SendLane,
+// so no encoded byte of a gated train may exist before its covering
+// fdatasync; killing every server mid-stream must neither lose an acked
+// write nor strand a pooled encode buffer.
 func TestAckedWriteDurableAfterKillEncodedEgress(t *testing.T) {
 	liveBase := wire.EncodedFramesLive()
-	base := t.TempDir()
-	ctx := ctxT(t)
-	netOpts := transport.MemNetworkOptions{
-		SendQueueCapacity: 64,
-		EncodeAtEnqueue:   true,
-	}
+	// The subtest's cleanups close every client and endpoint, so when it
+	// returns all queues have drained.
+	t.Run("killRestart", func(t *testing.T) {
+		base := t.TempDir()
+		ctx := ctxT(t)
 
-	c := newClusterNet(t, 3, netOpts, walMod(base, wal.SyncTrain))
-	cl := c.newClient(client.Options{})
-	const writes = 20
-	tags := make(map[int]string)
-	for i := 0; i < writes; i++ {
-		obj := i % 4
-		v := fmt.Sprintf("durable-enc-%d", i)
-		if _, err := cl.Write(ctx, wire.ObjectID(obj), []byte(v)); err != nil {
-			t.Fatalf("write %d: %v", i, err)
+		c, servers := newSessionTCPCluster(t, 3, 0, walMod(base, wal.SyncTrain))
+		cl := c.newSessionClient(0)
+		const writes = 20
+		tags := make(map[int]string)
+		for i := 0; i < writes; i++ {
+			obj := i % 4
+			v := fmt.Sprintf("durable-enc-%d", i)
+			if _, err := cl.Write(ctx, wire.ObjectID(obj), []byte(v)); err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+			tags[obj] = v
 		}
-		tags[obj] = v
-	}
-	c.killAll()
+		for _, srv := range servers {
+			id := srv.ID()
+			delete(c.servers, id)
+			srv.Kill()
+			_ = c.eps[id].Close()
+		}
 
-	re := newClusterNet(t, 3, netOpts, walMod(base, wal.SyncTrain))
-	for i := 1; i <= 3; i++ {
-		pinned := re.pinnedClient(wire.ProcessID(i))
-		for obj, want := range tags {
-			got, _, err := pinned.Read(ctx, wire.ObjectID(obj))
-			if err != nil {
-				t.Fatalf("server %d read obj %d: %v", i, obj, err)
-			}
-			if string(got) != want {
-				t.Fatalf("server %d obj %d: %q after restart, want %q", i, obj, got, want)
+		re, _ := newSessionTCPCluster(t, 3, 0, walMod(base, wal.SyncTrain))
+		for _, id := range re.members {
+			pinned := re.pinnedSessionClient(id)
+			for obj, want := range tags {
+				got, _, err := pinned.Read(ctx, wire.ObjectID(obj))
+				if err != nil {
+					t.Fatalf("server %d read obj %d: %v", id, obj, err)
+				}
+				if string(got) != want {
+					t.Fatalf("server %d obj %d: %q after restart, want %q", id, obj, got, want)
+				}
 			}
 		}
-	}
-	re.shutdown()
+	})
 	// Every pooled encode buffer must be back: the killed cluster's
 	// queues drained on close, the restarted one's on shutdown.
 	deadline := time.Now().Add(5 * time.Second)

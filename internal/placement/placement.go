@@ -25,7 +25,7 @@
 // which lane the object takes inside r: lane load stays uniform within
 // every ring slice (property-tested in placement_test.go). All three
 // functions are allocation-free; RingOf is on the client's per-request
-// path and -hotpath-strict fails if it ever allocates.
+// path and TestRingOfNoAlloc fails if it ever allocates.
 package placement
 
 import (

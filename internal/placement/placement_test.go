@@ -168,9 +168,22 @@ func TestRingCounts(t *testing.T) {
 	}
 }
 
-// BenchmarkRingOf is the per-request routing decision of the federated
-// client; it must stay allocation-free (-hotpath-strict enforces it
-// through the bench harness's RouteLoop, which shares this body).
+// TestRingOfNoAlloc: the per-request routing decision of the federated
+// client is on every operation's path and must stay allocation-free.
+func TestRingOfNoAlloc(t *testing.T) {
+	sum, obj := 0, 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		sum += placement.RingOf(wire.ObjectID(obj&2047), 4)
+		obj++
+	}); allocs != 0 {
+		t.Fatalf("RingOf allocates %.1f/op, want 0", allocs)
+	}
+	if sum < 0 {
+		t.Fatal("impossible")
+	}
+}
+
+// BenchmarkRingOf times the same decision.
 func BenchmarkRingOf(b *testing.B) {
 	b.ReportAllocs()
 	sum := 0

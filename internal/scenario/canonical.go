@@ -92,18 +92,6 @@ func Canonical(walDir string) []Scenario {
 			Servers: 5, Ops: 30,
 		},
 		{
-			// A mixed-capability ring: server 2 runs without frame
-			// trains among train-capable peers, with jittery ring links
-			// on top. Per-connection negotiation must keep every frame
-			// decodable.
-			Name:   "legacy-train-mixed-ring",
-			Script: "at 0s delay 1ms jitter 1ms ring",
-			Options: []atomicstore.Option{
-				atomicstore.WithServerOptions(2, atomicstore.WithoutFrameTrains()),
-			},
-			Servers: 4, Ops: 40,
-		},
-		{
 			// Two uncorrelated crashes, no restart: the ring splices
 			// twice and the surviving majority carries the store. Crash
 			// notices may fail in-flight acks.

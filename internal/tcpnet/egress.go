@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"io"
+	"math"
 	"net"
 
 	"repro/internal/wire"
@@ -22,15 +23,13 @@ import (
 // (see EXPERIMENTS.md PR 9 — on loopback, 128 separate 64 B iovecs
 // writev ~50% slower than one memcpy'd slab), so the cutoff buys the
 // best of both: small control frames coalesce, bulk values ship with
-// zero copies. vectored=false (the DisableVectoredWrites ablation)
-// forces every frame through the slab, reproducing the old
-// copy-everything writer with exactly one Write per batch.
+// zero copies. A cutoff above every frame size sends everything through
+// the slab — exactly one Write per batch.
 type egressWriter struct {
 	conn net.Conn
 	tcp  *net.TCPConn // non-nil when the kernel writev path applies
 
-	vectored bool
-	cutoff   int
+	cutoff int
 
 	// iovArr is the iovec's stable backing array; bufs is the slice
 	// header handed to net.Buffers.WriteTo, which consumes it in place.
@@ -56,16 +55,15 @@ type egressWriter struct {
 	batched int
 }
 
-func newEgressWriter(conn net.Conn, vectored bool, cutoff int) *egressWriter {
+func newEgressWriter(conn net.Conn, cutoff int) *egressWriter {
 	tcp, _ := conn.(*net.TCPConn)
 	return &egressWriter{
-		conn:     conn,
-		tcp:      tcp,
-		vectored: vectored,
-		cutoff:   cutoff,
-		iovArr:   make([][]byte, 0, 64),
-		slab:     wire.GetBuffer(),
-		pend:     make([]*wire.EncodedFrame, 0, 64),
+		conn:   conn,
+		tcp:    tcp,
+		cutoff: cutoff,
+		iovArr: make([][]byte, 0, 64),
+		slab:   wire.GetBuffer(),
+		pend:   make([]*wire.EncodedFrame, 0, 64),
 	}
 }
 
@@ -76,7 +74,7 @@ func newEgressWriter(conn net.Conn, vectored bool, cutoff int) *egressWriter {
 func (w *egressWriter) add(ef *wire.EncodedFrame) {
 	b := ef.Bytes()
 	w.batched += len(b)
-	if !w.vectored || len(b) < w.cutoff {
+	if len(b) < w.cutoff {
 		*w.slab = append(*w.slab, b...)
 		ef.Release()
 		return
@@ -177,25 +175,23 @@ func writeFull(c net.Conn, b []byte) error {
 	return nil
 }
 
-// EgressBench drives the package's real egress writer for benchmarks
-// (internal/bench wraps it in testing.Benchmark; this package must not
-// import testing). It exists so the strict-gated egress numbers in
-// BENCH_hotpath.json measure the shipping batch-assembly and flush
-// code, not a reimplementation.
+// EgressBench drives the package's real egress writer for the
+// repository benchmark (benchmark/probes.go), so its egress numbers
+// measure the shipping batch-assembly and flush code, not a
+// reimplementation.
 type EgressBench struct {
 	w *egressWriter
-
-	// scratch backs FlushBatchEncoding's per-frame encode, mirroring the
-	// scratch buffer the pre-§14 writeLoop kept.
-	scratch *[]byte
 }
 
-// NewEgressBench returns a bench harness flushing to conn. vectored
-// and cutoff map directly onto the writer's hybrid policy: vectored
-// with cutoff 0 is the pure zero-copy path, vectored=false the
-// copy-everything ablation.
+// NewEgressBench returns a bench harness flushing to conn. cutoff is
+// the writer's hybrid threshold (0 is the pure zero-copy path);
+// vectored=false selects the copy-everything policy, a cutoff above
+// any frame.
 func NewEgressBench(conn net.Conn, vectored bool, cutoff int) *EgressBench {
-	return &EgressBench{w: newEgressWriter(conn, vectored, cutoff)}
+	if !vectored {
+		cutoff = math.MaxInt
+	}
+	return &EgressBench{w: newEgressWriter(conn, cutoff)}
 }
 
 // FlushBatch gathers and flushes one batch. Each frame is retained
@@ -209,51 +205,5 @@ func (eb *EgressBench) FlushBatch(frames []*wire.EncodedFrame) error {
 	return eb.w.flush()
 }
 
-// FlushBatchOwned gathers and flushes one batch, consuming one
-// reference per frame — the writer's shipping contract (the outbound
-// queue hands writeLoop owned references; no retain happens on the
-// writer goroutine). The caller must have retained each frame once per
-// call beforehand. This is the timed body of the strict-gated writev
-// row: unlike FlushBatch it charges the writer exactly what production
-// charges it, one release per frame, not a retain/release pair.
-func (eb *EgressBench) FlushBatchOwned(frames []*wire.EncodedFrame) error {
-	for _, ef := range frames {
-		eb.w.add(ef)
-	}
-	return eb.w.flush()
-}
-
-// FlushBatchEncoding reproduces the pre-§14 egress pipeline for the
-// ablation row: every frame is encoded on the flushing goroutine into a
-// scratch buffer, copied into the coalesced batch buffer, and the batch
-// ships with one write — exactly the per-frame work of the old
-// bufio-backed writeLoop (AppendTo into scratch, bw.Write's memcpy,
-// one flush). Comparing it against FlushBatchOwned over pre-encoded
-// frames measures what encode-at-enqueue plus zero-copy staging removes
-// from the per-peer writer, which is the serialization bottleneck a
-// peer link has.
-func (eb *EgressBench) FlushBatchEncoding(frames []wire.Frame) error {
-	if eb.scratch == nil {
-		eb.scratch = wire.GetBuffer()
-	}
-	w := eb.w
-	for i := range frames {
-		buf, err := frames[i].AppendTo((*eb.scratch)[:0])
-		if err != nil {
-			return err
-		}
-		*eb.scratch = buf
-		*w.slab = append(*w.slab, buf...)
-		w.batched += len(buf)
-	}
-	return w.flush()
-}
-
 // Close releases the harness's pooled state.
-func (eb *EgressBench) Close() {
-	eb.w.close()
-	if eb.scratch != nil {
-		wire.PutBuffer(eb.scratch)
-		eb.scratch = nil
-	}
-}
+func (eb *EgressBench) Close() { eb.w.close() }

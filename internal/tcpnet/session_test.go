@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ func sessionHello(id wire.ProcessID, lanes uint16, members []wire.ProcessID) *wi
 }
 
 // listenPair binds endpoints 1 and 2 on ephemeral loopback ports with a
-// complete address book, each with its own Options (session or legacy).
+// complete address book, each with its own Options (session or raw).
 func listenPair(t *testing.T, oa, ob Options) (*Endpoint, *Endpoint) {
 	t.Helper()
 	book := make(AddressBook)
@@ -57,7 +58,7 @@ func TestTCPSessionMismatch(t *testing.T) {
 		"membership": sessionHello(2, 4, []wire.ProcessID{1, 2, 3}),
 		"version": func() *wire.Hello {
 			h := sessionHello(2, 4, members)
-			h.Version++
+			h.Version = 3 // the last build that negotiated trains per peer
 			return h
 		}(),
 	} {
@@ -68,6 +69,9 @@ func TestTCPSessionMismatch(t *testing.T) {
 			var herr *wire.HandshakeError
 			if err := a.Handshake(2); !errors.As(err, &herr) {
 				t.Fatalf("Handshake: got %v, want *wire.HandshakeError", err)
+			}
+			if name == "version" && herr.Field != "wire version" {
+				t.Fatalf("v3 peer refused on %q, want wire version", herr.Field)
 			}
 			if err := a.Send(2, wire.NewFrame(wire.Envelope{Kind: wire.KindReadRequest, ReqID: 1})); !errors.As(err, &herr) {
 				t.Fatalf("Send: got %v, want *wire.HandshakeError", err)
@@ -178,126 +182,34 @@ func TestTCPLaneUnawarePinRejected(t *testing.T) {
 	}
 }
 
-// TestTCPLegacyPeer verifies the compatibility option: a v2-era
-// endpoint (no HELLO) is accepted by a session endpoint only behind
-// AllowLegacy, and its frames arrive unpinned.
+// TestTCPLegacyPeer verifies that a session endpoint refuses a raw peer
+// (bare preamble, no HELLO) with the typed wire-version error, and that
+// no frame of such a peer is ever delivered.
 func TestTCPLegacyPeer(t *testing.T) {
 	members := []wire.ProcessID{1, 2}
-
-	t.Run("allowed", func(t *testing.T) {
-		a, b := listenPair(t,
-			Options{Hello: sessionHello(1, 4, members), AllowLegacy: true},
-			Options{})
-		if err := b.Send(1, wire.NewFrame(wire.Envelope{Kind: wire.KindReadRequest, ReqID: 7})); err != nil {
-			t.Fatalf("legacy send: %v", err)
-		}
-		in := recvOne(t, a)
-		if in.From != 2 || in.LinkLane != 0 {
-			t.Fatalf("legacy frame arrived as %+v", in)
-		}
-	})
 
 	t.Run("rejected", func(t *testing.T) {
 		a, b := listenPair(t,
 			Options{Hello: sessionHello(1, 4, members)},
 			Options{})
-		// The acceptor closes a legacy connection without a reply; the
-		// v2-era dialer only notices on the next write, so probe by
-		// sending and watching a's inbox stay empty.
+		// The acceptor closes a raw connection without a reply; the raw
+		// dialer only notices on the next write, so probe by sending and
+		// watching a's inbox stay empty.
 		_ = b.Send(1, wire.NewFrame(wire.Envelope{Kind: wire.KindReadRequest, ReqID: 8}))
 		select {
 		case in := <-a.Inbox():
-			t.Fatalf("legacy frame accepted without AllowLegacy: %+v", in)
+			t.Fatalf("raw peer's frame accepted by a session endpoint: %+v", in)
 		case <-time.After(100 * time.Millisecond):
 		}
-	})
-}
 
-// tcpTrainFrame builds a k-envelope ring train for transport tests.
-func tcpTrainFrame(k int) wire.Frame {
-	mk := func(i int) wire.Envelope {
-		return wire.Envelope{
-			Kind:   wire.KindPreWrite,
-			Origin: 1,
-			Tag:    tag.Tag{TS: uint64(i + 1), ID: 1},
-			Value:  []byte{byte(i)},
-		}
-	}
-	f := wire.Frame{Env: mk(0)}
-	pb := mk(1)
-	f.Piggyback = &pb
-	for i := 2; i < k; i++ {
-		f.Extra = append(f.Extra, mk(i))
-	}
-	return f
-}
-
-// TestTCPFrameTrainGating pins the v4 contract over real TCP: a train
-// crosses whole between sessions that both negotiated CapFrameTrains,
-// and is downgraded to a run of ≤2-envelope v3 frames (order
-// preserved) toward a session whose HELLO lacks the capability — that
-// peer's decoder would treat a v4 frame as corrupt and kill the
-// connection.
-func TestTCPFrameTrainGating(t *testing.T) {
-	members := []wire.ProcessID{1, 2}
-	const k = 5
-
-	t.Run("negotiated", func(t *testing.T) {
-		ha, hb := sessionHello(1, 4, members), sessionHello(2, 4, members)
-		ha.Capabilities |= wire.CapFrameTrains
-		hb.Capabilities |= wire.CapFrameTrains
-		a, b := listenPair(t, Options{Hello: ha}, Options{Hello: hb})
-		if err := a.Handshake(2); err != nil {
-			t.Fatal(err)
-		}
-		if caps, ok := a.PeerCaps(2); !ok || caps&wire.CapFrameTrains == 0 {
-			t.Fatalf("PeerCaps = (%#x,%v), want trains negotiated", caps, ok)
-		}
-		if err := a.Send(2, tcpTrainFrame(k)); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case in := <-b.Inbox():
-			if got := in.Frame.EnvelopeCount(); got != k {
-				t.Fatalf("received %d envelopes, want %d", got, k)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("train never arrived")
-		}
-	})
-
-	t.Run("downgraded", func(t *testing.T) {
-		ha, hb := sessionHello(1, 4, members), sessionHello(2, 4, members)
-		ha.Capabilities |= wire.CapFrameTrains // b stays train-less
-		a, b := listenPair(t, Options{Hello: ha}, Options{Hello: hb})
-		if err := a.Handshake(2); err != nil {
-			t.Fatal(err)
-		}
-		if caps, ok := a.PeerCaps(2); !ok || caps&wire.CapFrameTrains != 0 {
-			t.Fatalf("PeerCaps = (%#x,%v), want known without trains", caps, ok)
-		}
-		if err := a.Send(2, tcpTrainFrame(k)); err != nil {
-			t.Fatal(err)
-		}
-		var got []wire.Envelope
-		deadline := time.After(5 * time.Second)
-		for len(got) < k {
-			select {
-			case in := <-b.Inbox():
-				if n := in.Frame.EnvelopeCount(); n > 2 {
-					t.Fatalf("v4 frame (%d envelopes) reached a no-train session", n)
-				}
-				got = append(got, in.Frame.Envelopes()...)
-			case <-deadline:
-				t.Fatalf("only %d of %d envelopes arrived", len(got), k)
-			}
-		}
-		wf := tcpTrainFrame(k)
-		want := wf.Envelopes()
-		for i := range want {
-			if got[i].Tag != want[i].Tag {
-				t.Fatalf("split reordered envelopes at %d: got %s, want %s", i, got[i].Tag, want[i].Tag)
-			}
+		// The acceptor's verdict, seen from inside: the same typed error
+		// any version skew gets.
+		near, far := net.Pipe()
+		defer func() { _ = near.Close(); _ = far.Close() }()
+		go func() { _, _ = far.Write([]byte(magicRaw + "\x00\x00\x00\x02")) }()
+		var herr *wire.HandshakeError
+		if _, err := a.acceptHandshake(near); !errors.As(err, &herr) || herr.Field != "wire version" {
+			t.Fatalf("acceptHandshake(raw preamble): got %v, want *wire.HandshakeError on wire version", err)
 		}
 	})
 }

@@ -13,9 +13,10 @@
 // (transport.LaneSender), pinned to its lane at handshake time, so
 // lanes stop head-of-line-blocking each other on one shared socket and
 // the receiver demultiplexes by negotiated lane instead of trusting the
-// frame header. Endpoints without a Hello speak the bare v2-era
-// preamble; session endpoints admit such legacy peers only behind
-// Options.AllowLegacy.
+// frame header. Endpoints without a Hello are raw: they open with a bare
+// preamble (magic + process id, nothing validated) and talk only to
+// each other — a session endpoint refuses the bare preamble, and a raw
+// endpoint cannot answer a HELLO.
 //
 // Connections are created lazily on first send and cached. Each
 // connection has one reader and one writer goroutine; the bounded
@@ -59,11 +60,12 @@ import (
 // Connection preambles. Stray connections are rejected on the first
 // four bytes.
 const (
-	// magicV2 is the v2-era preamble: magic + raw process id, no HELLO.
-	magicV2 = "ATS1"
-	// magicV3 opens a session handshake: magic + length-prefixed HELLO
-	// body, answered by a status byte + the acceptor's HELLO.
-	magicV3 = "ATS3"
+	// magicRaw is the raw endpoints' preamble: magic + process id, no
+	// HELLO.
+	magicRaw = "ATS1"
+	// magicSession opens a session handshake: magic + length-prefixed
+	// HELLO body, answered by a status byte + the acceptor's HELLO.
+	magicSession = "ATS3"
 )
 
 // handshakeTimeout bounds each side's wait for the peer's handshake
@@ -72,7 +74,7 @@ const handshakeTimeout = 5 * time.Second
 
 // laneGeneral is the link lane of connections not pinned to a ring
 // lane: client connections, control traffic, and every connection of a
-// legacy or lane-unaware peer.
+// raw or lane-unaware peer.
 const laneGeneral = -1
 
 // Options configure a TCP endpoint.
@@ -81,19 +83,9 @@ type Options struct {
 	// dialed connection opens with this HELLO (its Link field rewritten
 	// per connection), accepted connections must present a compatible
 	// one, and mismatches fail with a typed *wire.HandshakeError. Nil
-	// keeps the v2-era preamble (no validation, no per-lane links).
+	// makes a raw endpoint: bare preamble, no validation, no per-lane
+	// links, reachable only from other raw endpoints.
 	Hello *wire.Hello
-	// AllowLegacy lets a session endpoint accept v2-era peers that
-	// present the bare preamble instead of a HELLO. Such peers bypass
-	// session validation — their lane fanout and membership cannot be
-	// checked — so inbound ring frames from them are routed by the
-	// frame header with the out-of-range guard as the only protection.
-	// The option is accept-side only: a session endpoint always dials
-	// with the v3 preamble, which a v2 acceptor rejects, so during a
-	// rolling upgrade a v3 server receives from a v2 predecessor but
-	// cannot send to a v2 successor — upgrade in reverse ring order,
-	// or restart the ring together.
-	AllowLegacy bool
 	// SendQueueCapacity bounds the per-peer outbound queue. Zero means 64.
 	SendQueueCapacity int
 	// InboxCapacity bounds the shared inbox. Zero means 256.
@@ -116,15 +108,6 @@ type Options struct {
 	// load. Most deployments should keep zero; set it only to trade
 	// latency for fewer, larger writes on high-RTT links.
 	FlushInterval time.Duration
-	// DisableCoalescing restores the flush-per-frame writer. Used as the
-	// benchmark baseline; never an optimization.
-	DisableCoalescing bool
-	// DisableVectoredWrites makes the writer copy every encoded frame
-	// into the batch slab and issue one plain write per batch, instead
-	// of handing pooled frame buffers to the kernel as iovec entries of
-	// a vectored write. Ablation baseline (the `egress` section of
-	// BENCH_hotpath.json compares the two); never an optimization.
-	DisableVectoredWrites bool
 	// VectoredCutoffBytes is the hybrid egress threshold: encoded
 	// frames at least this large become their own zero-copy iovec
 	// entry, smaller ones are coalesced into the batch slab (the
@@ -215,9 +198,9 @@ type Endpoint struct {
 	extras []*peer // duplicate conns from simultaneous dials: read-only
 	failed map[wire.ProcessID]bool
 	// caps records each peer's capability bitmap as learned from its
-	// HELLO (either direction); a present entry with zero caps is a
-	// legacy or capability-less peer. SendLane consults it to decide
-	// between the lane link and the general link.
+	// HELLO (either direction); a present entry with zero caps is a raw
+	// or capability-less peer. SendLane consults it to decide between
+	// the lane link and the general link.
 	caps map[wire.ProcessID]uint32
 
 	wg sync.WaitGroup
@@ -228,7 +211,6 @@ var (
 	_ transport.Demuxer    = (*Endpoint)(nil)
 	_ transport.LaneSender = (*Endpoint)(nil)
 	_ transport.Handshaker = (*Endpoint)(nil)
-	_ transport.PeerCapser = (*Endpoint)(nil)
 	_ transport.TrySender  = (*Endpoint)(nil)
 )
 
@@ -347,7 +329,7 @@ func (e *Endpoint) Send(to wire.ProcessID, f wire.Frame) error {
 // SendLane implements transport.LaneSender: the frame travels the
 // dedicated connection of the given ring lane when the session with the
 // peer negotiated wire.CapLaneLinks, and the general link otherwise
-// (legacy peers, lane-unaware peers). The first SendLane to a peer may
+// (raw peers, lane-unaware peers). The first SendLane to a peer may
 // open the general link just to learn the peer's capabilities; in
 // steady state an established lane link costs one lock acquisition,
 // the same as a plain Send.
@@ -367,13 +349,13 @@ func (e *Endpoint) SendLane(to wire.ProcessID, lane int, f wire.Frame) error {
 	caps, known := e.caps[to]
 	e.mu.Unlock()
 	if live {
-		return e.enqueueFrame(p, to, f)
+		return e.enqueue(p, to, f)
 	}
 	if !known {
 		if _, err := e.peerFor(to, laneGeneral); err != nil {
 			return err
 		}
-		caps, _ = e.peerCaps(to)
+		caps = e.peerCaps(to)
 	}
 	if caps&wire.CapLaneLinks == 0 {
 		lane = laneGeneral
@@ -387,9 +369,7 @@ func (e *Endpoint) SendLane(to wire.ProcessID, lane int, f wire.Frame) error {
 // queue only if the link is already established and its queue has room
 // right now. It never dials — connection setup can block for seconds —
 // and never waits for queue space, so it is safe on goroutines that
-// must not stall on a slow client. A frame the link would have to
-// split (a train toward a trains-less peer) is refused; acks are
-// single-envelope, so in practice this never fires.
+// must not stall on a slow client.
 func (e *Endpoint) TrySend(to wire.ProcessID, f wire.Frame) bool {
 	select {
 	case <-e.down:
@@ -400,9 +380,6 @@ func (e *Endpoint) TrySend(to wire.ProcessID, f wire.Frame) bool {
 	p := e.peers[linkKey{id: to, lane: laneGeneral}]
 	e.mu.Unlock()
 	if p == nil {
-		return false
-	}
-	if !p.trains && f.EnvelopeCount() > 2 {
 		return false
 	}
 	if len(p.out) == cap(p.out) {
@@ -448,50 +425,7 @@ func (e *Endpoint) send(to wire.ProcessID, lane int, f wire.Frame) error {
 	if err != nil {
 		return err
 	}
-	return e.enqueueFrame(p, to, f)
-}
-
-// enqueueFrame hands the frame to a live link's writer, downgrading
-// wire-v4 trains to runs of v3 piggyback frames when the session with
-// the peer did not negotiate wire.CapFrameTrains — a train on such a
-// link would be rejected as corrupt by the peer's decoder and kill the
-// connection. The planner already shapes frames by the negotiated
-// capabilities, so the split is a last-line guard (raw endpoint users,
-// legacy peers); the decision reads the bit frozen on the peer at
-// adoption time, so neither classic frames nor trains take a lock here.
-func (e *Endpoint) enqueueFrame(p *peer, to wire.ProcessID, f wire.Frame) error {
-	if !p.trains && f.EnvelopeCount() > 2 {
-		for _, sub := range f.SplitLegacy() {
-			if err := e.enqueue(p, to, sub); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	return e.enqueue(p, to, f)
-}
-
-// trainsNegotiated reports whether the session with the peer negotiated
-// wire.CapFrameTrains. Unknown capabilities count as "no": a v4 frame
-// must never reach a link whose HELLO did not advertise trains.
-func (e *Endpoint) trainsNegotiated(to wire.ProcessID) bool {
-	caps, ok := e.PeerCaps(to)
-	return ok && caps&wire.CapFrameTrains != 0
-}
-
-// PeerCaps implements transport.PeerCapser: the capability set
-// negotiated with the peer (the intersection of both HELLOs), known
-// once a handshake with the peer has completed in either direction.
-func (e *Endpoint) PeerCaps(to wire.ProcessID) (uint32, bool) {
-	caps, ok := e.peerCaps(to)
-	if !ok {
-		return 0, false
-	}
-	var local uint32
-	if e.opts.Hello != nil {
-		local = e.opts.Hello.Capabilities
-	}
-	return caps & local, true
 }
 
 // enqueue encodes the frame on the calling goroutine and hands the
@@ -542,13 +476,12 @@ func reclaimIfClosed(p *peer) bool {
 	}
 }
 
-// peerCaps returns the peer's capability bitmap, if a handshake with it
-// has completed in either direction.
-func (e *Endpoint) peerCaps(to wire.ProcessID) (uint32, bool) {
+// peerCaps returns the peer's capability bitmap; zero until a handshake
+// with it has completed in either direction.
+func (e *Endpoint) peerCaps(to wire.ProcessID) uint32 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	caps, ok := e.caps[to]
-	return caps, ok
+	return e.caps[to]
 }
 
 // recordCaps remembers the peer's capability bitmap.
@@ -618,7 +551,6 @@ func (e *Endpoint) adoptConn(key linkKey, conn net.Conn) *peer {
 		conn:   conn,
 		out:    make(chan *wire.EncodedFrame, e.opts.SendQueueCapacity),
 		closed: make(chan struct{}),
-		trains: e.trainsNegotiated(key.id),
 	}
 	e.mu.Lock()
 	if existing, ok := e.peers[key]; ok {
@@ -644,7 +576,8 @@ func (e *Endpoint) dropPeer(p *peer) {
 	p.shutdown()
 	e.mu.Lock()
 	first := false
-	if e.peers[p.key] == p {
+	cached := e.peers[p.key] == p
+	if cached {
 		delete(e.peers, p.key)
 	}
 	// Drop the learned capabilities with the peer's last link, so the
@@ -660,7 +593,14 @@ func (e *Endpoint) dropPeer(p *peer) {
 	if lastLink {
 		delete(e.caps, p.key.id)
 	}
-	if !e.failed[p.key.id] {
+	// failed exists to stop peerFor redialing a crashed server, and
+	// peerFor only dials ids in the address book; recording anyone else
+	// would grow the map by one entry per client that ever disconnected.
+	// A client's only link is the one it dialed, so its departure is
+	// reported by whichever of that link's two loops uncaches it.
+	if _, dialable := e.book[p.key.id]; !dialable {
+		first = cached
+	} else if !e.failed[p.key.id] {
 		e.failed[p.key.id] = true
 		first = true
 	}
@@ -756,7 +696,7 @@ func (e *Endpoint) readLoop(p *peer) {
 // (reclaimIfClosed).
 func (e *Endpoint) writeLoop(p *peer) {
 	defer e.wg.Done()
-	w := newEgressWriter(p.conn, !e.opts.DisableVectoredWrites, e.opts.VectoredCutoffBytes)
+	w := newEgressWriter(p.conn, e.opts.VectoredCutoffBytes)
 	defer w.close()
 	defer drainOut(p)
 	for {
@@ -797,7 +737,7 @@ func (e *Endpoint) writeBatch(p *peer, w *egressWriter, first *wire.EncodedFrame
 		timer    *time.Timer
 		deadline <-chan time.Time
 	)
-	if !e.opts.DisableCoalescing && e.opts.FlushInterval > 0 {
+	if e.opts.FlushInterval > 0 {
 		timer = time.NewTimer(e.opts.FlushInterval)
 		defer timer.Stop()
 		deadline = timer.C
@@ -805,7 +745,7 @@ func (e *Endpoint) writeBatch(p *peer, w *egressWriter, first *wire.EncodedFrame
 	ef := first
 	for {
 		w.add(ef)
-		if e.opts.DisableCoalescing || w.batched >= e.opts.MaxBatchBytes {
+		if w.batched >= e.opts.MaxBatchBytes {
 			break
 		}
 		if deadline == nil {
@@ -838,11 +778,6 @@ type peer struct {
 	out    chan *wire.EncodedFrame
 	once   sync.Once
 	closed chan struct{}
-	// trains records whether the session with this peer negotiated
-	// wire.CapFrameTrains, frozen at adoption time (capabilities are
-	// known before any link is adopted), so the send hot path decides
-	// train-vs-split without touching the endpoint mutex.
-	trains bool
 }
 
 // shutdown closes the connection and releases blocked senders.
@@ -854,15 +789,15 @@ func (p *peer) shutdown() {
 }
 
 // dialHandshake opens the dialer's side of the handshake on a fresh
-// connection. Legacy endpoints (no Hello) send the bare v2 preamble and
-// expect no reply, exactly as before sessions existed. Session
+// connection. Raw endpoints (no Hello) send the bare preamble and
+// expect no reply. Session
 // endpoints send their HELLO — pinned to the link's lane — then read
 // the acceptor's status and HELLO; an incompatible peer yields a typed
 // *wire.HandshakeError.
 func (e *Endpoint) dialHandshake(conn net.Conn, to wire.ProcessID, lane int) error {
 	if e.opts.Hello == nil {
 		var buf [8]byte
-		copy(buf[:4], magicV2)
+		copy(buf[:4], magicRaw)
 		binary.BigEndian.PutUint32(buf[4:], uint32(e.id))
 		_, err := conn.Write(buf[:])
 		return err
@@ -876,7 +811,7 @@ func (e *Endpoint) dialHandshake(conn net.Conn, to wire.ProcessID, lane int) err
 	// write: the whole preamble leaves in a single segment instead of
 	// trickling out (and allocating) per field.
 	buf := wire.GetBuffer()
-	b := append((*buf)[:0], magicV3...)
+	b := append((*buf)[:0], magicSession...)
 	b = append(b, byte(wire.HelloWireSize()))
 	b = wire.AppendHello(b, &h)
 	*buf = b
@@ -919,11 +854,13 @@ func (e *Endpoint) dialHandshake(conn net.Conn, to wire.ProcessID, lane int) err
 }
 
 // acceptHandshake runs the acceptor's side of the handshake, returning
-// the link key the connection serves. Both preambles are recognized:
-// the v2 preamble is admitted when this endpoint is itself legacy or
-// explicitly allows legacy peers; the v3 HELLO is validated and
-// answered with a status byte plus this endpoint's HELLO, so the dialer
-// learns the local configuration either way.
+// the link key the connection serves. Both preambles are recognized,
+// and each is admitted only by its own kind of endpoint: the bare
+// preamble by a raw endpoint (a session endpoint refuses it with the
+// same typed wire-version error any other version skew gets), the
+// HELLO by a session endpoint, which validates it and answers with a
+// status byte plus its own HELLO, so the dialer learns the local
+// configuration either way.
 func (e *Endpoint) acceptHandshake(conn net.Conn) (linkKey, error) {
 	if err := conn.SetReadDeadline(time.Now().Add(handshakeTimeout)); err != nil {
 		return linkKey{}, err
@@ -933,9 +870,10 @@ func (e *Endpoint) acceptHandshake(conn net.Conn) (linkKey, error) {
 		return linkKey{}, err
 	}
 	switch string(magic[:]) {
-	case magicV2:
-		if e.opts.Hello != nil && !e.opts.AllowLegacy {
-			return linkKey{}, errors.New("tcpnet: legacy peer rejected (AllowLegacy off)")
+	case magicRaw:
+		if e.opts.Hello != nil {
+			// The bare preamble carries no version; report it as 0.
+			return linkKey{}, &wire.HandshakeError{Field: "wire version", Local: uint64(e.opts.Hello.Version)}
 		}
 		var buf [4]byte
 		if _, err := io.ReadFull(conn, buf[:]); err != nil {
@@ -950,11 +888,11 @@ func (e *Endpoint) acceptHandshake(conn net.Conn) (linkKey, error) {
 		}
 		e.recordCaps(id, 0)
 		return linkKey{id: id, lane: laneGeneral}, nil
-	case magicV3:
+	case magicSession:
 		if e.opts.Hello == nil {
-			// A legacy endpoint cannot answer a session handshake; the
+			// A raw endpoint cannot answer a session handshake; the
 			// dialer sees the close and reports the failure.
-			return linkKey{}, errors.New("tcpnet: session handshake on legacy endpoint")
+			return linkKey{}, errors.New("tcpnet: session handshake on raw endpoint")
 		}
 		remote, err := readHelloBody(conn)
 		if err != nil {

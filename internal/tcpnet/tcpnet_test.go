@@ -145,6 +145,63 @@ func TestPeerCloseIsDetectedAsFailure(t *testing.T) {
 	}
 }
 
+// TestClientChurnKeepsFailureBookBounded connects and closes a thousand
+// distinct client ids against one server: each departure is reported,
+// but only ids the server could ever dial (its address book) may be
+// remembered as failed — and remembering those still reports a crashed
+// server exactly once.
+func TestClientChurnKeepsFailureBookBounded(t *testing.T) {
+	eps, book := newCluster(t, 2)
+	srv := eps[0]
+	const clients = 1000
+	for i := 0; i < clients; i++ {
+		id := wire.ProcessID(5000 + i)
+		cl := NewClient(id, book, Options{})
+		if err := cl.Send(1, frame(uint64(i))); err != nil {
+			t.Fatalf("client %d send: %v", id, err)
+		}
+		recvOne(t, srv)
+		_ = cl.Close()
+		select {
+		case got := <-srv.Failures():
+			if got != id {
+				t.Fatalf("failure notice for %d, want departed client %d", got, id)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("client %d's departure never reported", id)
+		}
+	}
+
+	if err := srv.Send(2, frame(1)); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, eps[1])
+	_ = eps[1].Close()
+	select {
+	case got := <-srv.Failures():
+		if got != 2 {
+			t.Fatalf("failure notice for %d, want crashed server 2", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server crash never reported")
+	}
+	// Both loops of the broken link run dropPeer; only one may report.
+	select {
+	case got := <-srv.Failures():
+		t.Fatalf("second failure notice (%d) for one crash", got)
+	case <-time.After(50 * time.Millisecond):
+	}
+	srv.mu.Lock()
+	remembered, live := len(srv.failed), len(srv.peers)+len(srv.caps)
+	srv.mu.Unlock()
+	if remembered > len(book) {
+		t.Fatalf("failed map holds %d ids after %d client departures, book has %d", remembered, clients, len(book))
+	}
+	if live != 0 {
+		t.Fatalf("%d link/capability entries outlive their peers", live)
+	}
+}
+
 func TestLargePayloadRoundTrip(t *testing.T) {
 	eps, _ := newCluster(t, 2)
 	val := make([]byte, 1<<20)
@@ -179,6 +236,25 @@ func TestPiggybackFrameOverTCP(t *testing.T) {
 	in := recvOne(t, eps[1])
 	if in.Frame.Piggyback == nil || string(in.Frame.Piggyback.Value) != "old" {
 		t.Fatalf("piggyback lost: %+v", in.Frame)
+	}
+
+	// A train crosses whole, envelopes in order.
+	const k = 5
+	f.Extra = nil
+	for i := 2; i < k; i++ {
+		f.Extra = append(f.Extra, wire.Envelope{Kind: wire.KindPreWrite, Origin: 1, Tag: tagOf(uint64(4+i), 1), Value: []byte{byte(i)}})
+	}
+	if err := eps[0].Send(2, f); err != nil {
+		t.Fatal(err)
+	}
+	in = recvOne(t, eps[1])
+	if got := in.Frame.EnvelopeCount(); got != k {
+		t.Fatalf("train arrived with %d envelopes, want %d", got, k)
+	}
+	for i, env := range in.Frame.Extra {
+		if env.Tag != f.Extra[i].Tag {
+			t.Fatalf("train reordered at tail slot %d: got %s, want %s", i, env.Tag, f.Extra[i].Tag)
+		}
 	}
 }
 
@@ -286,7 +362,6 @@ func TestCoalescedWriterKeepsOrder(t *testing.T) {
 		{"tinyBatch", Options{MaxBatchBytes: 64}},
 		{"flushInterval", Options{FlushInterval: 2 * time.Millisecond}},
 		{"flushIntervalTinyBatch", Options{FlushInterval: time.Millisecond, MaxBatchBytes: 128}},
-		{"unbatched", Options{DisableCoalescing: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eps, _ := newClusterOpts(t, 2, tc.opts)

@@ -147,26 +147,6 @@ func TestFaultTrySendHonorsVerdicts(t *testing.T) {
 	}
 }
 
-func TestFaultBatchingModeIntercepts(t *testing.T) {
-	n := NewMemNetwork(MemNetworkOptions{SendQueueCapacity: 8})
-	defer n.Close()
-	a, _ := n.Register(1)
-	b, _ := n.Register(2)
-	n.SetFaultInjector(verdictFunc(func(_, _ wire.ProcessID, _ int, f *wire.Frame) FaultVerdict {
-		return FaultVerdict{Drop: f.Env.ReqID == 1}
-	}))
-	if err := a.Send(2, newFrame(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send(2, newFrame(2)); err != nil {
-		t.Fatal(err)
-	}
-	got := <-b.Inbox()
-	if got.Frame.Env.ReqID != 2 {
-		t.Fatalf("drop verdict ignored in batching mode: got req %d", got.Frame.Env.ReqID)
-	}
-}
-
 func TestNetworkCloseRetiresParkedFrames(t *testing.T) {
 	n := NewMemNetwork(MemNetworkOptions{})
 	a, _ := n.Register(1)

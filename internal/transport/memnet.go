@@ -19,43 +19,11 @@ type MemNetworkOptions struct {
 	// InboxCapacity is the per-endpoint inbound buffer. Zero means
 	// DefaultInboxCapacity.
 	InboxCapacity int
-	// SendQueueCapacity, when positive, mirrors the TCP transport's
-	// write path so simulated and real deployments share queueing
-	// structure: each destination gets its own bounded outbound queue
-	// drained by its own sender goroutine delivering coalesced runs of
-	// frames (one queue and one writer per peer, as tcpnet has — a slow
-	// destination never delays frames bound elsewhere). Send then
-	// blocks on that per-peer queue instead of on the destination
-	// inbox, and delivery failures after acceptance are silent (the
-	// failure detector reports the peer). Zero keeps the direct
-	// handoff: Send blocks on the destination inbox, the tightest
-	// backpressure (the seed's behavior).
-	SendQueueCapacity int
-	// MaxBatchFrames caps one coalesced delivery run of the sender
-	// goroutine, mirroring tcpnet's MaxBatchBytes. Zero means 32. Only
-	// meaningful with SendQueueCapacity > 0.
-	MaxBatchFrames int
-	// EncodeAtEnqueue mirrors tcpnet's zero-copy egress semantics
-	// (DESIGN.md §14): the producing goroutine encodes each queued
-	// frame into a pooled wire.EncodedFrame at enqueue time, the queue
-	// carries the encoded buffer alongside the frame value, and the
-	// sender goroutine releases the buffer at delivery — the in-memory
-	// stand-in for "the kernel consumed the iovec". Delivery itself
-	// still hands over the frame value (memnet never decodes; that is
-	// what makes it a shared-memory transport), so the option's effect
-	// is to charge the producer the same encode cost, surface encode
-	// errors at the same call site, and hold pooled buffers over the
-	// same window as the TCP path, keeping cross-transport benches
-	// comparable. Only meaningful with SendQueueCapacity > 0.
-	EncodeAtEnqueue bool
 }
 
 func (o MemNetworkOptions) withDefaults() MemNetworkOptions {
 	if o.InboxCapacity <= 0 {
 		o.InboxCapacity = DefaultInboxCapacity
-	}
-	if o.MaxBatchFrames <= 0 {
-		o.MaxBatchFrames = 32
 	}
 	return o
 }
@@ -91,8 +59,9 @@ func NewMemNetwork(opts MemNetworkOptions) *MemNetwork {
 }
 
 // Register attaches a new endpoint for the given process id. The
-// endpoint is session-less: it asserts no HELLO and is never validated
-// against its peers (the v2-era behavior, kept for tests and tools).
+// endpoint is session-less: it asserts no HELLO, is never validated,
+// and reaches only other session-less endpoints (tests, tools and the
+// baseline protocols use it).
 func (n *MemNetwork) Register(id wire.ProcessID) (*MemEndpoint, error) {
 	return n.register(id, nil)
 }
@@ -102,9 +71,8 @@ func (n *MemNetwork) Register(id wire.ProcessID) (*MemEndpoint, error) {
 // compatible (wire version, lane fanout, membership hash); the first
 // Send or Handshake to an incompatible peer fails with a typed
 // *wire.HandshakeError — the in-memory equivalent of tcpnet rejecting
-// the connection at handshake time. A session endpoint still talks
-// freely to session-less Register endpoints, mirroring the TCP
-// transport's legacy-peer compatibility option.
+// the connection at handshake time. A session-less Register endpoint is
+// refused the same way, as tcpnet refuses the bare preamble.
 func (n *MemNetwork) RegisterSession(h wire.Hello) (*MemEndpoint, error) {
 	return n.register(h.From, &h)
 }
@@ -125,9 +93,6 @@ func (n *MemNetwork) register(id wire.ProcessID, hello *wire.Hello) (*MemEndpoin
 		inbox:    make(chan Inbound, n.opts.InboxCapacity),
 		failures: make(chan wire.ProcessID, 64),
 		down:     make(chan struct{}),
-	}
-	if n.opts.SendQueueCapacity > 0 {
-		ep.outqs = make(map[outKey]chan memOut)
 	}
 	n.endpoints[id] = ep
 	return ep, nil
@@ -170,24 +135,8 @@ func (n *MemNetwork) remove(id wire.ProcessID) {
 	delete(n.endpoints, id)
 }
 
-// outKey identifies one logical outbound link: a destination process
-// and the ring lane the link is pinned to (laneGeneral for the unpinned
-// link carrying client and control traffic).
-type outKey struct {
-	to   wire.ProcessID
-	lane int
-}
-
-// memOut is one queued outbound frame. enc is non-nil only in
-// EncodeAtEnqueue mode: the pooled encoded form produced on the
-// sending goroutine, released when the frame is delivered (or when the
-// queue drains on shutdown).
-type memOut struct {
-	f   wire.Frame
-	enc *wire.EncodedFrame
-}
-
-// laneGeneral is the outKey lane of the unpinned link.
+// laneGeneral is the link lane of the unpinned link, which carries
+// client and control traffic.
 const laneGeneral = -1
 
 // MemEndpoint is an in-memory Endpoint.
@@ -197,15 +146,6 @@ type MemEndpoint struct {
 	hello    *wire.Hello // nil for session-less endpoints
 	inbox    chan Inbound
 	failures chan wire.ProcessID
-
-	// outqs, when non-nil, holds the per-link bounded outbound queues
-	// of the batching mode (MemNetworkOptions.SendQueueCapacity > 0),
-	// each drained by its own sender goroutine — one queue and one
-	// writer per (peer, lane), exactly like tcpnet's per-lane
-	// connections, so a slow destination or a saturated lane never
-	// holds up frames bound elsewhere.
-	outmu sync.Mutex
-	outqs map[outKey]chan memOut
 
 	// demux, when set, routes inbound frames to per-lane inboxes
 	// instead of the shared inbox (Demuxer).
@@ -220,7 +160,6 @@ var (
 	_ Demuxer    = (*MemEndpoint)(nil)
 	_ LaneSender = (*MemEndpoint)(nil)
 	_ Handshaker = (*MemEndpoint)(nil)
-	_ PeerCapser = (*MemEndpoint)(nil)
 	_ TrySender  = (*MemEndpoint)(nil)
 )
 
@@ -252,11 +191,11 @@ func (e *MemEndpoint) Failures() <-chan wire.ProcessID { return e.failures }
 func (e *MemEndpoint) Done() <-chan struct{} { return e.down }
 
 // Send implements Endpoint. Self-sends are allowed (a one-server ring
-// forwards to itself). In batching mode the frame is accepted once the
-// local outbound queue has room; otherwise it is handed directly to the
-// destination inbox. Between two session endpoints the first frame is
-// preceded by the HELLO compatibility check; an incompatible peer fails
-// with a *wire.HandshakeError.
+// forwards to itself). The frame is handed directly to the destination
+// inbox, so Send blocks while that inbox is full — the tightest
+// backpressure. Between two session endpoints every frame is preceded
+// by the HELLO compatibility check; an incompatible peer fails with a
+// *wire.HandshakeError.
 func (e *MemEndpoint) Send(to wire.ProcessID, f wire.Frame) error {
 	return e.sendLane(to, laneGeneral, f)
 }
@@ -289,48 +228,6 @@ func (e *MemEndpoint) sendLane(to wire.ProcessID, lane int, f wire.Frame) error 
 	if !e.laneLinksWith(dst) {
 		lane = laneGeneral
 	}
-	if f.EnvelopeCount() > 2 && !e.trainsWith(dst) {
-		// A wire-v4 train frame must never reach a link whose session
-		// did not negotiate trains; such peers get the equivalent run
-		// of v3 piggyback frames instead (same envelopes, same order,
-		// same link). Mirrors tcpnet, where the split is what keeps a
-		// pre-train decoder from treating the frame as corrupt.
-		for _, sub := range f.SplitLegacy() {
-			if err := e.sendOne(to, lane, dst, sub); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return e.sendOne(to, lane, dst, f)
-}
-
-// sendOne moves one frame toward the destination: onto the per-link
-// queue in batching mode (encoding it first when the network mirrors
-// tcpnet's encode-at-enqueue semantics), straight into the destination
-// inbox otherwise.
-func (e *MemEndpoint) sendOne(to wire.ProcessID, lane int, dst *MemEndpoint, f wire.Frame) error {
-	if e.outqs != nil {
-		m := memOut{f: f}
-		if e.net.opts.EncodeAtEnqueue {
-			enc, err := wire.EncodeFrame(&f)
-			if err != nil {
-				return err
-			}
-			m.enc = enc
-		}
-		q := e.queueFor(to, lane)
-		select {
-		case q <- m:
-			e.reclaimIfDown(q)
-			return nil
-		case <-e.down:
-			if m.enc != nil {
-				m.enc.Release()
-			}
-			return ErrClosed
-		}
-	}
 	// The injected-fault verdict sits at the network edge, after the
 	// frame was accepted: a dropped frame is a successful Send whose
 	// bytes died on the wire, a delayed one parks on the delay line.
@@ -362,11 +259,9 @@ func (e *MemEndpoint) sendOne(to wire.ProcessID, lane int, dst *MemEndpoint, f w
 }
 
 // TrySend implements TrySender: the frame travels the general link only
-// if it can be accepted without blocking — a non-blocking push onto the
-// per-link queue in batching mode, or straight into the destination
-// inbox in direct mode. False (unknown peer, incompatible session, full
-// channel, a train the peer cannot decode) commits to nothing; the
-// caller falls back to Send on another goroutine.
+// if the destination inbox can accept it without blocking. False
+// (unknown peer, incompatible session, full inbox) commits to nothing;
+// the caller falls back to Send on another goroutine.
 func (e *MemEndpoint) TrySend(to wire.ProcessID, f wire.Frame) bool {
 	select {
 	case <-e.down:
@@ -380,38 +275,7 @@ func (e *MemEndpoint) TrySend(to wire.ProcessID, f wire.Frame) bool {
 	if e.checkSession(to, dst) != nil {
 		return false
 	}
-	if f.EnvelopeCount() > 2 && !e.trainsWith(dst) {
-		return false // needs the legacy split; take the blocking path
-	}
-	if e.outqs != nil {
-		m := memOut{f: f}
-		if e.net.opts.EncodeAtEnqueue {
-			q := e.queueFor(to, laneGeneral)
-			if len(q) == cap(q) {
-				return false // full right now; skip the encode work
-			}
-			enc, err := wire.EncodeFrame(&f)
-			if err != nil {
-				return false
-			}
-			m.enc = enc
-			select {
-			case q <- m:
-				e.reclaimIfDown(q)
-				return true
-			default:
-				enc.Release()
-				return false
-			}
-		}
-		select {
-		case e.queueFor(to, laneGeneral) <- m:
-			return true
-		default:
-			return false
-		}
-	}
-	// Same fault seam as sendOne: a Drop or Delay verdict counts as an
+	// Same fault seam as sendLane: a Drop or Delay verdict counts as an
 	// accepted send (the frame left this process without blocking).
 	switch v := e.net.verdict(e.id, to, laneGeneral, &f); {
 	case v.Drop:
@@ -435,27 +299,6 @@ func (e *MemEndpoint) TrySend(to wire.ProcessID, f wire.Frame) bool {
 	}
 }
 
-// PeerCaps implements PeerCapser: the negotiated capability set with
-// the peer. In-memory sessions "handshake" on lookup, so capabilities
-// are known whenever the peer is registered; a session-less endpoint on
-// either side negotiates the empty set.
-func (e *MemEndpoint) PeerCaps(to wire.ProcessID) (uint32, bool) {
-	dst := e.net.lookup(to)
-	if dst == nil {
-		return 0, false
-	}
-	if e.hello == nil || dst.hello == nil {
-		return 0, true
-	}
-	return e.hello.Capabilities & dst.hello.Capabilities, true
-}
-
-// trainsWith reports whether both ends negotiated wire-v4 frame trains.
-func (e *MemEndpoint) trainsWith(dst *MemEndpoint) bool {
-	return e.hello != nil && dst.hello != nil &&
-		e.hello.Capabilities&dst.hello.Capabilities&wire.CapFrameTrains != 0
-}
-
 // Handshake implements Handshaker: it validates the session against the
 // peer without sending a frame, returning a *wire.HandshakeError when
 // the two HELLOs are incompatible.
@@ -472,14 +315,23 @@ func (e *MemEndpoint) Handshake(to wire.ProcessID) error {
 	return e.checkSession(to, dst)
 }
 
-// checkSession validates this endpoint's HELLO against the peer's. A
-// session-less endpoint on either side skips the check — the in-memory
-// form of the legacy-peer compatibility option.
+// checkSession validates this endpoint's HELLO against the peer's.
+// Session-less endpoints talk only to each other: toward a session
+// endpoint the missing HELLO reads as wire version 0, which fails the
+// check with the same typed error tcpnet gives the bare preamble.
 func (e *MemEndpoint) checkSession(to wire.ProcessID, dst *MemEndpoint) error {
-	if e.hello == nil || dst.hello == nil {
+	local, remote := e.hello, dst.hello
+	if local == nil && remote == nil {
 		return nil
 	}
-	if err := e.hello.CheckCompatible(dst.hello); err != nil {
+	var none wire.Hello
+	if local == nil {
+		local = &none
+	}
+	if remote == nil {
+		remote = &none
+	}
+	if err := local.CheckCompatible(remote); err != nil {
 		return fmt.Errorf("transport: handshake with %d: %w", to, err)
 	}
 	return nil
@@ -489,114 +341,6 @@ func (e *MemEndpoint) checkSession(to wire.ProcessID, dst *MemEndpoint) error {
 func (e *MemEndpoint) laneLinksWith(dst *MemEndpoint) bool {
 	return e.hello != nil && dst.hello != nil &&
 		e.hello.Capabilities&dst.hello.Capabilities&wire.CapLaneLinks != 0
-}
-
-// queueFor returns the outbound queue for a link, creating it and its
-// sender goroutine on first use (tcpnet's lazily dialed per-lane peer).
-func (e *MemEndpoint) queueFor(to wire.ProcessID, lane int) chan memOut {
-	key := outKey{to: to, lane: lane}
-	e.outmu.Lock()
-	defer e.outmu.Unlock()
-	q, ok := e.outqs[key]
-	if !ok {
-		q = make(chan memOut, e.net.opts.SendQueueCapacity)
-		e.outqs[key] = q
-		go e.senderLoop(key, q, e.net.opts.MaxBatchFrames)
-	}
-	return q
-}
-
-// reclaimIfDown handles the push-vs-shutdown race of EncodeAtEnqueue
-// mode, mirroring tcpnet: a send landing in the queue buffer just as
-// the endpoint goes down can slip in after the sender goroutine's
-// final drain, stranding a pooled encoded buffer. After a successful
-// push the producer re-checks; if the endpoint went down meanwhile, it
-// pulls one queued entry back out and releases it.
-func (e *MemEndpoint) reclaimIfDown(q chan memOut) {
-	select {
-	case <-e.down:
-		select {
-		case m := <-q:
-			if m.enc != nil {
-				m.enc.Release()
-			}
-		default:
-		}
-	default:
-	}
-}
-
-// senderLoop drains one link's queue in coalesced runs, mirroring the
-// TCP per-link writer: wake up for one frame, keep delivering
-// already-queued frames up to the batch cap, then block again. On
-// shutdown it drains the queue once more so no encoded buffer stays
-// stranded (racing late pushes reclaim themselves, reclaimIfDown).
-func (e *MemEndpoint) senderLoop(key outKey, q chan memOut, maxBatch int) {
-	for {
-		select {
-		case m := <-q:
-			e.deliver(key, m)
-			for i := 1; i < maxBatch; i++ {
-				select {
-				case m2 := <-q:
-					e.deliver(key, m2)
-					continue
-				default:
-				}
-				break
-			}
-		case <-e.down:
-			for {
-				select {
-				case m := <-q:
-					if m.enc != nil {
-						m.enc.Release()
-					}
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// deliver pushes one queued frame into its destination inbox, tagged
-// with the link's negotiated lane, then releases the encoded form (if
-// any) — delivery is the in-memory analogue of the kernel consuming
-// the iovec. A vanished or crashed destination drops the frame
-// silently — the same fate a TCP-queued frame meets when the
-// connection breaks after Send accepted it; the failure detector
-// carries the news.
-func (e *MemEndpoint) deliver(key outKey, m memOut) {
-	if m.enc != nil {
-		defer m.enc.Release()
-	}
-	// Batching mode applies the fault verdict here, at the network edge
-	// where the per-link writer hands the frame to the wire — the same
-	// point the direct path intercepts in sendOne.
-	switch v := e.net.verdict(e.id, key.to, key.lane, &m.f); {
-	case v.Drop:
-		m.f.Retire()
-		return
-	case v.Delay > 0:
-		e.net.dline.push(e.id, key.to, key.lane, m.f, v.Delay)
-		return
-	}
-	dst := e.net.lookup(key.to)
-	if dst == nil {
-		return
-	}
-	inb := Inbound{From: e.id, Frame: m.f, LinkLane: key.lane + 1}
-	ch := dst.inboxFor(&inb)
-	if ch == nil {
-		inb.Frame.Retire() // routed to RouteDrop
-		return
-	}
-	select {
-	case ch <- inb:
-	case <-dst.down:
-	case <-e.down:
-	}
 }
 
 // Close implements Endpoint: it detaches silently (no failure notices).

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/tag"
 	"repro/internal/wire"
 )
 
@@ -21,18 +20,21 @@ func serverHello(id wire.ProcessID, lanes uint16, members []wire.ProcessID) wire
 
 // TestMemSessionMismatch pins the fail-fast contract on the in-memory
 // transport: two servers configured with different WriteLanes (or
-// different memberships) cannot exchange a single frame — both
-// Handshake and Send surface a typed *wire.HandshakeError.
+// different memberships, or wire versions — a v3 build, or a
+// session-less endpoint, which has none) cannot exchange a single frame
+// — both Handshake and Send surface a typed *wire.HandshakeError.
 func TestMemSessionMismatch(t *testing.T) {
 	members := []wire.ProcessID{1, 2}
-	for name, other := range map[string]wire.Hello{
-		"lanes":      serverHello(2, 8, members),
-		"membership": serverHello(2, 4, []wire.ProcessID{1, 2, 3}),
-		"version": func() wire.Hello {
-			h := serverHello(2, 4, members)
-			h.Version++
-			return h
-		}(),
+	v3 := serverHello(2, 4, members)
+	v3.Version = 3
+	for name, tc := range map[string]struct {
+		other *wire.Hello // nil registers a session-less endpoint
+		field string
+	}{
+		"lanes":       {ptr(serverHello(2, 8, members)), "lanes"},
+		"membership":  {ptr(serverHello(2, 4, []wire.ProcessID{1, 2, 3})), "membership"},
+		"version":     {&v3, "wire version"},
+		"sessionless": {nil, "wire version"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			net := NewMemNetwork(MemNetworkOptions{})
@@ -40,15 +42,23 @@ func TestMemSessionMismatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := net.RegisterSession(other)
+			var b *MemEndpoint
+			if tc.other != nil {
+				b, err = net.RegisterSession(*tc.other)
+			} else {
+				b, err = net.Register(2)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer func() { _ = a.Close(); _ = b.Close() }()
 
 			var herr *wire.HandshakeError
-			if err := a.Handshake(2); !errors.As(err, &herr) {
-				t.Fatalf("Handshake: got %v, want *wire.HandshakeError", err)
+			if err := a.Handshake(2); !errors.As(err, &herr) || herr.Field != tc.field {
+				t.Fatalf("Handshake: got %v, want *wire.HandshakeError on %s", err, tc.field)
+			}
+			if err := b.Send(1, newFrame(9)); !errors.As(err, &herr) || herr.Field != tc.field {
+				t.Fatalf("reverse Send: got %v, want *wire.HandshakeError on %s", err, tc.field)
 			}
 			if err := a.Send(2, newFrame(1)); !errors.As(err, &herr) {
 				t.Fatalf("Send: got %v, want *wire.HandshakeError", err)
@@ -59,11 +69,15 @@ func TestMemSessionMismatch(t *testing.T) {
 			select {
 			case in := <-b.Inbox():
 				t.Fatalf("frame leaked through an incompatible session: %+v", in)
+			case in := <-a.Inbox():
+				t.Fatalf("frame leaked through an incompatible session: %+v", in)
 			default:
 			}
 		})
 	}
 }
+
+func ptr(h wire.Hello) *wire.Hello { return &h }
 
 // TestMemSessionCompatible verifies the accept paths: matched servers,
 // and lane-unaware clients against any server.
@@ -99,17 +113,6 @@ func TestMemSessionCompatible(t *testing.T) {
 	if in := <-b.Inbox(); in.From != 1 {
 		t.Fatalf("frame from %d, want 1", in.From)
 	}
-	// A session endpoint still interoperates with a session-less one
-	// (the legacy compatibility path).
-	legacy, err := net.Register(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = legacy.Close() }()
-	if err := a.Send(50, newFrame(2)); err != nil {
-		t.Fatalf("send to legacy endpoint: %v", err)
-	}
-	<-legacy.Inbox()
 }
 
 // TestMemSendLaneTagsLink verifies per-lane links: SendLane delivers
@@ -118,140 +121,47 @@ func TestMemSessionCompatible(t *testing.T) {
 // general link.
 func TestMemSendLaneTagsLink(t *testing.T) {
 	members := []wire.ProcessID{1, 2}
-	for _, batching := range []int{0, 8} {
-		net := NewMemNetwork(MemNetworkOptions{SendQueueCapacity: batching})
-		a, err := net.RegisterSession(serverHello(1, 4, members))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := net.RegisterSession(serverHello(2, 4, members))
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if err := a.SendLane(2, 3, newFrame(1)); err != nil {
-			t.Fatal(err)
-		}
-		in := <-b.Inbox()
-		if lane, ok := in.NegotiatedLane(); !ok || lane != 3 {
-			t.Fatalf("batching=%d: negotiated lane (%d,%v), want (3,true)", batching, lane, ok)
-		}
-		if err := a.Send(2, newFrame(2)); err != nil {
-			t.Fatal(err)
-		}
-		in = <-b.Inbox()
-		if _, ok := in.NegotiatedLane(); ok {
-			t.Fatalf("batching=%d: plain Send delivered lane-pinned", batching)
-		}
-
-		// A peer without the capability gets general-link delivery even
-		// through SendLane.
-		noCaps := serverHello(3, 4, members)
-		noCaps.Capabilities = 0
-		c, err := net.RegisterSession(noCaps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.SendLane(3, 2, newFrame(3)); err != nil {
-			t.Fatal(err)
-		}
-		in = <-c.Inbox()
-		if _, ok := in.NegotiatedLane(); ok {
-			t.Fatal("lane link negotiated without CapLaneLinks")
-		}
-		_ = a.Close()
-		_ = b.Close()
-		_ = c.Close()
+	net := NewMemNetwork(MemNetworkOptions{})
+	a, err := net.RegisterSession(serverHello(1, 4, members))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// trainTestFrame builds a k-envelope ring train for transport tests.
-func trainTestFrame(k int, lane uint8) wire.Frame {
-	mk := func(i int) wire.Envelope {
-		return wire.Envelope{
-			Kind:   wire.KindPreWrite,
-			Origin: 1,
-			Tag:    tag.Tag{TS: uint64(i + 1), ID: 1},
-			Value:  []byte{byte(i)},
-		}
+	b, err := net.RegisterSession(serverHello(2, 4, members))
+	if err != nil {
+		t.Fatal(err)
 	}
-	f := wire.Frame{Env: mk(0), Lane: lane}
-	if k > 1 {
-		pb := mk(1)
-		f.Piggyback = &pb
+
+	if err := a.SendLane(2, 3, newFrame(1)); err != nil {
+		t.Fatal(err)
 	}
-	for i := 2; i < k; i++ {
-		f.Extra = append(f.Extra, mk(i))
+	in := <-b.Inbox()
+	if lane, ok := in.NegotiatedLane(); !ok || lane != 3 {
+		t.Fatalf("negotiated lane (%d,%v), want (3,true)", lane, ok)
 	}
-	return f
-}
-
-// TestMemFrameTrainGating pins the v4 contract on the in-memory
-// transport: a train travels whole between train-capable sessions, is
-// split into ≤2-envelope frames toward a session without
-// CapFrameTrains (order preserved), and PeerCaps reports the
-// negotiated intersection.
-func TestMemFrameTrainGating(t *testing.T) {
-	members := []wire.ProcessID{1, 2, 3}
-	for _, batching := range []int{0, 8} {
-		net := NewMemNetwork(MemNetworkOptions{SendQueueCapacity: batching})
-		trains := serverHello(1, 4, members)
-		trains.Capabilities |= wire.CapFrameTrains
-		a, err := net.RegisterSession(trains)
-		if err != nil {
-			t.Fatal(err)
-		}
-		capable := serverHello(2, 4, members)
-		capable.Capabilities |= wire.CapFrameTrains
-		b, err := net.RegisterSession(capable)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := net.RegisterSession(serverHello(3, 4, members)) // no trains
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if caps, ok := a.PeerCaps(2); !ok || caps&wire.CapFrameTrains == 0 {
-			t.Fatalf("batching=%d: PeerCaps(2) = (%#x,%v), want trains negotiated", batching, caps, ok)
-		}
-		if caps, ok := a.PeerCaps(3); !ok || caps&wire.CapFrameTrains != 0 {
-			t.Fatalf("batching=%d: PeerCaps(3) = (%#x,%v), want known without trains", batching, caps, ok)
-		}
-
-		const k = 5
-		if err := a.SendLane(2, 1, trainTestFrame(k, 1)); err != nil {
-			t.Fatal(err)
-		}
-		in := <-b.Inbox()
-		if got := in.Frame.EnvelopeCount(); got != k {
-			t.Fatalf("batching=%d: capable peer received %d envelopes, want %d", batching, got, k)
-		}
-
-		if err := a.SendLane(3, 1, trainTestFrame(k, 1)); err != nil {
-			t.Fatal(err)
-		}
-		var got []wire.Envelope
-		for len(got) < k {
-			in := <-c.Inbox()
-			if n := in.Frame.EnvelopeCount(); n > 2 {
-				t.Fatalf("batching=%d: v4 frame (%d envelopes) reached a no-train session", batching, n)
-			}
-			if in.Frame.Lane != 1 {
-				t.Fatalf("batching=%d: split frame lost the lane", batching)
-			}
-			got = append(got, in.Frame.Envelopes()...)
-		}
-		wf := trainTestFrame(k, 1)
-		want := wf.Envelopes()
-		for i := range want {
-			if got[i].Tag != want[i].Tag {
-				t.Fatalf("batching=%d: split reordered envelopes: got %s at %d, want %s",
-					batching, got[i].Tag, i, want[i].Tag)
-			}
-		}
-		_ = a.Close()
-		_ = b.Close()
-		_ = c.Close()
+	if err := a.Send(2, newFrame(2)); err != nil {
+		t.Fatal(err)
 	}
+	in = <-b.Inbox()
+	if _, ok := in.NegotiatedLane(); ok {
+		t.Fatal("plain Send delivered lane-pinned")
+	}
+
+	// A peer without the capability gets general-link delivery even
+	// through SendLane.
+	noCaps := serverHello(3, 4, members)
+	noCaps.Capabilities = 0
+	c, err := net.RegisterSession(noCaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SendLane(3, 2, newFrame(3)); err != nil {
+		t.Fatal(err)
+	}
+	in = <-c.Inbox()
+	if _, ok := in.NegotiatedLane(); ok {
+		t.Fatal("lane link negotiated without CapLaneLinks")
+	}
+	_ = a.Close()
+	_ = b.Close()
+	_ = c.Close()
 }

@@ -32,7 +32,7 @@ type Inbound struct {
 	// LinkLane records the ring lane the delivering link was pinned to
 	// at handshake time, offset by one: a frame that arrived on lane
 	// k's dedicated link carries k+1, and zero means the link was not
-	// lane-pinned (legacy links, client links, plain sends). Routing
+	// lane-pinned (raw links, client links, plain sends). Routing
 	// trusts this negotiated value over the frame header when present.
 	// Use NegotiatedLane to read it.
 	LinkLane int
@@ -150,16 +150,4 @@ type TrySender interface {
 // connectivity failures.
 type Handshaker interface {
 	Handshake(to wire.ProcessID) error
-}
-
-// PeerCapser is implemented by session endpoints that can report the
-// capability set negotiated with a peer: the intersection of both
-// sides' HELLO capability bitmaps. ok is false while the capabilities
-// are not yet known (no handshake with the peer has completed); callers
-// shaping frames by capability — e.g. the train planner deciding
-// whether the successor accepts wire-v4 frames — must treat unknown as
-// "no capabilities". Legacy (session-less) peers report an empty,
-// known capability set.
-type PeerCapser interface {
-	PeerCaps(to wire.ProcessID) (caps uint32, ok bool)
 }

@@ -519,3 +519,33 @@ func BenchmarkAppend(b *testing.B) {
 		}
 	}
 }
+
+// TestAppendNoAlloc gates the cost a lane's event loop pays per committed
+// envelope — encode, CRC, copy into the lane's staging buffer — at zero
+// steady-state allocations. The syncer is never started, so nothing
+// drains the staging buffer; each run truncates it in place, as a flush
+// would, once it has grown to the burst's size.
+func TestAppendNoAlloc(t *testing.T) {
+	l, err := Open(Config{Dir: t.TempDir(), Lanes: 1, Sync: SyncNone, BatchBytes: 1 << 30}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Kill()
+	rec := Record{Type: RecPreWrite, Object: 7, Origin: 2, Flags: FlagHasValue, Value: make([]byte, 1024)}
+	ts := uint64(0)
+	burst := func() {
+		for i := 0; i < 64; i++ {
+			ts++
+			rec.Tag = tag.Tag{TS: ts, ID: 2}
+			l.Append(0, &rec)
+		}
+		ll := &l.lanes[0]
+		ll.mu.Lock()
+		ll.buf = ll.buf[:0]
+		ll.mu.Unlock()
+	}
+	burst()
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Fatalf("append path allocates %.1f per 64-record burst, want 0", allocs)
+	}
+}

@@ -15,8 +15,8 @@ import (
 //
 //	frame header:
 //	  uint32  total length of the rest of the frame
-//	  uint8   envelope count; frameV2Bit marks the v2+ header
-//	  uint8   lane (v2+ only)
+//	  uint8   envelope count (1..MaxFrameEnvelopes) | frameV2Bit
+//	  uint8   lane
 //	per envelope:
 //	  uint8   kind
 //	  uint8   flags (FlagPooledValue is local-only: masked on encode,
@@ -28,24 +28,14 @@ import (
 //	  uint32  epoch
 //	  uint64  reqID
 //	  uint32  value length, followed by the value bytes
-//
-// The v2 header (lane-sharded ring pipeline) sets frameV2Bit in the
-// count byte and follows it with the frame's lane; v2/v3 counts are 1
-// or 2. The v4 extension ("frame trains") keeps the exact same layout
-// and widens the count to 1..MaxFrameEnvelopes — a count of 3+ IS the
-// v4 frame, and is only ever emitted on links whose session negotiated
-// CapFrameTrains (a v3 decoder rejects it as corrupt). The encoder
-// always emits the v2+ header; the decoder accepts v1 (plain count 1
-// or 2, no lane byte, mapped to lane 0), v2/v3, and v4, so pre-lane
-// and pre-train peers' frames (and the fuzz corpus) still decode.
 const (
 	frameHeaderSize    = 4 + 1 + 1
 	envelopeHeaderSize = 1 + 1 + 4 + 8 + 4 + 4 + 4 + 8 + 4
 )
 
-// frameV2Bit marks a count byte as the v2+ header (count | frameV2Bit,
-// followed by the lane byte). v1 count bytes are plain 1 or 2, so the
-// bit is unambiguous.
+// frameV2Bit is always set in the count byte: it is what distinguishes
+// this header from the seed's lane-less v1 header (a plain count byte),
+// which the decoder rejects as corrupt.
 const frameV2Bit = 0x80
 
 // MaxValueSize bounds a single register value; larger values must be
@@ -55,9 +45,9 @@ const MaxValueSize = 16 << 20
 
 // MaxTrainValueBytes bounds the total value bytes of a train's tail
 // (every envelope beyond the classic primary+piggyback pair). The
-// first two envelopes keep the v3 contract of MaxValueSize each, so a
-// legal frame never exceeds MaxFrameSize — which is what keeps the
-// reader's pre-allocation guard near the v3 bound instead of growing
+// first two envelopes may carry MaxValueSize each, so a legal frame
+// never exceeds MaxFrameSize — which is what keeps the reader's
+// pre-allocation guard near two values instead of growing
 // MaxFrameEnvelopes-fold. Train planners must respect it; in practice
 // train tails are small (elided writes and typical values), and a
 // planner that hits the cap just closes the train early.
@@ -243,27 +233,21 @@ func (f *Frame) decodeFrom(body []byte, mode valueMode) error {
 		f.resetDecode()
 		return fmt.Errorf("%w: empty body", ErrCorruptFrame)
 	}
-	count := int(body[0])
-	f.Lane = 0
-	rest := body[1:]
-	v2 := false
-	if count&frameV2Bit != 0 {
-		v2 = true
-		if len(rest) < 1 {
-			f.resetDecode()
-			return fmt.Errorf("%w: v2 header without lane byte", ErrCorruptFrame)
-		}
-		count &^= frameV2Bit
-		f.Lane = rest[0]
-		rest = rest[1:]
+	if body[0]&frameV2Bit == 0 {
+		f.resetDecode()
+		return fmt.Errorf("%w: lane-less v1 header", ErrCorruptFrame)
 	}
-	// v1 headers carry at most the classic piggyback pair; train counts
-	// (3+) require the v2+ header, as only train-capable builds emit it.
-	if count < 1 || count > MaxFrameEnvelopes || (count > 2 && !v2) {
+	if len(body) < 2 {
+		f.resetDecode()
+		return fmt.Errorf("%w: header without lane byte", ErrCorruptFrame)
+	}
+	count := int(body[0] &^ frameV2Bit)
+	if count < 1 || count > MaxFrameEnvelopes {
 		f.resetDecode()
 		return fmt.Errorf("%w: envelope count %d", ErrCorruptFrame, count)
 	}
-	rest, err := decodeEnvelopeInto(&f.Env, rest, mode)
+	f.Lane = body[1]
+	rest, err := decodeEnvelopeInto(&f.Env, body[2:], mode)
 	if err != nil {
 		f.resetDecode()
 		return err

@@ -173,9 +173,18 @@ func TestDecodeFrameBodyCorruption(t *testing.T) {
 		}
 	})
 	t.Run("bad count", func(t *testing.T) {
-		bad := append([]byte(nil), body...)
-		bad[0] = 7
-		if _, err := DecodeFrameBody(bad); !errors.Is(err, ErrCorruptFrame) {
+		for _, count := range []byte{0, MaxFrameEnvelopes + 1} {
+			bad := append([]byte(nil), body...)
+			bad[0] = count | frameV2Bit
+			if _, err := DecodeFrameBody(bad); !errors.Is(err, ErrCorruptFrame) {
+				t.Fatalf("count %d: err = %v", count, err)
+			}
+		}
+	})
+	t.Run("lane-less v1 header", func(t *testing.T) {
+		// The seed's header: plain count byte, no lane byte.
+		v1 := append([]byte{body[0] &^ frameV2Bit}, body[2:]...)
+		if _, err := DecodeFrameBody(v1); !errors.Is(err, ErrCorruptFrame) {
 			t.Fatalf("err = %v", err)
 		}
 	})
@@ -230,30 +239,6 @@ func TestLaneRoundTrip(t *testing.T) {
 		if aliased.Lane != f.Lane {
 			t.Fatalf("aliased lane = %d, want %d", aliased.Lane, f.Lane)
 		}
-	}
-}
-
-// TestDecodeV1Header keeps the pre-lane wire format decodable: a body
-// whose count byte lacks the v2 bit (and has no lane byte) must decode
-// with lane 0.
-func TestDecodeV1Header(t *testing.T) {
-	f := NewLaneFrame(Envelope{Kind: KindPreWrite, Origin: 1, Tag: tag.Tag{TS: 1, ID: 1}, Value: []byte("old")}, 9)
-	buf, err := AppendFrame(nil, &f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the v2 header as v1: plain count, lane byte dropped.
-	body := buf[4:]
-	v1 := append([]byte{body[0] &^ frameV2Bit}, body[2:]...)
-	got, err := DecodeFrameBody(v1)
-	if err != nil {
-		t.Fatalf("v1 body rejected: %v", err)
-	}
-	if got.Lane != 0 {
-		t.Fatalf("v1 lane = %d, want 0", got.Lane)
-	}
-	if string(got.Env.Value) != "old" || got.Env.Tag != f.Env.Tag {
-		t.Fatalf("v1 decode mismatch: %+v", got.Env)
 	}
 }
 
@@ -638,33 +623,6 @@ func TestTrainSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state train round trip allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// TestSplitLegacy checks the transport fallback for non-train links: a
-// train splits into v3 frames of at most two envelopes, preserving
-// order and lane, and the concatenation carries the same envelopes.
-func TestSplitLegacy(t *testing.T) {
-	for _, k := range []int{3, 4, 5, 8} {
-		f := trainFrame(k, 3)
-		subs := f.SplitLegacy()
-		var got []Envelope
-		for _, sub := range subs {
-			if sub.EnvelopeCount() > 2 {
-				t.Fatalf("k=%d: split frame still carries %d envelopes", k, sub.EnvelopeCount())
-			}
-			if sub.Lane != f.Lane {
-				t.Fatalf("k=%d: split frame lost the lane", k)
-			}
-			if err := sub.Validate(); err != nil {
-				t.Fatalf("k=%d: split frame invalid: %v", k, err)
-			}
-			got = append(got, sub.Envelopes()...)
-		}
-		want := f.Envelopes()
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("k=%d: split reordered or lost envelopes", k)
-		}
 	}
 }
 

@@ -32,7 +32,7 @@ func FuzzDecodeFrameBody(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf[4:])
-	// v4 train frames: a full train and one at the envelope-count bound.
+	// Train frames: a full train and one at the envelope-count bound.
 	for _, k := range []int{4, MaxFrameEnvelopes} {
 		train := trainFrame(k, 3)
 		tbuf, err := AppendFrame(nil, &train)
@@ -41,6 +41,8 @@ func FuzzDecodeFrameBody(f *testing.F) {
 		}
 		f.Add(tbuf[4:])
 	}
+	// A reject path: the same body under the seed's lane-less v1 header.
+	f.Add(append([]byte{buf[4] &^ frameV2Bit}, buf[6:]...))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		frame, err := DecodeFrameBody(body)

@@ -15,16 +15,16 @@ import (
 
 // HelloVersion is the wire protocol version this build speaks. History:
 // v1 was the seed codec, v2 added the lane byte to the frame header,
-// v3 added the session handshake. Peers must match exactly; the only
-// sanctioned skew is a v3 acceptor admitting a v2-era peer behind an
-// explicit compatibility option (the v2 preamble is recognizable, it
-// just carries no HELLO to validate).
-const HelloVersion uint16 = 3
+// v3 added the session handshake, v4 made frame trains (up to
+// MaxFrameEnvelopes envelopes per frame, DESIGN.md §9) part of the
+// format every peer decodes. Peers must match exactly: any other
+// version is refused with a *HandshakeError naming "wire version".
+const HelloVersion uint16 = 4
 
 // Capability bits advertised in Hello.Capabilities. The negotiated
 // capability set of a session is the intersection of both HELLOs;
 // unknown bits are ignored, so future builds can extend the bitmap
-// without breaking older v3 peers.
+// without a version bump.
 const (
 	// CapLaneLinks: the sender opens one dedicated connection (or
 	// queue) per ring lane toward its successor instead of multiplexing
@@ -33,13 +33,9 @@ const (
 	// ring frames by that negotiated lane rather than trusting the
 	// frame header.
 	CapLaneLinks uint32 = 1 << iota
-	// CapFrameTrains: the sender decodes wire-v4 "train" frames carrying
-	// up to MaxFrameEnvelopes ring envelopes (DESIGN.md §9). Trains are
-	// negotiated per session rather than by a HELLO version bump, so a
-	// v3 peer without the bit interoperates unchanged: a train-capable
-	// server sends it classic piggyback frames only (a v4 frame on such
-	// a link would be rejected as corrupt and kill the connection).
-	CapFrameTrains
+	// Bit 1 is reserved: wire v3 used it to negotiate frame trains,
+	// which v4 made unconditional.
+	_
 )
 
 // LinkGeneral is the Hello.Link value of a connection that is not
@@ -100,7 +96,8 @@ func HelloWireSize() int { return helloSize }
 
 // DecodeHello decodes a Hello body. Trailing bytes beyond the fields
 // this build knows are ignored, so a future version may extend the
-// HELLO without breaking v3 decoders; a short body is corrupt.
+// HELLO and still be refused by version rather than as corrupt; a short
+// body is corrupt.
 func DecodeHello(data []byte) (Hello, error) {
 	if len(data) < helloSize {
 		return Hello{}, fmt.Errorf("%w: hello body %d bytes, want >= %d",

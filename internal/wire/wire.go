@@ -197,11 +197,9 @@ func (e *Envelope) String() string {
 }
 
 // MaxFrameEnvelopes bounds the number of envelopes one frame may carry.
-// The v3 wire format allowed two (a primary plus a piggyback); the v4
-// "frame train" extension raises the bound so a saturated ring lane can
-// amortize its per-frame costs over many protocol messages (DESIGN.md
-// §9). Train frames (three or more envelopes) are only ever emitted on
-// links whose session negotiated CapFrameTrains.
+// Beyond the classic pair (a primary plus a piggyback), a "frame train"
+// lets a saturated ring lane amortize its per-frame costs over many
+// protocol messages (DESIGN.md §9).
 const MaxFrameEnvelopes = 16
 
 // Frame is the unit the transports move: a train of one or more
@@ -272,25 +270,6 @@ func (f *Frame) Envelopes() []Envelope {
 		out = append(out, *f.Piggyback)
 	}
 	return append(out, f.Extra...)
-}
-
-// SplitLegacy rewrites a train frame as a sequence of wire-v3 frames of
-// at most two envelopes each, preserving envelope order and the lane.
-// Transports use it on links whose session did not negotiate
-// CapFrameTrains: delivered back to back on one link, the split frames
-// are indistinguishable from the train to the receiving protocol.
-func (f *Frame) SplitLegacy() []Frame {
-	envs := f.Envelopes()
-	out := make([]Frame, 0, (len(envs)+1)/2)
-	for i := 0; i < len(envs); i += 2 {
-		sub := Frame{Env: envs[i], Lane: f.Lane}
-		if i+1 < len(envs) {
-			pb := envs[i+1]
-			sub.Piggyback = &pb
-		}
-		out = append(out, sub)
-	}
-	return out
 }
 
 // Validate checks the frame and every envelope in it.
