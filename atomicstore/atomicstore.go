@@ -62,8 +62,6 @@ type Option func(*config)
 type config struct {
 	lanes           int
 	trainLength     int
-	readConcurrency int
-	objectShards    int
 	logger          *slog.Logger
 	attemptTimeout  time.Duration
 	maxAttempts     int
@@ -72,16 +70,11 @@ type config struct {
 	noPiggyback     bool
 	noElision       bool
 	noFairness      bool
-	maxBatchBytes   int
-	flushInterval   time.Duration
 	walDir          string
 	walSync         WALSyncMode
 	walAudit        bool
-	walBatchBytes   int
-	walLinger       time.Duration
 	retryBackoff    time.Duration
 	retryBackoffMax time.Duration
-	serverOverrides map[ServerID][]Option
 }
 
 func buildConfig(base config, opts []Option) config {
@@ -106,14 +99,6 @@ func WithWriteLanes(n int) Option { return func(c *config) { c.lanes = n } }
 // framing; at most wire.MaxFrameEnvelopes (16).
 func WithTrainLength(n int) Option { return func(c *config) { c.trainLength = n } }
 
-// WithReadConcurrency sets the read-path worker pool size serving
-// client reads off the lane event loops. Zero means the default;
-// negative disables the pool (reads inline on the owning lane).
-func WithReadConcurrency(n int) Option { return func(c *config) { c.readConcurrency = n } }
-
-// WithObjectShards sets the fanout of the sharded per-object state.
-func WithObjectShards(n int) Option { return func(c *config) { c.objectShards = n } }
-
 // WithLogger routes debug events to l; by default they are discarded.
 func WithLogger(l *slog.Logger) Option { return func(c *config) { c.logger = l } }
 
@@ -133,20 +118,6 @@ func WithRetryBackoff(base, max time.Duration) Option {
 	return func(c *config) {
 		c.retryBackoff = base
 		c.retryBackoffMax = max
-	}
-}
-
-// WithServerOptions overlays opts on one server's configuration when an
-// in-process cluster builds (or restarts) that server — the way to
-// stage heterogeneous rings, e.g. one server without a WAL. Repeated
-// uses for the same id accumulate; call-site options passed to
-// RestartWith still win over these.
-func WithServerOptions(id ServerID, opts ...Option) Option {
-	return func(c *config) {
-		if c.serverOverrides == nil {
-			c.serverOverrides = make(map[ServerID][]Option)
-		}
-		c.serverOverrides[id] = append(c.serverOverrides[id], opts...)
 	}
 }
 
@@ -173,17 +144,6 @@ func WithoutValueElision() Option { return func(c *config) { c.noElision = true 
 // WithoutFairness replaces the nb_msg fairness rule with plain FIFO
 // forwarding (ablation).
 func WithoutFairness() Option { return func(c *config) { c.noFairness = true } }
-
-// WithBatchWindow tunes the TCP writer's coalescing: maxBytes caps one
-// flushed batch (zero keeps the default) and flush lets a non-full
-// batch wait for stragglers (zero flushes as soon as the queue runs
-// dry — no added latency).
-func WithBatchWindow(maxBytes int, flush time.Duration) Option {
-	return func(c *config) {
-		c.maxBatchBytes = maxBytes
-		c.flushInterval = flush
-	}
-}
 
 // WALSyncMode selects when write-ahead-log records reach stable
 // storage: WALSyncTrain (the default under WithDurability) gates every
@@ -217,10 +177,6 @@ func WithDurability(dir string) Option {
 	}
 }
 
-// WithoutDurability removes a previously configured write-ahead log
-// (e.g. per-server overrides on a durable cluster's base options).
-func WithoutDurability() Option { return func(c *config) { c.walDir = "" } }
-
 // WithWALSyncMode overrides the durability policy of WithDurability.
 func WithWALSyncMode(m WALSyncMode) Option { return func(c *config) { c.walSync = m } }
 
@@ -228,15 +184,3 @@ func WithWALSyncMode(m WALSyncMode) Option { return func(c *config) { c.walSync 
 // making each server's log tamper-evident (verify offline with the
 // atomicstore-server -wal-verify flag or wal.Verify).
 func WithWALAudit() Option { return func(c *config) { c.walAudit = true } }
-
-// WithWALBatch tunes the WAL's group commit, mirroring WithBatchWindow:
-// maxBytes kicks a sync once a lane has staged that much (zero keeps
-// the default, 256 KiB) and linger lets a kicked sync wait for
-// concurrent lanes to stage more before paying the fdatasync (zero
-// syncs immediately; in WALSyncInterval mode it is the sync period).
-func WithWALBatch(maxBytes int, linger time.Duration) Option {
-	return func(c *config) {
-		c.walBatchBytes = maxBytes
-		c.walLinger = linger
-	}
-}

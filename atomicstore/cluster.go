@@ -19,8 +19,6 @@ func (c config) coreConfig(id ServerID, members []ServerID) core.Config {
 		Members:             members,
 		WriteLanes:          c.lanes,
 		TrainLength:         c.trainLength,
-		ReadConcurrency:     c.readConcurrency,
-		ObjectShards:        c.objectShards,
 		DisablePiggyback:    c.noPiggyback,
 		DisableValueElision: c.noElision,
 		DisableFairness:     c.noFairness,
@@ -31,28 +29,12 @@ func (c config) coreConfig(id ServerID, members []ServerID) core.Config {
 			// One subdirectory per server: a shared dir hosts a whole
 			// in-process cluster, and on real hosts the extra level is
 			// harmless.
-			Dir:           filepath.Join(c.walDir, fmt.Sprintf("server-%d", id)),
-			Sync:          c.walSync,
-			BatchBytes:    c.walBatchBytes,
-			FlushInterval: c.walLinger,
-			MerkleRoots:   c.walAudit,
+			Dir:         filepath.Join(c.walDir, fmt.Sprintf("server-%d", id)),
+			Sync:        c.walSync,
+			MerkleRoots: c.walAudit,
 		}
 	}
 	return cfg
-}
-
-// serverConfig resolves the effective façade config for one server:
-// the cluster-wide base, then any WithServerOptions overrides for that
-// id, then call-site extras (RestartWith) — later wins.
-func (c config) serverConfig(id ServerID, extra ...Option) config {
-	out := c
-	if opts := c.serverOverrides[id]; len(opts) != 0 {
-		out = buildConfig(out, opts)
-	}
-	if len(extra) != 0 {
-		out = buildConfig(out, extra)
-	}
-	return out
 }
 
 // clientOptions maps the façade options onto client options.
@@ -140,24 +122,35 @@ func StartCluster(n int, opts ...Option) (*Cluster, error) {
 		c.members = append(c.members, ServerID(i))
 	}
 	for _, id := range c.members {
-		coreCfg := cfg.serverConfig(id).coreConfig(id, c.members)
-		hello := coreCfg.SessionHello()
-		ep, err := c.net.RegisterSession(hello)
-		if err != nil {
+		if err := c.startServer(id); err != nil {
 			_ = c.Close()
 			return nil, err
 		}
-		srv, err := core.NewServer(coreCfg, ep)
-		if err != nil {
-			_ = ep.Close()
-			_ = c.Close()
-			return nil, err
-		}
-		srv.Start()
-		c.servers[id] = srv
-		c.eps[id] = ep
 	}
 	return c, nil
+}
+
+// startServer builds server id from the cluster's options on a fresh
+// session endpoint, starts it, and records it as running. A durable
+// server replays its write-ahead log inside core.NewServer, before it
+// serves anything.
+func (c *Cluster) startServer(id ServerID) error {
+	coreCfg := c.cfg.coreConfig(id, c.members)
+	ep, err := c.net.RegisterSession(coreCfg.SessionHello())
+	if err != nil {
+		return err
+	}
+	srv, err := core.NewServer(coreCfg, ep)
+	if err != nil {
+		_ = ep.Close()
+		return err
+	}
+	srv.Start()
+	c.mu.Lock()
+	c.servers[id] = srv
+	c.eps[id] = ep
+	c.mu.Unlock()
+	return nil
 }
 
 // Members returns the ring membership in ring order.
@@ -225,14 +218,6 @@ func (c *Cluster) Crash(id ServerID) {
 // every server. Restarting a running server is an error; Crash it
 // first.
 func (c *Cluster) Restart(id ServerID) error {
-	return c.RestartWith(id)
-}
-
-// RestartWith is Restart with extra options overlaid on the server's
-// configuration for this incarnation — e.g. WithoutDurability to drop
-// its WAL. The options win over both the cluster base and any
-// WithServerOptions overrides, and last only until the next restart.
-func (c *Cluster) RestartWith(id ServerID, opts ...Option) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -243,22 +228,7 @@ func (c *Cluster) RestartWith(id ServerID, opts ...Option) error {
 		return fmt.Errorf("atomicstore: server %d still running", id)
 	}
 	c.mu.Unlock()
-	coreCfg := c.cfg.serverConfig(id, opts...).coreConfig(id, c.members)
-	ep, err := c.net.RegisterSession(coreCfg.SessionHello())
-	if err != nil {
-		return err
-	}
-	srv, err := core.NewServer(coreCfg, ep)
-	if err != nil {
-		_ = ep.Close()
-		return err
-	}
-	srv.Start()
-	c.mu.Lock()
-	c.servers[id] = srv
-	c.eps[id] = ep
-	c.mu.Unlock()
-	return nil
+	return c.startServer(id)
 }
 
 // Counters is one sampling of every robustness counter a server keeps;

@@ -68,15 +68,6 @@ func ringParts(ring []Member) ([]ServerID, tcpnet.AddressBook, error) {
 	return members, book, nil
 }
 
-// tcpOptions maps the façade options onto transport options.
-func (c config) tcpOptions(hello wire.Hello) tcpnet.Options {
-	return tcpnet.Options{
-		Hello:         &hello,
-		MaxBatchBytes: c.maxBatchBytes,
-		FlushInterval: c.flushInterval,
-	}
-}
-
 // Server is one running storage server of a TCP ring.
 type Server struct {
 	id  ServerID
@@ -106,7 +97,8 @@ func Join(self ServerID, ring []Member, opts ...Option) (*Server, error) {
 	if err := coreCfg.Validate(); err != nil {
 		return nil, err
 	}
-	ep, err := tcpnet.Listen(self, addr, book, cfg.tcpOptions(coreCfg.SessionHello()))
+	hello := coreCfg.SessionHello()
+	ep, err := tcpnet.Listen(self, addr, book, tcpnet.Options{Hello: &hello})
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +173,8 @@ func Dial(ring []Member, opts ...Option) (*Client, error) {
 		// collision-free in practice without coordination.
 		id = ServerID(1<<30 + rand.Int31n(1<<30))
 	}
-	ep := tcpnet.NewClient(id, book, cfg.tcpOptions(clientHello(id, members)))
+	hello := clientHello(id, members)
+	ep := tcpnet.NewClient(id, book, tcpnet.Options{Hello: &hello})
 	// Probe the server(s) this client will actually talk to: the pinned
 	// server when one is configured, otherwise any member. The member
 	// whose handshake validates becomes the client's reported pin

@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/atomicstore"
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/simstore"
 	"repro/internal/workload"
@@ -244,22 +244,23 @@ func BenchmarkAblationFairness(b *testing.B) {
 func BenchmarkAblationValueElision(b *testing.B) {
 	for _, elide := range []bool{true, false} {
 		b.Run("elision="+strconv.FormatBool(elide), func(b *testing.B) {
-			res := runAsync(b, 3, 1, 1, func(c *coreConfig) { c.DisableValueElision = !elide })
+			var opts []atomicstore.Option
+			if !elide {
+				opts = append(opts, atomicstore.WithoutValueElision())
+			}
+			res := runAsync(b, 3, 1, 1, opts...)
 			b.ReportMetric(res.ReadOpsPerSec, "reads/s")
 			b.ReportMetric(res.WriteOpsPerSec, "writes/s")
 		})
 	}
 }
 
-// coreConfig aliases the server config for the ablation closures.
-type coreConfig = core.Config
-
 // BenchmarkAsyncReadScaling validates read scaling on the real
 // implementation (shape of Figure 3a).
 func BenchmarkAsyncReadScaling(b *testing.B) {
 	for _, n := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
-			res := runAsync(b, n, 2, 0, nil)
+			res := runAsync(b, n, 2, 0)
 			b.ReportMetric(res.ReadOpsPerSec, "reads/s")
 		})
 	}
@@ -270,7 +271,7 @@ func BenchmarkAsyncReadScaling(b *testing.B) {
 func BenchmarkAsyncWriteThroughput(b *testing.B) {
 	for _, n := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
-			res := runAsync(b, n, 0, 2, nil)
+			res := runAsync(b, n, 0, 2)
 			b.ReportMetric(res.WriteOpsPerSec, "writes/s")
 		})
 	}
@@ -278,51 +279,21 @@ func BenchmarkAsyncWriteThroughput(b *testing.B) {
 
 // BenchmarkAsyncMixedContention validates the contended mix end to end.
 func BenchmarkAsyncMixedContention(b *testing.B) {
-	res := runAsync(b, 4, 1, 1, nil)
+	res := runAsync(b, 4, 1, 1)
 	b.ReportMetric(res.ReadOpsPerSec, "reads/s")
 	b.ReportMetric(res.WriteOpsPerSec, "writes/s")
 }
 
 // runAsync drives the real implementation for a short measured window.
-func runAsync(b *testing.B, n, readersPer, writersPer int, mod func(*coreConfig)) workload.Result {
+func runAsync(b *testing.B, n, readersPer, writersPer int, opts ...atomicstore.Option) workload.Result {
 	b.Helper()
 	var res workload.Result
 	for i := 0; i < b.N; i++ {
-		cluster, err := bench.NewAsyncCluster(n, mod)
+		var err error
+		res, err = bench.RunAsyncWorkload(context.Background(), n, readersPer, writersPer, 400*time.Millisecond, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		var readers, writers []workload.Storage
-		var closers []interface{ Close() error }
-		for _, id := range cluster.Members {
-			for r := 0; r < readersPer; r++ {
-				cl, err := cluster.NewClient(id)
-				if err != nil {
-					b.Fatal(err)
-				}
-				closers = append(closers, cl)
-				readers = append(readers, cl)
-			}
-			for w := 0; w < writersPer; w++ {
-				cl, err := cluster.NewClient(id)
-				if err != nil {
-					b.Fatal(err)
-				}
-				closers = append(closers, cl)
-				writers = append(writers, cl)
-			}
-		}
-		res = workload.Run(context.Background(), workload.Config{
-			Readers:     readers,
-			Writers:     writers,
-			Concurrency: 4,
-			Duration:    400 * time.Millisecond,
-			Warmup:      100 * time.Millisecond,
-		})
-		for _, c := range closers {
-			_ = c.Close()
-		}
-		cluster.Close()
 	}
 	return res
 }

@@ -1,3 +1,9 @@
+// Package ackq provides the client-acknowledgment sender a server uses
+// so its protocol loops never block on a client connection. Enqueue
+// never blocks, and each destination's lane is deliberately unbounded:
+// backpressure toward the protocol loop is exactly the coupling it
+// exists to remove, so a slow or dead client costs memory proportional
+// to its unacknowledged operations, never ring progress.
 package ackq
 
 import (
@@ -7,11 +13,9 @@ import (
 
 // Sharded is the per-destination ack sender: every key (a client process
 // id) gets its own FIFO lane with its own lazily created drain
-// goroutine, so one slow or dead destination delays only its own acks —
-// the single shared drain goroutine it replaces serialized every
-// client's Sends behind the slowest one. The Queue invariant carries
-// over per lane: Enqueue never blocks, backpressure never reaches a
-// protocol loop, and a destination's acks are sent in enqueue order.
+// goroutine, so one slow or dead destination delays only its own acks,
+// never another client's. Enqueue never blocks, and a destination's
+// acks are sent in enqueue order.
 //
 // When a TrySend hook is configured, an idle lane (nothing queued, no
 // drain in flight) attempts the non-blocking send right on the
@@ -208,22 +212,4 @@ func (s *Sharded[K, T]) Stop() {
 // versus through a lane queue, and how many lanes were ever created.
 func (s *Sharded[K, T]) Stats() (fast, queued, lanes uint64) {
 	return s.fast.Load(), s.queued.Load(), s.lanes.Load()
-}
-
-// PendingFor returns a copy of the destination's queued backlog
-// (diagnostics and tests).
-func (s *Sharded[K, T]) PendingFor(key K) []T {
-	st := s.stripe(key)
-	st.mu.RLock()
-	ln := st.m[key]
-	st.mu.RUnlock()
-	if ln == nil {
-		return nil
-	}
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	if len(ln.items) == 0 {
-		return nil
-	}
-	return append([]T(nil), ln.items...)
 }

@@ -5,82 +5,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/client"
-	"repro/internal/core"
+	"repro/atomicstore"
 	"repro/internal/stats"
-	"repro/internal/transport"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
-
-// AsyncCluster is a running in-process deployment of the real
-// (goroutine/channel) implementation over the in-memory transport, used
-// by the async validation experiments and the examples.
-type AsyncCluster struct {
-	Net     *transport.MemNetwork
-	Members []wire.ProcessID
-
-	servers    []*core.Server
-	endpoints  []transport.Endpoint
-	nextClient wire.ProcessID
-}
-
-// NewAsyncCluster starts n storage servers on a fresh in-memory network.
-func NewAsyncCluster(n int, mod func(*core.Config)) (*AsyncCluster, error) {
-	c := &AsyncCluster{
-		Net:        transport.NewMemNetwork(transport.MemNetworkOptions{}),
-		nextClient: 1000,
-	}
-	for i := 1; i <= n; i++ {
-		c.Members = append(c.Members, wire.ProcessID(i))
-	}
-	for _, id := range c.Members {
-		cfg := core.Config{ID: id, Members: c.Members}
-		if mod != nil {
-			mod(&cfg)
-		}
-		ep, err := c.Net.RegisterSession(cfg.SessionHello())
-		if err != nil {
-			return nil, err
-		}
-		srv, err := core.NewServer(cfg, ep)
-		if err != nil {
-			return nil, err
-		}
-		srv.Start()
-		c.servers = append(c.servers, srv)
-		c.endpoints = append(c.endpoints, ep)
-	}
-	return c, nil
-}
-
-// Close stops every server.
-func (c *AsyncCluster) Close() {
-	for i, srv := range c.servers {
-		srv.Stop()
-		_ = c.endpoints[i].Close()
-	}
-}
-
-// NewClient attaches a storage client; pinned != 0 pins it to one server.
-func (c *AsyncCluster) NewClient(pinned wire.ProcessID) (*client.Client, error) {
-	c.nextClient++
-	ep, err := c.Net.RegisterSession(wire.Hello{
-		Version:        wire.HelloVersion,
-		From:           c.nextClient,
-		Link:           wire.LinkGeneral,
-		MembershipHash: wire.MembershipHash(c.Members),
-	})
-	if err != nil {
-		return nil, err
-	}
-	opts := client.Options{Servers: c.Members, AttemptTimeout: 10 * time.Second}
-	if pinned != 0 {
-		opts.Servers = []wire.ProcessID{pinned}
-		opts.Policy = client.PolicyPinned
-	}
-	return client.New(ep, opts)
-}
 
 // AsyncReadScaling validates on the real implementation that total read
 // throughput grows with the number of servers (the shape of Figure 3a;
@@ -93,7 +21,7 @@ func AsyncReadScaling(ctx context.Context, counts []int, perServerClients int, d
 	}
 	var base float64
 	for _, n := range counts {
-		res, err := runAsyncWorkload(ctx, n, perServerClients, 0, duration)
+		res, err := RunAsyncWorkload(ctx, n, perServerClients, 0, duration)
 		if err != nil {
 			return Experiment{}, err
 		}
@@ -131,7 +59,7 @@ func AsyncWriteThroughput(ctx context.Context, counts []int, perServerClients in
 		Columns: []string{"servers", "writes/s", "p50 latency"},
 	}
 	for _, n := range counts {
-		res, err := runAsyncWorkload(ctx, n, 0, perServerClients, duration)
+		res, err := RunAsyncWorkload(ctx, n, 0, perServerClients, duration)
 		if err != nil {
 			return Experiment{}, err
 		}
@@ -149,37 +77,40 @@ func AsyncWriteThroughput(ctx context.Context, counts []int, perServerClients in
 	}, nil
 }
 
-// runAsyncWorkload runs one measured workload on a fresh cluster.
-func runAsyncWorkload(ctx context.Context, n, readersPer, writersPer int, duration time.Duration) (workload.Result, error) {
-	cluster, err := NewAsyncCluster(n, nil)
+// RunAsyncWorkload runs one measured workload on a fresh in-process
+// cluster of n servers built with opts: readersPer reading and
+// writersPer writing clients pinned to each server.
+func RunAsyncWorkload(ctx context.Context, n, readersPer, writersPer int, duration time.Duration, opts ...atomicstore.Option) (workload.Result, error) {
+	cluster, err := atomicstore.StartCluster(n, opts...)
 	if err != nil {
 		return workload.Result{}, err
 	}
-	defer cluster.Close()
+	defer func() { _ = cluster.Close() }()
 
 	var readers, writers []workload.Storage
-	var clients []*client.Client
+	var clients []*atomicstore.Client
 	defer func() {
 		for _, cl := range clients {
 			_ = cl.Close()
 		}
 	}()
-	for _, id := range cluster.Members {
-		for i := 0; i < readersPer; i++ {
-			cl, err := cluster.NewClient(id)
+	attach := func(id atomicstore.ServerID, count int, into *[]workload.Storage) error {
+		for i := 0; i < count; i++ {
+			cl, err := cluster.Client(atomicstore.WithPinnedServer(id), atomicstore.WithAttemptTimeout(10*time.Second))
 			if err != nil {
-				return workload.Result{}, err
+				return err
 			}
 			clients = append(clients, cl)
-			readers = append(readers, cl)
+			*into = append(*into, cl)
 		}
-		for i := 0; i < writersPer; i++ {
-			cl, err := cluster.NewClient(id)
-			if err != nil {
-				return workload.Result{}, err
-			}
-			clients = append(clients, cl)
-			writers = append(writers, cl)
+		return nil
+	}
+	for _, id := range cluster.Members() {
+		if err := attach(id, readersPer, &readers); err != nil {
+			return workload.Result{}, err
+		}
+		if err := attach(id, writersPer, &writers); err != nil {
+			return workload.Result{}, err
 		}
 	}
 	res := workload.Run(ctx, workload.Config{

@@ -40,8 +40,6 @@ const (
 	// PolicyPinned always contacts Servers[0] first (falls over on
 	// timeout like the others). Useful to drive a chosen server.
 	PolicyPinned
-	// PolicyRandom picks a uniformly random server per request.
-	PolicyRandom
 )
 
 // Options configure a Client.
@@ -56,9 +54,6 @@ type Options struct {
 	// MaxAttempts bounds the number of servers tried per operation.
 	// Zero means one attempt per configured server, twice around.
 	MaxAttempts int
-	// Seed seeds the PolicyRandom generator; zero uses a fixed seed
-	// (determinism is worth more than entropy in a test harness).
-	Seed int64
 	// RetryBackoff is the base delay inserted before a failover retry.
 	// It grows exponentially with the client's consecutive-failure
 	// streak (which spans operations), is jittered into [d/2, d] to
@@ -126,9 +121,11 @@ func New(ep transport.Endpoint, opts Options) (*Client, error) {
 	}
 	opts = opts.withDefaults()
 	c := &Client{
-		ep:       ep,
-		opts:     opts,
-		rng:      rand.New(rand.NewSource(opts.Seed)),
+		ep:   ep,
+		opts: opts,
+		// Seeding the backoff jitter from the process id keeps replays
+		// deterministic while still de-synchronizing distinct clients.
+		rng:      rand.New(rand.NewSource(int64(ep.ID()))),
 		inflight: make(map[uint64]chan result),
 		stopc:    make(chan struct{}),
 	}
@@ -322,11 +319,6 @@ func (c *Client) pickServer(attempt int) wire.ProcessID {
 	switch c.opts.Policy {
 	case PolicyPinned:
 		return c.opts.Servers[attempt%n]
-	case PolicyRandom:
-		if attempt == 0 {
-			return c.opts.Servers[c.rng.Intn(n)]
-		}
-		return c.opts.Servers[(c.rng.Intn(n)+attempt)%n]
 	default: // PolicyRoundRobin
 		// Advance by exactly one per attempt so retries cycle through
 		// every server (a stride of two could ping-pong between two

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -363,6 +364,48 @@ func TestClientBackoffFlappingServer(t *testing.T) {
 	got = take()
 	if len(got) != 1 || !inWindow(got[0], base) {
 		t.Fatalf("post-reset backoff = %v, want one delay within [%v, %v]", got, base/2, base)
+	}
+}
+
+// TestClientBackoffJitterDiffersAcrossClients pins the jitter's purpose:
+// two clients with the same failure streak against the same dead server
+// must not sleep the same durations, or they retry in lockstep.
+func TestClientBackoffJitterDiffersAcrossClients(t *testing.T) {
+	net := transport.NewMemNetwork(transport.MemNetworkOptions{})
+	if _, err := net.Register(1); err != nil {
+		t.Fatal(err)
+	}
+	net.Crash(1)
+	record := func(id wire.ProcessID) []time.Duration {
+		ep, err := net.Register(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = ep.Close() }()
+		cl, err := New(ep, Options{
+			Servers:         []wire.ProcessID{1},
+			AttemptTimeout:  50 * time.Millisecond,
+			MaxAttempts:     6,
+			RetryBackoff:    time.Millisecond,
+			RetryBackoffMax: 8 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = cl.Close() }()
+		var delays []time.Duration
+		cl.sleep = func(d time.Duration) { delays = append(delays, d) }
+		if _, err := cl.Write(context.Background(), 0, []byte("x")); !errors.Is(err, ErrExhausted) {
+			t.Fatalf("client %d: err = %v, want ErrExhausted", id, err)
+		}
+		return delays
+	}
+	a, b := record(100), record(101)
+	if len(a) != 5 || len(b) != 5 {
+		t.Fatalf("recorded %d and %d backoffs, want 5 each", len(a), len(b))
+	}
+	if slices.Equal(a, b) {
+		t.Fatalf("clients 100 and 101 drew identical backoffs %v", a)
 	}
 }
 

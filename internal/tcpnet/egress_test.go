@@ -136,47 +136,81 @@ func TestEgressVectoredPaths(t *testing.T) {
 	}
 }
 
-// TestEgressVectoredMixedSizes crosses the slab cutoff in both
-// directions within single coalesced batches — values from empty to
-// well past the cutoff — and checks content integrity end to end over
-// real TCP with every frame class interleaved.
+// TestEgressVectoredMixedSizes gathers six size classes, twice over,
+// into one writer batch whose cutoff splits them three and three, so
+// the batch crosses the slab cutoff in both directions. One flush over
+// a pipe must deliver every frame intact and in order, and every pooled
+// encode buffer must return to the pool.
 func TestEgressVectoredMixedSizes(t *testing.T) {
 	leakCheck(t)
-	eps, _ := newClusterOpts(t, 2, Options{
-		VectoredCutoffBytes: 256,
-		MaxBatchBytes:       8 << 10,
-		FlushInterval:       time.Millisecond,
-	})
 	vals := [][]byte{nil, make([]byte, 16), make([]byte, 255), make([]byte, 257), make([]byte, 4096), make([]byte, 64<<10)}
 	for i, v := range vals {
 		for j := range v {
 			v[j] = byte(i*31 + j)
 		}
 	}
-	const total = 120
+	const rounds = 2
+	total := rounds * len(vals)
+	frames := make([]*wire.EncodedFrame, total)
+	for i := range frames {
+		f := wire.NewFrame(wire.Envelope{Kind: wire.KindWriteRequest, ReqID: uint64(i), Value: vals[i%len(vals)]})
+		var err error
+		if frames[i], err = wire.EncodeFrame(&f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first three classes go to the slab, the last three ship as
+	// their own iovec entries.
+	cutoff := len(frames[2].Bytes()) + 1
+	if len(frames[3].Bytes()) < cutoff {
+		t.Fatalf("size classes do not straddle the cutoff %d", cutoff)
+	}
+
+	near, far := net.Pipe()
+	defer far.Close()
+	w := newEgressWriter(near, cutoff)
+	defer w.close()
+	type got struct {
+		f   wire.Frame
+		err error
+	}
+	results := make(chan got, total)
 	go func() {
+		r := wire.NewReaderSize(far, 32<<10)
+		defer r.Close()
 		for i := 0; i < total; i++ {
-			v := vals[i%len(vals)]
-			env := wire.Envelope{Kind: wire.KindWriteRequest, ReqID: uint64(i), Value: v}
-			if err := eps[0].Send(2, wire.NewFrame(env)); err != nil {
+			f, err := r.ReadFrame()
+			results <- got{f: f, err: err}
+			if err != nil {
 				return
 			}
 		}
 	}()
+
+	for _, ef := range frames {
+		w.add(ef)
+	}
+	// Per round: one slab run, then three zero-copy entries.
+	if want := rounds * 4; len(w.iovArr) != want {
+		t.Fatalf("batch has %d iovec entries, want %d", len(w.iovArr), want)
+	}
+	if err := w.flush(); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < total; i++ {
-		in := recvOne(t, eps[1])
+		g := <-results
+		if g.err != nil {
+			t.Fatalf("frame %d: read error: %v", i, g.err)
+		}
 		want := vals[i%len(vals)]
-		if in.Frame.Env.ReqID != uint64(i) || len(in.Frame.Env.Value) != len(want) {
-			t.Fatalf("frame %d: req=%d |v|=%d want |v|=%d", i, in.Frame.Env.ReqID, len(in.Frame.Env.Value), len(want))
+		if g.f.Env.ReqID != uint64(i) || len(g.f.Env.Value) != len(want) {
+			t.Fatalf("frame %d: req=%d |v|=%d want |v|=%d", i, g.f.Env.ReqID, len(g.f.Env.Value), len(want))
 		}
 		for j := range want {
-			if in.Frame.Env.Value[j] != want[j] {
+			if g.f.Env.Value[j] != want[j] {
 				t.Fatalf("frame %d corrupted at byte %d", i, j)
 			}
 		}
-	}
-	for _, ep := range eps {
-		_ = ep.Close()
 	}
 }
 

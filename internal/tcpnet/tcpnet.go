@@ -27,17 +27,18 @@
 // Outbound frames are encoded at enqueue time, on the goroutine that
 // produced them, into pooled refcounted wire.EncodedFrame buffers; the
 // per-peer queue carries those buffers, and the writer goroutine only
-// gathers them. Each wakeup drains the queue into one iovec — up to
-// MaxBatchBytes, optionally waiting FlushInterval for stragglers — and
-// hands the whole batch to the kernel with a single vectored write
-// (writev), returning each buffer to the pool once the kernel has
-// consumed it. Frames below a size cutoff are coalesced into a pooled
-// slab entry of the same iovec instead, because the kernel's per-iovec
-// cost exceeds a tiny memcpy; large frames ship zero-copy. Under load
-// this amortizes the write syscall over dozens of frames with no
-// intermediate copy and no encoding work serialized on the writer; an
-// idle connection still flushes every frame immediately, so latency is
-// only traded away when FlushInterval is set. Encode buffers, the slab,
+// gathers them. Each wakeup drains whatever the queue already holds
+// into one iovec, up to MaxBatchBytes, and hands the whole batch to the
+// kernel with a single vectored write (writev), returning each buffer
+// to the pool once the kernel has consumed it. Frames below a size
+// cutoff are coalesced into a pooled slab entry of the same iovec
+// instead, because the kernel's per-iovec cost exceeds a tiny memcpy;
+// large frames ship zero-copy. Under load this amortizes the write
+// syscall over dozens of frames with no intermediate copy and no
+// encoding work serialized on the writer. The writer never waits for
+// stragglers, so an idle connection flushes every frame immediately
+// (a flush wait cost 15–20 % at every batch size on loopback,
+// EXPERIMENTS.md "batch re-tune"). Encode buffers, the slab,
 // and inbound frame bodies come from the wire package's buffer pool,
 // keeping the per-message path allocation-free in steady state.
 // DESIGN.md §14 states the buffer-ownership rules end to end.
@@ -102,12 +103,6 @@ type Options struct {
 	// tuned with BenchmarkTCPEcho (see EXPERIMENTS.md): larger batches
 	// stop paying off once the batch exceeds the socket buffer.
 	MaxBatchBytes int
-	// FlushInterval, when positive, lets a non-full batch wait this long
-	// for more frames before flushing. Zero flushes as soon as the queue
-	// is momentarily empty — no added latency, coalescing only under
-	// load. Most deployments should keep zero; set it only to trade
-	// latency for fewer, larger writes on high-RTT links.
-	FlushInterval time.Duration
 	// VectoredCutoffBytes is the hybrid egress threshold: encoded
 	// frames at least this large become their own zero-copy iovec
 	// entry, smaller ones are coalesced into the batch slab (the
@@ -688,9 +683,8 @@ func (e *Endpoint) readLoop(p *peer) {
 
 // writeLoop drains queued encoded frames onto the connection. Each
 // wakeup gathers the first frame plus whatever else the queue holds
-// into one iovec batch — up to MaxBatchBytes, waiting FlushInterval
-// for more when configured — and flushes it with a single vectored
-// write. When the loop exits the link is closed (every exit path runs
+// into one iovec batch, up to MaxBatchBytes, and flushes it with a
+// single vectored write. When the loop exits the link is closed (every exit path runs
 // through shutdown), so the deferred drain releases whatever producers
 // managed to queue; racing late pushes reclaim themselves
 // (reclaimIfClosed).
@@ -727,45 +721,21 @@ func drainOut(p *peer) {
 	}
 }
 
-// writeBatch gathers first plus any coalesced followers and flushes
-// the batch with one vectored write. Frames arrive already encoded, so
+// writeBatch gathers first plus whatever is already queued and flushes
+// the batch with one vectored write the moment the queue runs dry or
+// the batch reaches MaxBatchBytes. Frames arrive already encoded, so
 // the only per-frame work here is an iovec append (or a slab memcpy
 // below the cutoff) — the writer goroutine no longer serializes the
 // encoding of every producer behind one scratch buffer.
 func (e *Endpoint) writeBatch(p *peer, w *egressWriter, first *wire.EncodedFrame) error {
-	var (
-		timer    *time.Timer
-		deadline <-chan time.Time
-	)
-	if e.opts.FlushInterval > 0 {
-		timer = time.NewTimer(e.opts.FlushInterval)
-		defer timer.Stop()
-		deadline = timer.C
-	}
-	ef := first
-	for {
-		w.add(ef)
-		if w.batched >= e.opts.MaxBatchBytes {
-			break
-		}
-		if deadline == nil {
-			// No flush timer: coalesce whatever is already queued and
-			// flush the moment the queue runs dry.
-			select {
-			case ef = <-p.out:
-				continue
-			default:
-			}
-			break
-		}
+	w.add(first)
+	for w.batched < e.opts.MaxBatchBytes {
 		select {
-		case ef = <-p.out:
-			continue
-		case <-deadline:
-		case <-p.closed:
-		case <-e.down:
+		case ef := <-p.out:
+			w.add(ef)
+		default:
+			return w.flush()
 		}
-		break
 	}
 	return w.flush()
 }

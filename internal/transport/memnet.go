@@ -60,8 +60,7 @@ func NewMemNetwork(opts MemNetworkOptions) *MemNetwork {
 
 // Register attaches a new endpoint for the given process id. The
 // endpoint is session-less: it asserts no HELLO, is never validated,
-// and reaches only other session-less endpoints (tests, tools and the
-// baseline protocols use it).
+// and reaches only other session-less endpoints (only tests use it).
 func (n *MemNetwork) Register(id wire.ProcessID) (*MemEndpoint, error) {
 	return n.register(id, nil)
 }

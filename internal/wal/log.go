@@ -69,10 +69,9 @@ type Config struct {
 	// much (the group-commit accumulator, mirroring the transport's
 	// MaxBatchBytes). Default 256 KiB.
 	BatchBytes int
-	// FlushInterval is the group-commit linger in SyncTrain mode (how
-	// long a kicked sync pass waits for concurrent lanes to stage
-	// more; default 0) and the sync period in SyncInterval mode
-	// (default 2ms) — mirroring the transport's FlushInterval.
+	// FlushInterval is the sync period in SyncInterval mode (default
+	// 2ms). The other modes ignore it: a kicked SyncTrain pass syncs at
+	// once.
 	FlushInterval time.Duration
 	// SegmentBytes rotates a lane to a fresh segment once the current
 	// one exceeds this size. Default 64 MiB.
@@ -404,25 +403,15 @@ func (l *Log) tickEvery() time.Duration {
 }
 
 // syncLoop is the group-commit engine: one goroutine serving every
-// lane, so trains staged by concurrent lanes during the same pass (or
-// the same linger window) share it.
+// lane, so trains staged by concurrent lanes during the same pass share
+// it.
 func (l *Log) syncLoop() {
 	defer close(l.done)
 	tick := time.NewTicker(l.tickEvery())
 	defer tick.Stop()
-	linger := l.cfg.Sync == SyncTrain && l.cfg.FlushInterval > 0
 	for {
 		select {
 		case <-l.reqc:
-			if linger {
-				t := time.NewTimer(l.cfg.FlushInterval)
-				select {
-				case <-t.C:
-				case <-l.stopc:
-					t.Stop()
-					return
-				}
-			}
 			l.syncPass()
 		case <-tick.C:
 			l.syncPass()

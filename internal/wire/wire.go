@@ -46,24 +46,6 @@ const (
 	// KindCrash is a control message disseminating "process p crashed"
 	// around the ring so that non-adjacent servers update their view.
 	KindCrash
-
-	// The remaining kinds belong to the baseline protocols implemented
-	// for comparison (DESIGN.md §4): an ABD-style majority-quorum
-	// register, chain replication, and a total-order-broadcast storage.
-
-	// KindQuery asks a quorum server for its current (tag, value).
-	KindQuery
-	// KindQueryReply answers a KindQuery.
-	KindQueryReply
-	// KindStore asks a quorum server to install (tag, value).
-	KindStore
-	// KindStoreAck confirms a KindStore.
-	KindStoreAck
-	// KindChainForward propagates a write down a replication chain.
-	KindChainForward
-	// KindTOBOp is an operation circulating a total-order-broadcast
-	// ring; FlagTOBRead marks reads.
-	KindTOBOp
 )
 
 // String returns the wire name of k.

@@ -1,6 +1,5 @@
-// Package workload drives closed-loop client load against any storage
-// client (the ring algorithm or one of the baselines) and measures
-// throughput and latency. It reproduces the paper's load-generation
+// Package workload drives closed-loop client load against a storage
+// client of the ring and measures throughput and latency. It reproduces the paper's load-generation
 // setup: dedicated reader and writer processes per server, each emulating
 // many clients by keeping several operations in flight.
 package workload
@@ -17,8 +16,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Storage is the minimal client interface every implementation in this
-// repository satisfies (core/client, quorum, chainrep, tob).
+// Storage is the minimal client interface the load runs against
+// (internal/client and the atomicstore façade satisfy it).
 type Storage interface {
 	// Read returns the current value and its version tag.
 	Read(ctx context.Context, object wire.ObjectID) ([]byte, tag.Tag, error)
