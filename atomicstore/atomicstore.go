@@ -71,7 +71,6 @@ type config struct {
 	noElision       bool
 	noFairness      bool
 	walDir          string
-	walSync         WALSyncMode
 	walAudit        bool
 	retryBackoff    time.Duration
 	retryBackoffMax time.Duration
@@ -145,40 +144,17 @@ func WithoutValueElision() Option { return func(c *config) { c.noElision = true 
 // forwarding (ablation).
 func WithoutFairness() Option { return func(c *config) { c.noFairness = true } }
 
-// WALSyncMode selects when write-ahead-log records reach stable
-// storage: WALSyncTrain (the default under WithDurability) gates every
-// outgoing ring frame on a sync covering its records, so acknowledged
-// writes are durable at every server; WALSyncInterval syncs on a timer
-// (bounded loss, no gating); WALSyncNone never syncs (the group-commit
-// ablation baseline).
-type WALSyncMode = wal.SyncMode
-
-// WAL sync modes for WithWALSyncMode.
-const (
-	WALSyncTrain    = wal.SyncTrain
-	WALSyncInterval = wal.SyncInterval
-	WALSyncNone     = wal.SyncNone
-)
-
 // WALStats is a snapshot of one server's write-ahead-log counters.
 type WALStats = wal.Stats
 
 // WithDurability gives each server a write-ahead log under dir (one
-// subdirectory per server id) in WALSyncTrain mode: committed ring
-// frames are appended as one batch and acknowledged only after one
-// fdatasync covers the whole train, and a restarted server replays its
-// log — before rejoining the ring — to serve every write it ever
-// acknowledged. A cluster (or Join) started without this option keeps
-// the in-memory-only behavior.
-func WithDurability(dir string) Option {
-	return func(c *config) {
-		c.walDir = dir
-		c.walSync = WALSyncTrain
-	}
-}
-
-// WithWALSyncMode overrides the durability policy of WithDurability.
-func WithWALSyncMode(m WALSyncMode) Option { return func(c *config) { c.walSync = m } }
+// subdirectory per server id): committed ring frames are appended as
+// one batch and leave the server only after one fdatasync covers the
+// whole train, so an acknowledged write is durable at every server, and
+// a restarted server replays its log — before rejoining the ring — to
+// serve every write it ever acknowledged. A cluster (or Join) started
+// without this option keeps the in-memory-only behavior.
+func WithDurability(dir string) Option { return func(c *config) { c.walDir = dir } }
 
 // WithWALAudit appends a chained Merkle batch-root record per WAL sync,
 // making each server's log tamper-evident (verify offline with the

@@ -30,7 +30,6 @@ func (c config) coreConfig(id ServerID, members []ServerID) core.Config {
 			// in-process cluster, and on real hosts the extra level is
 			// harmless.
 			Dir:         filepath.Join(c.walDir, fmt.Sprintf("server-%d", id)),
-			Sync:        c.walSync,
 			MerkleRoots: c.walAudit,
 		}
 	}

@@ -55,7 +55,6 @@ func run() error {
 		lanes       = flag.Int("lanes", 0, "ring write lanes (hash(object) mod lanes; validated against peers at handshake; 0 = default, negative = 1)")
 		train       = flag.Int("train", 0, "max ring messages per frame (frame trains; 0 = default 8, 1 = classic piggyback)")
 		walDir      = flag.String("wal-dir", "", "write-ahead-log directory; empty runs without durability")
-		walSync     = flag.String("wal-sync", "train", "WAL sync policy: train (ack after a covering fdatasync), interval (periodic sync, bounded loss), none (never sync)")
 		walAudit    = flag.Bool("wal-audit", false, "append a chained Merkle batch-root record per WAL sync (tamper evidence; check with -wal-verify)")
 		walVerify   = flag.Bool("wal-verify", false, "verify the WAL under -wal-dir offline (CRCs, audit roots, chain) and exit without serving")
 	)
@@ -113,13 +112,7 @@ func run() error {
 		opts = append(opts, atomicstore.WithoutFairness())
 	}
 	if *walDir != "" {
-		mode, err := wal.ParseSyncMode(*walSync)
-		if err != nil {
-			return err
-		}
-		opts = append(opts,
-			atomicstore.WithDurability(*walDir),
-			atomicstore.WithWALSyncMode(mode))
+		opts = append(opts, atomicstore.WithDurability(*walDir))
 		if *walAudit {
 			opts = append(opts, atomicstore.WithWALAudit())
 		}

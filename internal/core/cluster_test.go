@@ -11,6 +11,8 @@ import (
 	"repro/internal/checker"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/placement"
+	"repro/internal/shard"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -453,112 +455,51 @@ func TestManyObjectsConcurrently(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLaneConfigurations drives a mixed multi-object workload under the
-// lane fanout's extremes — single lane (the pre-lane behavior), more
-// lanes than objects, and lanes combined with tiny shard tables — and
+// TestLaneConfigurations drives a mixed multi-object workload — one
+// writer and two concurrent readers per object — under the lane
+// fanout's extremes (single lane, more lanes than objects) and on two
+// objects that share a shard lock but belong to different lanes, and
 // checks every object's history stays atomic. With -race this asserts
-// the lane concurrency contract: lanes, read workers, the ack sender,
-// and the control plane may only meet through shard locks and channels.
+// the lane concurrency contract: lanes, the delivering goroutines'
+// snapshot reads, the ack sender, and the control plane may only meet
+// through shard locks, published snapshots, and channels.
+//
+// The shared-shard row runs 3 lanes: lanes and shards hash an object
+// with the same multiplier, so at a power-of-two lane count dividing
+// shard.DefaultShards (the default 4 included) an object's lane is its
+// shard index mod lanes, and no shard is ever shared across lanes.
 func TestLaneConfigurations(t *testing.T) {
+	firstSix := []wire.ObjectID{0, 1, 2, 3, 4, 5}
 	for _, tc := range []struct {
-		name string
-		mod  configMod
+		name    string
+		lanes   int
+		objects []wire.ObjectID
 	}{
-		{"singleLane", func(c *core.Config) { c.WriteLanes = -1 }},
-		{"fourLanes", func(c *core.Config) { c.WriteLanes = 4 }},
-		{"moreLanesThanObjects", func(c *core.Config) { c.WriteLanes = 16 }},
-		{"lanesWithTinyShards", func(c *core.Config) { c.WriteLanes = 4; c.ObjectShards = 2 }},
+		{"singleLane", -1, firstSix},
+		{"fourLanes", 4, firstSix},
+		{"moreLanesThanObjects", 16, firstSix},
+		{"crossLaneSharedShard", 3, crossLaneShardPair(t, 3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newCluster(t, 3, tc.mod)
+			c := newCluster(t, 3, func(c *core.Config) { c.WriteLanes = tc.lanes })
 			ctx := ctxT(t)
-			const objects = 6
-			var recs [objects]opRecorder
+			recs := make([]opRecorder, len(tc.objects))
 			var wg sync.WaitGroup
-			for obj := 0; obj < objects; obj++ {
-				wcl := c.newClient(client.Options{})
-				rcl := c.newClient(client.Options{})
-				wg.Add(2)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 8; i++ {
-						v := fmt.Sprintf("o%d-%d", obj, i)
-						start := time.Now().UnixNano()
-						tg, err := wcl.Write(ctx, wire.ObjectID(obj), []byte(v))
-						if err != nil {
-							t.Errorf("write: %v", err)
-							return
-						}
-						recs[obj].add(checker.Op{Kind: checker.KindWrite, Value: v, Start: start, End: time.Now().UnixNano(), Tag: tg})
-					}
-				}()
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 8; i++ {
-						start := time.Now().UnixNano()
-						v, tg, err := rcl.Read(ctx, wire.ObjectID(obj))
-						if err != nil {
-							t.Errorf("read: %v", err)
-							return
-						}
-						recs[obj].add(checker.Op{Kind: checker.KindRead, Value: string(v), Start: start, End: time.Now().UnixNano(), Tag: tg})
-					}
-				}()
-			}
-			wg.Wait()
-			for obj := range recs {
-				if err := checker.CheckTagged(recs[obj].history()); err != nil {
-					t.Fatalf("object %d history not atomic: %v", obj, err)
-				}
-			}
-		})
-	}
-}
-
-// TestShardedReadPathConfigurations pins the read-path configuration at
-// its extremes — inline reads (the pre-sharding behavior), a single
-// worker, and a wide pool over a tiny shard table — and checks a mixed
-// multi-object workload stays linearizable per object under each. Run
-// with -race this asserts the sharded concurrency contract: read
-// workers and the event loop may only meet through shard locks.
-func TestShardedReadPathConfigurations(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mod  configMod
-	}{
-		{"inlineReads", func(c *core.Config) { c.ReadConcurrency = -1 }},
-		{"oneWorker", func(c *core.Config) { c.ReadConcurrency = 1 }},
-		{"widePoolTinyShards", func(c *core.Config) { c.ReadConcurrency = 8; c.ObjectShards = 2 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := newCluster(t, 3, tc.mod)
-			ctx := ctxT(t)
-			const objects = 4
-			var recs [objects]struct {
-				sync.Mutex
-				ops []checker.Op
-			}
-			add := func(obj int, op checker.Op) {
-				recs[obj].Lock()
-				op.ID = len(recs[obj].ops)
-				recs[obj].ops = append(recs[obj].ops, op)
-				recs[obj].Unlock()
-			}
-			var wg sync.WaitGroup
-			for obj := 0; obj < objects; obj++ {
+			for i, obj := range tc.objects {
+				rec := &recs[i]
 				wcl := c.newClient(client.Options{})
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for i := 0; i < 10; i++ {
+					for i := 0; i < 8; i++ {
 						v := fmt.Sprintf("o%d-%d", obj, i)
 						start := time.Now().UnixNano()
-						tg, err := wcl.Write(ctx, wire.ObjectID(obj), []byte(v))
+						tg, err := wcl.Write(ctx, obj, []byte(v))
 						if err != nil {
 							t.Errorf("write: %v", err)
 							return
 						}
-						add(obj, checker.Op{Kind: checker.KindWrite, Value: v, Start: start, End: time.Now().UnixNano(), Tag: tg})
+						rec.add(checker.Op{Kind: checker.KindWrite, Value: v, Start: start, End: time.Now().UnixNano(), Tag: tg})
 					}
 				}()
 				for r := 0; r < 2; r++ {
@@ -566,24 +507,46 @@ func TestShardedReadPathConfigurations(t *testing.T) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						for i := 0; i < 10; i++ {
+						for i := 0; i < 8; i++ {
 							start := time.Now().UnixNano()
-							v, tg, err := rcl.Read(ctx, wire.ObjectID(obj))
+							v, tg, err := rcl.Read(ctx, obj)
 							if err != nil {
 								t.Errorf("read: %v", err)
 								return
 							}
-							add(obj, checker.Op{Kind: checker.KindRead, Value: string(v), Start: start, End: time.Now().UnixNano(), Tag: tg})
+							rec.add(checker.Op{Kind: checker.KindRead, Value: string(v), Start: start, End: time.Now().UnixNano(), Tag: tg})
 						}
 					}()
 				}
 			}
 			wg.Wait()
-			for obj := range recs {
-				if err := checker.CheckTagged(recs[obj].ops); err != nil {
+			for i, obj := range tc.objects {
+				if err := checker.CheckTagged(recs[i].history()); err != nil {
 					t.Fatalf("object %d history not atomic: %v", obj, err)
 				}
 			}
 		})
 	}
+}
+
+// crossLaneShardPair returns the first two object ids that share a
+// shard of the servers' per-object map but belong to different lanes at
+// the given fanout, so two lane event loops take one shard lock.
+func crossLaneShardPair(t *testing.T, lanes int) []wire.ObjectID {
+	t.Helper()
+	m := shard.New[wire.ObjectID, struct{}]()
+	firstIn := make(map[int]wire.ObjectID)
+	for id := wire.ObjectID(0); id < 1024; id++ {
+		i := m.ShardIndex(id)
+		first, seen := firstIn[i]
+		if !seen {
+			firstIn[i] = id
+			continue
+		}
+		if placement.LaneOf(first, lanes) != placement.LaneOf(id, lanes) {
+			return []wire.ObjectID{first, id}
+		}
+	}
+	t.Fatalf("no two object ids below 1024 share a shard across %d lanes", lanes)
+	return nil
 }

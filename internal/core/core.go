@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"runtime"
 
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -63,15 +62,6 @@ type Config struct {
 	// throughput (DESIGN.md §3.6).
 	DisableValueElision bool
 
-	// ReadConcurrency is the number of read-path workers serving client
-	// reads off the lane event loops under per-object shard locks. Zero
-	// means min(GOMAXPROCS, 4); negative disables the pool, keeping
-	// reads inline on the owning lane's event loop (the pre-sharding
-	// behavior).
-	ReadConcurrency int
-	// ObjectShards is the fanout of the sharded per-object state,
-	// rounded up to a power of two. Zero means shard.DefaultShards.
-	ObjectShards int
 	// WriteLanes is the number of independent ring lanes the write path
 	// is sharded over: each object belongs to lane hash(ObjectID) mod
 	// WriteLanes, and each lane runs its own event loop, forward queue,
@@ -93,10 +83,10 @@ type Config struct {
 	// WAL configures the durable write-ahead log (DESIGN.md §13). An
 	// empty WAL.Dir disables durability entirely — the pre-WAL behavior.
 	// WAL.Lanes is ignored: the server pins it to its resolved WriteLanes
-	// (the WAL is sharded exactly like the write path). With
-	// wal.SyncTrain (the default mode) every outgoing ring frame is
-	// gated on a sync covering the records its envelopes staged, so an
-	// acknowledged write is durable at every server that applied it.
+	// (the WAL is sharded exactly like the write path). Every outgoing
+	// ring frame is gated on a sync covering the records its envelopes
+	// staged, so an acknowledged write is durable at every server that
+	// applied it; wal.SyncTrain is the only sync policy.
 	WAL wal.Config
 
 	// Logger receives debug events; nil discards them.
@@ -117,21 +107,6 @@ const MaxWriteLanes = 256
 // further but add nothing once they exceed the queue depth a saturated
 // lane actually accumulates (EXPERIMENTS.md's train-length sweep).
 const DefaultTrainLength = 8
-
-// readWorkers resolves ReadConcurrency to a worker count.
-func (c *Config) readWorkers() int {
-	if c.ReadConcurrency < 0 {
-		return 0
-	}
-	if c.ReadConcurrency > 0 {
-		return c.ReadConcurrency
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n > 4 {
-		n = 4
-	}
-	return n
-}
 
 // writeLanes resolves WriteLanes to a lane count.
 func (c *Config) writeLanes() int {

@@ -44,10 +44,10 @@ type lane struct {
 	// pipeline the ring independently — that is the point.
 	ringOut chan outFrame
 	// gatec pairs each committed ring frame with the WAL sequence its
-	// envelopes staged (capacity 1; nil unless wal.SyncTrain gates the
-	// sender). The pairing is structural: ringOut is unbuffered, so the
-	// event loop's commit — which pushes here — runs strictly between
-	// the sender's ringOut receive and its next one.
+	// envelopes staged (capacity 1; nil exactly when the server runs
+	// without a WAL). The pairing is structural: ringOut is unbuffered,
+	// so the event loop's commit — which pushes here — runs strictly
+	// between the sender's ringOut receive and its next one.
 	gatec chan uint64
 	// walSeq is the highest WAL sequence this lane has staged; event-
 	// loop-confined like the rest of the lane state.
@@ -158,10 +158,10 @@ func (ln *lane) loop() {
 // and dropped: the failure detector will report the peer and recovery
 // retransmits whatever mattered.
 //
-// With a train-gated WAL the sender is also the durability gate: after
-// each frame handoff it receives the frame's covering WAL sequence
-// (pushed by the event loop's commit) and blocks in WaitLane until one
-// group-commit sync covers it. The gate lives here, off the event
+// With a WAL the sender is also the durability gate: after each frame
+// handoff it receives the frame's covering WAL sequence (pushed by the
+// event loop's commit) and blocks in WaitLane until one group-commit
+// sync covers it. The gate lives here, off the event
 // loop, so the lane keeps draining its inbox and planning the next
 // train while the sync is in flight — the fsync is amortized per
 // train, not paid per envelope.
@@ -279,23 +279,15 @@ func (ln *lane) onWriteRequest(from wire.ProcessID, env *wire.Envelope) {
 // published snapshot on the delivering goroutine (Server.route). The
 // lane sees the rest (cold objects, outstanding barriers, pooled
 // values, pre-demux or non-demux deliveries) plus snapshot races, so it
-// retries the fast path and hands the remainder to the worker pool,
-// whose slow path may park them under the lock; a full dispatch queue
-// falls back to inline locked handling rather than blocking — the
-// inline ack goes through the non-blocking ack sender, so even then the
-// lane never waits on a client.
+// retries the snapshot once, then serves or parks under the shard lock.
+// Serving a pooled value dissolves its pool ownership (ackRead) and the
+// republished snapshot moves every later read of it back to the
+// lock-free path. The ack goes through the non-blocking ack sender, so
+// the lane never waits on a client.
 func (ln *lane) onReadRequest(from wire.ProcessID, env *wire.Envelope) {
 	s := ln.srv
 	if s.serveReadFromSnapshot(from, env) {
 		return
-	}
-	rr := readReq{from: from, reqID: env.ReqID, object: env.Object}
-	if s.readc != nil {
-		select {
-		case s.readc <- rr:
-			return
-		default:
-		}
 	}
 	sh, o := s.lockedObj(env.Object)
 	defer sh.Unlock()

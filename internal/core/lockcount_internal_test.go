@@ -121,9 +121,9 @@ func TestForwardedEnvelopeSingleLock(t *testing.T) {
 }
 
 // TestReadServeTakesNoLock asserts the read-side contract: once a
-// snapshot is published, the serve path — lane fast path and worker
-// slow-path bypass alike — takes zero shard-lock acquisitions; only a
-// read that must park (or a cold object) falls back to the lock.
+// snapshot is published, the serve path takes zero shard-lock
+// acquisitions; only a read that must park, a cold object, or the first
+// read of a pool-owned value falls back to the lane's locked slow path.
 func TestReadServeTakesNoLock(t *testing.T) {
 	h := newStormHarness(t, 0, func(c *Config) { c.WriteLanes = 1 })
 	lc := installLockCounter(h.s)
@@ -136,13 +136,11 @@ func TestReadServeTakesNoLock(t *testing.T) {
 		t.Fatalf("cold read took %d acquisitions, want 1", lc.total)
 	}
 
-	// Warm object: the published snapshot serves lock-free, on the lane
-	// handler and on the worker path alike.
+	// Warm object: the published snapshot serves lock-free.
 	lc.reset()
 	for i := 0; i < 10; i++ {
 		ln.onReadRequest(500, &wire.Envelope{Kind: wire.KindReadRequest, Object: 0, ReqID: uint64(2 + i)})
 	}
-	h.s.serveRead(readReq{from: 500, reqID: 100, object: 0})
 	if lc.total != 0 {
 		t.Fatalf("warm reads took %d acquisitions, want 0", lc.total)
 	}
@@ -174,5 +172,31 @@ func TestReadServeTakesNoLock(t *testing.T) {
 	}
 	if len(h.s.obj(0).parked) != 1 {
 		t.Fatal("blocked read did not park")
+	}
+
+	// A pool-owned value (a forwarded pre-write's inbound buffer,
+	// installed by its elided write) is not servable from the snapshot:
+	// the first read takes the lock once, dissolves the ownership, and
+	// republishes, and every later read of the value is lock-free.
+	buf := wire.GetBuffer()
+	*buf = append((*buf)[:0], 'p')
+	pw := tag.Tag{TS: 1, ID: 2}
+	ln.onPreWrite(&wire.Envelope{Kind: wire.KindPreWrite, Flags: wire.FlagPooledValue, Object: 1, Tag: pw, Origin: 2, Value: *buf})
+	ln.onWrite(&wire.Envelope{Kind: wire.KindWrite, Flags: wire.FlagValueElided, Object: 1, Tag: pw, Origin: 2})
+	if sn := h.s.fastObj(1).snap.Load(); !sn.readable || !sn.pooled {
+		t.Fatalf("setup: snapshot readable=%v pooled=%v, want a readable pool-owned value", sn.readable, sn.pooled)
+	}
+	lc.reset()
+	ln.onReadRequest(500, &wire.Envelope{Kind: wire.KindReadRequest, Object: 1, ReqID: 60})
+	if lc.total != 1 {
+		t.Fatalf("first read of a pooled value took %d acquisitions, want 1", lc.total)
+	}
+	if o := h.s.fastObj(1); o.valuePooled || o.snap.Load().pooled {
+		t.Fatal("first read did not dissolve pool ownership and republish")
+	}
+	lc.reset()
+	ln.onReadRequest(500, &wire.Envelope{Kind: wire.KindReadRequest, Object: 1, ReqID: 61})
+	if lc.total != 0 {
+		t.Fatalf("second read of the value took %d acquisitions, want 0", lc.total)
 	}
 }

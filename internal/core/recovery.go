@@ -72,8 +72,8 @@ func (ln *lane) requeue(env wire.Envelope) {
 func (ln *lane) retransmitAfterSuccessorCrash() {
 	s := ln.srv
 	// Range holds each shard's lock while its objects are visited, which
-	// freezes read workers on those objects for the duration — crash
-	// recovery is rare enough that simplicity wins.
+	// stalls other lanes' locked handlers on those shards for the
+	// duration — crash recovery is rare enough that simplicity wins.
 	s.objects.Range(func(objID wire.ObjectID, o *objectState) bool {
 		if s.laneFor(objID) != ln.idx {
 			return true // another lane's object; its loop retransmits it

@@ -76,8 +76,9 @@ type outFrame struct {
 // view replica) is confined to that lane's event-loop goroutine. The
 // transports demultiplex inbound frames straight into the owning lane's
 // inbox, so lanes never synchronize on the hot path. Per-object replica
-// state lives in the sharded objects map: a lane and the read-path
-// workers both take the object's shard lock around every access. What
+// state lives in the sharded objects map: the owning lane takes the
+// object's shard lock around every access, and the delivering
+// goroutines serve reads from the published snapshot without it. What
 // remains shared is the control plane — one goroutine owning the
 // authoritative ring view, consuming the failure detector and crash
 // gossip and fanning recovery out to every lane — and the ack sender,
@@ -126,21 +127,15 @@ type Server struct {
 	ctrlc chan transport.Inbound
 
 	// acks is the sharded per-client ack sender: every client-bound
-	// frame from the lanes, read workers, and delivering goroutines
-	// goes through it (non-blocking enqueue, one FIFO lane per client,
-	// transport fast path when Send provably cannot block).
+	// frame from the lanes and the delivering goroutines goes through
+	// it (non-blocking enqueue, one FIFO lane per client, transport
+	// fast path when Send provably cannot block).
 	acks *ackq.Sharded[wire.ProcessID, wire.Frame]
 
 	// ackFails counts client acks whose transport send failed; the
 	// client retries against another server, so the ack is dropped, but
 	// the drop must be observable (happy-path clusters read 0).
 	ackFails atomic.Uint64
-
-	// readc feeds client reads to the read-path workers; created by
-	// Start when the worker pool is enabled. When it is nil (pool
-	// disabled, or handlers driven directly in tests) reads are handled
-	// inline by the owning lane, the pre-pool behavior.
-	readc chan readReq
 
 	// laneDrops counts inbound ring frames discarded because they named
 	// a lane this server does not have — a peer with a mismatched
@@ -162,9 +157,6 @@ type Server struct {
 	// traversals re-queued — inside NewServer, so recovery strictly
 	// precedes Start and any ring adoption traffic (DESIGN.md §13).
 	wal *wal.Log
-	// walGated marks wal.SyncTrain mode: each lane's sender gates every
-	// outgoing ring frame on a sync covering the records it staged.
-	walGated bool
 	// walFailOnce rate-limits the log line when a disk error fails the
 	// WAL mid-run; the ring keeps serving (availability wins), undurable.
 	walFailOnce sync.Once
@@ -179,17 +171,14 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// readReq is one client read dispatched to the read-path workers.
-type readReq struct {
-	from   wire.ProcessID
-	reqID  uint64
-	object wire.ObjectID
-}
-
-// laneInboxCapacity buffers each lane's demuxed inbox. It is the same
-// order as the transports' shared inboxes: small enough that a saturated
-// lane exerts backpressure on its ring predecessor (which is what engages
-// the fairness rule), large enough to ride out scheduling jitter.
+// laneInboxCapacity buffers each lane's demuxed inbox and caps how many
+// events one loop iteration drains before it offers a ring send, so a
+// burst of arrivals forms one train without starving the send; the
+// buffer absorbs scheduling jitter between the delivering goroutines
+// and the lane. It is not backpressure: the lane selects on its inbox
+// together with the ring send, so it never stops reading, and arrivals
+// wait in the unbounded forward queue instead. That is deliberate — a
+// cycle of blocking bounded queues around a ring can deadlock.
 const laneInboxCapacity = 64
 
 // NewServer builds a server over the given transport endpoint. The
@@ -212,7 +201,7 @@ func NewServer(cfg Config, ep transport.Endpoint) (*Server, error) {
 		ep:       ep,
 		log:      cfg.logger().With("server", cfg.ID),
 		view:     view,
-		objects:  shard.New[wire.ObjectID, *objectState](cfg.ObjectShards),
+		objects:  shard.New[wire.ObjectID, *objectState](),
 		ctrlc:    make(chan transport.Inbound, 16),
 		stopc:    make(chan struct{}),
 		trainLen: cfg.trainLength(),
@@ -356,20 +345,11 @@ func (s *Server) inboxAt(i int) chan transport.Inbound {
 }
 
 // Start launches the lane event loops and ring senders, the control
-// plane, the router, and the read-path workers. The sharded ack sender
-// needs no launch — its per-client drain goroutines are created lazily
-// on first ack.
+// plane, and the router. The sharded ack sender needs no launch — its
+// per-client drain goroutines are created lazily on first ack.
 func (s *Server) Start() {
 	if s.wal != nil {
 		s.wal.Start()
-	}
-	workers := s.cfg.readWorkers()
-	if workers > 0 {
-		s.readc = make(chan readReq, 4*workers)
-		s.wg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go s.readWorker()
-		}
 	}
 	s.wg.Add(2)
 	go s.controlLoop()
@@ -576,66 +556,6 @@ func (s *Server) obj(id wire.ObjectID) *objectState {
 	sh, o := s.lockedObj(id)
 	sh.Unlock()
 	return o
-}
-
-// readWorker serves dispatched client reads off the lane event loops.
-func (s *Server) readWorker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case rr := <-s.readc:
-			s.serveRead(rr)
-		case <-s.stopc:
-			return
-		}
-	}
-}
-
-// serveRead answers one client read through the ack sender (a blocked
-// client connection wedges only that client's ack lane, never a worker
-// or a lane). The fast path serves straight from the published snapshot
-// — zero shard-lock acquisitions; only parking (the contended-write
-// slow path) and pooled values fall back to the lock.
-func (s *Server) serveRead(rr readReq) {
-	if sn, ok := s.loadSnapshot(rr.object); ok {
-		s.sendReadAck(rr, sn.tag, sn.value)
-		return
-	}
-	sh, o := s.lockedObj(rr.object)
-	if !o.readableNow() {
-		// Park behind the pre-write barrier; applyAndRelease acks it
-		// when the corresponding write (or a newer one) lands.
-		o.park(rr.from, rr.reqID, o.maxPending())
-		sh.Unlock()
-		return
-	}
-	env := wire.Envelope{
-		Kind:   wire.KindReadAck,
-		Object: rr.object,
-		Tag:    o.tag,
-		ReqID:  rr.reqID,
-		Value:  o.value,
-	}
-	// The ack aliases the stored value for an unbounded time — the ack
-	// sender (and on TCP the per-peer writer) encodes later — so the
-	// buffer's pool ownership dissolves here (see ackRead), and the
-	// republished snapshot (pooled=false) moves every later read of this
-	// value onto the lock-free fast path.
-	o.valuePooled = false
-	o.publish()
-	sh.Unlock()
-	s.enqueueAck(rr.from, wire.NewFrame(env))
-}
-
-// sendReadAck queues a lock-free read ack built from snapshot state.
-func (s *Server) sendReadAck(rr readReq, t tag.Tag, v []byte) {
-	s.enqueueAck(rr.from, wire.NewFrame(wire.Envelope{
-		Kind:   wire.KindReadAck,
-		Object: rr.object,
-		Tag:    t,
-		ReqID:  rr.reqID,
-		Value:  v,
-	}))
 }
 
 // ackRead queues a read_ack with the stored value. Handing the value to

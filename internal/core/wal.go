@@ -22,10 +22,10 @@ import (
 //     elision) — own-returns, forwards, and orphan adoptions alike;
 //   - RecAck when the client ack for an own write is issued.
 //
-// In wal.SyncTrain mode the lane's sender gates every outgoing ring
-// frame on WaitLane for the highest sequence the lane has staged, so a
-// frame (and transitively the ack its full traversal produces) exists
-// on the wire only after the state it implies is on disk. Replay runs
+// The lane's sender gates every outgoing ring frame on WaitLane for the
+// highest sequence the lane has staged, so a frame (and transitively
+// the ack its full traversal produces) exists on the wire only after
+// the state it implies is on disk. Replay runs
 // inside wal.Open — before NewServer returns, hence strictly before
 // Start spins up lanes, the control plane, or any ring adoption.
 
@@ -41,17 +41,14 @@ func (s *Server) openWAL() error {
 		return err
 	}
 	s.wal = wlog
-	s.walGated = wcfg.Sync == wal.SyncTrain
 	if err := s.compactWAL(); err != nil {
 		wlog.Close()
 		s.wal = nil
 		return fmt.Errorf("compact: %w", err)
 	}
 	s.requeueReplayedState()
-	if s.walGated {
-		for _, ln := range s.lanes {
-			ln.gatec = make(chan uint64, 1)
-		}
+	for _, ln := range s.lanes {
+		ln.gatec = make(chan uint64, 1)
 	}
 	return nil
 }
@@ -121,9 +118,8 @@ func (s *Server) replayRecord(laneIdx int, r *wal.Record) error {
 
 // compactWAL rewrites each lane of the log as a snapshot of the live
 // state the replay produced: stored values, pending pre-writes, and
-// in-flight own writes. History the snapshot supersedes is deleted
-// (beyond Config.WAL.KeepSegments), bounding restart replay work by
-// live state instead of log age.
+// in-flight own writes. History the snapshot supersedes is deleted,
+// bounding restart replay work by live state instead of log age.
 func (s *Server) compactWAL() error {
 	for _, ln := range s.lanes {
 		err := s.wal.Compact(ln.idx, func(add func(*wal.Record)) {

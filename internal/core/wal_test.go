@@ -15,13 +15,10 @@ import (
 )
 
 // walMod configures every server of a test cluster with a write-ahead
-// log under base (one subdirectory per server), in the given sync mode.
-func walMod(base string, mode wal.SyncMode) configMod {
+// log under base (one subdirectory per server).
+func walMod(base string) configMod {
 	return func(c *core.Config) {
-		c.WAL = wal.Config{
-			Dir:  filepath.Join(base, fmt.Sprintf("server-%d", c.ID)),
-			Sync: mode,
-		}
+		c.WAL = wal.Config{Dir: filepath.Join(base, fmt.Sprintf("server-%d", c.ID))}
 	}
 }
 
@@ -48,7 +45,7 @@ func TestAckedWriteDurableAfterKill(t *testing.T) {
 	base := t.TempDir()
 	ctx := ctxT(t)
 
-	c := newCluster(t, 3, walMod(base, wal.SyncTrain))
+	c := newCluster(t, 3, walMod(base))
 	cl := c.newClient(client.Options{})
 	const writes = 20
 	tags := make(map[int]string) // object -> value of last acked write
@@ -62,7 +59,7 @@ func TestAckedWriteDurableAfterKill(t *testing.T) {
 	}
 	c.killAll()
 
-	re := newCluster(t, 3, walMod(base, wal.SyncTrain))
+	re := newCluster(t, 3, walMod(base))
 	for i := 1; i <= 3; i++ {
 		pinned := re.pinnedClient(wire.ProcessID(i))
 		for obj, want := range tags {
@@ -95,7 +92,7 @@ func TestAckedWriteDurableAfterKillEncodedEgress(t *testing.T) {
 		base := t.TempDir()
 		ctx := ctxT(t)
 
-		c, servers := newSessionTCPCluster(t, 3, 0, walMod(base, wal.SyncTrain))
+		c, servers := newSessionTCPCluster(t, 3, 0, walMod(base))
 		cl := c.newSessionClient(0)
 		const writes = 20
 		tags := make(map[int]string)
@@ -114,7 +111,7 @@ func TestAckedWriteDurableAfterKillEncodedEgress(t *testing.T) {
 			_ = c.eps[id].Close()
 		}
 
-		re, _ := newSessionTCPCluster(t, 3, 0, walMod(base, wal.SyncTrain))
+		re, _ := newSessionTCPCluster(t, 3, 0, walMod(base))
 		for _, id := range re.members {
 			pinned := re.pinnedSessionClient(id)
 			for obj, want := range tags {
@@ -152,7 +149,7 @@ func TestRestartFromWALMidStormLinearizable(t *testing.T) {
 	base := t.TempDir()
 	ctx := ctxT(t)
 
-	c := newCluster(t, 3, walMod(base, wal.SyncTrain))
+	c := newCluster(t, 3, walMod(base))
 	var recs [objects]opRecorder
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -190,7 +187,7 @@ func TestRestartFromWALMidStormLinearizable(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	re := newCluster(t, 3, walMod(base, wal.SyncTrain))
+	re := newCluster(t, 3, walMod(base))
 	for i := 1; i <= 3; i++ {
 		pinned := re.pinnedClient(wire.ProcessID(i))
 		for obj := 0; obj < objects; obj++ {
@@ -216,7 +213,7 @@ func TestGracefulRestartNoTornTails(t *testing.T) {
 	base := t.TempDir()
 	ctx := ctxT(t)
 
-	c := newCluster(t, 3, walMod(base, wal.SyncTrain))
+	c := newCluster(t, 3, walMod(base))
 	cl := c.newClient(client.Options{})
 	for i := 0; i < 10; i++ {
 		if _, err := cl.Write(ctx, wire.ObjectID(i%2), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -230,7 +227,7 @@ func TestGracefulRestartNoTornTails(t *testing.T) {
 	}
 	c.shutdown() // graceful Stop on every server
 
-	re := newCluster(t, 3, walMod(base, wal.SyncTrain))
+	re := newCluster(t, 3, walMod(base))
 	for i := 1; i <= 3; i++ {
 		st := re.servers[wire.ProcessID(i)].WALStats()
 		if st.TornTails != 0 {
@@ -258,7 +255,7 @@ func TestRecoveryReplaysBeforeAdoption(t *testing.T) {
 	base := t.TempDir()
 	ctx := ctxT(t)
 
-	c := newCluster(t, 3, walMod(base, wal.SyncTrain))
+	c := newCluster(t, 3, walMod(base))
 	cl := c.newClient(client.Options{})
 	if _, err := cl.Write(ctx, 0, []byte("pre-crash")); err != nil {
 		t.Fatalf("write: %v", err)
@@ -268,7 +265,7 @@ func TestRecoveryReplaysBeforeAdoption(t *testing.T) {
 	// Rebuild server 1 by hand — killAll removed id 1 from the network,
 	// so re-registering it is allowed — and do NOT Start it yet.
 	cfg := core.Config{ID: 1, Members: c.members}
-	walMod(base, wal.SyncTrain)(&cfg)
+	walMod(base)(&cfg)
 	ep, err := c.net.RegisterSession(cfg.SessionHello())
 	if err != nil {
 		t.Fatalf("register: %v", err)

@@ -3,15 +3,16 @@
 // handler on one cache line; spreading the objects over a fixed array of
 // independently locked shards lets multi-object workloads scale across
 // cores while keeping per-operation cost at one hash and one uncontended
-// lock. The shard count is fixed at construction — there is no resizing,
-// so a shard's address never changes and callers may cache it.
+// lock. The shard count is fixed — there is no resizing, so a shard's
+// address never changes and callers may cache it.
 package shard
 
 import "sync"
 
-// DefaultShards is the shard fanout used when New is given n <= 0. It is
-// deliberately larger than any realistic core count so that, with the
-// Fibonacci spread below, two hot objects rarely contend on one lock.
+// DefaultShards is the shard fanout of every Map. It is deliberately
+// larger than any realistic core count so that, with the Fibonacci
+// spread below, two hot objects rarely contend on one lock. It must
+// stay a power of two (ShardIndex masks).
 const DefaultShards = 64
 
 // Map is a sharded map from a uint32-like key to V. The zero value is
@@ -34,17 +35,9 @@ type Shard[K ~uint32, V any] struct {
 	_ [48]byte
 }
 
-// New returns a Map with n shards, rounded up to a power of two; n <= 0
-// means DefaultShards.
-func New[K ~uint32, V any](n int) *Map[K, V] {
-	if n <= 0 {
-		n = DefaultShards
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	m := &Map[K, V]{shards: make([]Shard[K, V], size), mask: uint32(size - 1)}
+// New returns a Map with DefaultShards shards.
+func New[K ~uint32, V any]() *Map[K, V] {
+	m := &Map[K, V]{shards: make([]Shard[K, V], DefaultShards), mask: DefaultShards - 1}
 	for i := range m.shards {
 		m.shards[i].items = make(map[K]V)
 	}
@@ -53,7 +46,7 @@ func New[K ~uint32, V any](n int) *Map[K, V] {
 
 // Shard returns the shard owning k. The caller locks it around access.
 // Keys are spread with a Fibonacci hash so that dense sequential object
-// ids do not all land in neighboring shards of a small deployment.
+// ids do not all land in neighboring shards.
 func (m *Map[K, V]) Shard(k K) *Shard[K, V] {
 	return &m.shards[m.ShardIndex(k)]
 }
@@ -79,20 +72,6 @@ func (s *Shard[K, V]) Get(k K) (V, bool) {
 // Put stores v under k. The caller must hold the shard's lock.
 func (s *Shard[K, V]) Put(k K, v V) { s.items[k] = v }
 
-// Delete removes k. The caller must hold the shard's lock.
-func (s *Shard[K, V]) Delete(k K) { delete(s.items, k) }
-
-// GetOrCreate returns the value for k, inserting mk() on first use. The
-// caller must hold the shard's lock.
-func (s *Shard[K, V]) GetOrCreate(k K, mk func() V) V {
-	v, ok := s.items[k]
-	if !ok {
-		v = mk()
-		s.items[k] = v
-	}
-	return v
-}
-
 // Range calls fn for every entry, one shard at a time under that shard's
 // lock, until fn returns false. No global snapshot is taken: entries
 // added or removed in other shards during the walk may or may not be
@@ -109,17 +88,4 @@ func (m *Map[K, V]) Range(fn func(K, V) bool) {
 		}
 		s.Unlock()
 	}
-}
-
-// Len returns the total entry count, summed shard by shard (a moving
-// target under concurrent writers, exact when quiescent).
-func (m *Map[K, V]) Len() int {
-	n := 0
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.Lock()
-		n += len(s.items)
-		s.Unlock()
-	}
-	return n
 }

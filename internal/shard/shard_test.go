@@ -6,18 +6,17 @@ import (
 	"unsafe"
 )
 
-func TestRoundsUpToPowerOfTwo(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{-1, DefaultShards}, {0, DefaultShards}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {64, 64}, {65, 128},
-	} {
-		if got := New[uint32, int](tc.in).NumShards(); got != tc.want {
-			t.Errorf("New(%d).NumShards() = %d, want %d", tc.in, got, tc.want)
-		}
+func TestFanoutIsDefaultShards(t *testing.T) {
+	if got := New[uint32, int]().NumShards(); got != DefaultShards {
+		t.Fatalf("NumShards() = %d, want %d", got, DefaultShards)
+	}
+	if DefaultShards&(DefaultShards-1) != 0 {
+		t.Fatalf("DefaultShards %d is not a power of two", DefaultShards)
 	}
 }
 
 func TestBasicOperations(t *testing.T) {
-	m := New[uint32, string](8)
+	m := New[uint32, string]()
 	s := m.Shard(7)
 	s.Lock()
 	if _, ok := s.Get(7); ok {
@@ -27,19 +26,15 @@ func TestBasicOperations(t *testing.T) {
 	if v, ok := s.Get(7); !ok || v != "seven" {
 		t.Fatalf("Get = %q, %v", v, ok)
 	}
-	v := s.GetOrCreate(7, func() string { return "other" })
-	if v != "seven" {
-		t.Fatalf("GetOrCreate overwrote: %q", v)
-	}
-	s.Delete(7)
-	if _, ok := s.Get(7); ok {
-		t.Fatal("Delete left the value behind")
+	s.Put(7, "other")
+	if v, _ := s.Get(7); v != "other" {
+		t.Fatalf("Put did not overwrite: %q", v)
 	}
 	s.Unlock()
 }
 
 func TestShardIsStable(t *testing.T) {
-	m := New[uint32, int](16)
+	m := New[uint32, int]()
 	for k := uint32(0); k < 1000; k++ {
 		if m.Shard(k) != m.Shard(k) {
 			t.Fatalf("key %d moved shards", k)
@@ -48,27 +43,37 @@ func TestShardIsStable(t *testing.T) {
 }
 
 func TestKeysSpreadAcrossShards(t *testing.T) {
-	m := New[uint32, int](16)
+	m := New[uint32, int]()
 	used := make(map[*Shard[uint32, int]]bool)
-	for k := uint32(0); k < 64; k++ {
+	for k := uint32(0); k < DefaultShards; k++ {
 		used[m.Shard(k)] = true
 	}
 	// Dense sequential keys must not pile onto a few shards.
-	if len(used) < 12 {
-		t.Fatalf("64 sequential keys hit only %d/16 shards", len(used))
+	if len(used) < DefaultShards*3/4 {
+		t.Fatalf("%d sequential keys hit only %d/%d shards", DefaultShards, len(used), DefaultShards)
 	}
 }
 
-func TestRangeAndLen(t *testing.T) {
-	m := New[uint32, int](4)
+// count returns the number of entries Range visits.
+func count[V any](m *Map[uint32, V]) int {
+	n := 0
+	m.Range(func(uint32, V) bool {
+		n++
+		return true
+	})
+	return n
+}
+
+func TestRange(t *testing.T) {
+	m := New[uint32, int]()
 	for k := uint32(0); k < 100; k++ {
 		s := m.Shard(k)
 		s.Lock()
 		s.Put(k, int(k))
 		s.Unlock()
 	}
-	if n := m.Len(); n != 100 {
-		t.Fatalf("Len = %d, want 100", n)
+	if n := count(m); n != 100 {
+		t.Fatalf("Range visited %d entries, want 100", n)
 	}
 	sum := 0
 	m.Range(func(k uint32, v int) bool {
@@ -89,7 +94,7 @@ func TestRangeAndLen(t *testing.T) {
 }
 
 func TestConcurrentShardedWriters(t *testing.T) {
-	m := New[uint32, int](0)
+	m := New[uint32, int]()
 	const goroutines, perG = 8, 500
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -100,7 +105,6 @@ func TestConcurrentShardedWriters(t *testing.T) {
 				k := uint32(g*perG + i)
 				s := m.Shard(k)
 				s.Lock()
-				s.GetOrCreate(k, func() int { return 0 })
 				v, _ := s.Get(k)
 				s.Put(k, v+1)
 				s.Unlock()
@@ -108,8 +112,8 @@ func TestConcurrentShardedWriters(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := m.Len(); n != goroutines*perG {
-		t.Fatalf("Len = %d, want %d", n, goroutines*perG)
+	if n := count(m); n != goroutines*perG {
+		t.Fatalf("Range visited %d entries, want %d", n, goroutines*perG)
 	}
 	m.Range(func(k uint32, v int) bool {
 		if v != 1 {

@@ -12,47 +12,11 @@ import (
 // SyncMode selects when staged records reach stable storage.
 type SyncMode uint8
 
-const (
-	// SyncTrain (the default) gates every outgoing ring frame on a
-	// sync covering the records its envelopes staged: one fdatasync
-	// per frame train, shared across lanes that staged during the same
-	// pass. Acknowledged writes are durable at every server.
-	SyncTrain SyncMode = iota
-	// SyncInterval syncs on a timer (FlushInterval, default 2ms) and
-	// never gates the ring: bounded-loss durability.
-	SyncInterval
-	// SyncNone writes segments without ever syncing: crash durability
-	// is whatever the OS page cache survives. Useful as the
-	// group-commit ablation baseline.
-	SyncNone
-)
-
-func (m SyncMode) String() string {
-	switch m {
-	case SyncTrain:
-		return "train"
-	case SyncInterval:
-		return "interval"
-	case SyncNone:
-		return "none"
-	default:
-		return fmt.Sprintf("SyncMode(%d)", uint8(m))
-	}
-}
-
-// ParseSyncMode parses the -wal-sync flag values.
-func ParseSyncMode(s string) (SyncMode, error) {
-	switch s {
-	case "train":
-		return SyncTrain, nil
-	case "interval":
-		return SyncInterval, nil
-	case "none":
-		return SyncNone, nil
-	default:
-		return 0, fmt.Errorf("wal: unknown sync mode %q (want train, interval, or none)", s)
-	}
-}
+// SyncTrain, the only mode, gates every outgoing ring frame on a sync
+// covering the records its envelopes staged: one fdatasync per frame
+// train, shared across lanes that staged during the same pass.
+// Acknowledged writes are durable at every server.
+const SyncTrain SyncMode = 0
 
 // Config configures one server's log. The zero value of every field
 // but Dir and Lanes is usable.
@@ -63,49 +27,30 @@ type Config struct {
 	// Lanes is the lane fanout, one segment sequence per lane. Fixed
 	// at first open (recorded in the MANIFEST).
 	Lanes int
-	// Sync is the durability policy; see the SyncMode constants.
+	// Sync is the durability policy; Open rejects anything but
+	// SyncTrain.
 	Sync SyncMode
-	// BatchBytes kicks a sync pass early once a lane has staged this
-	// much (the group-commit accumulator, mirroring the transport's
-	// MaxBatchBytes). Default 256 KiB.
-	BatchBytes int
-	// FlushInterval is the sync period in SyncInterval mode (default
-	// 2ms). The other modes ignore it: a kicked SyncTrain pass syncs at
-	// once.
-	FlushInterval time.Duration
 	// SegmentBytes rotates a lane to a fresh segment once the current
 	// one exceeds this size. Default 64 MiB.
 	SegmentBytes int64
-	// KeepSegments retains that many compacted-away segments per lane
-	// after an open-time compaction. Default 0 (delete all history the
-	// snapshot replaced).
-	KeepSegments int
 	// MerkleRoots appends a chained batch-root record per sync, making
 	// the log tamper-evident (verify offline with Verify).
 	MerkleRoots bool
 }
 
 const (
+	// defaultBatchBytes kicks a sync pass early once a lane has staged
+	// this much (the group-commit accumulator, mirroring the transport's
+	// MaxBatchBytes).
 	defaultBatchBytes   = 256 << 10
 	defaultSegmentBytes = 64 << 20
-	defaultSyncInterval = 2 * time.Millisecond
-	// housekeepEvery flushes lanes that stopped sending (and, in
-	// SyncNone mode, is the only writer).
+	// housekeepEvery flushes lanes that stopped sending.
 	housekeepEvery = 100 * time.Millisecond
 )
 
 func (c Config) withDefaults() Config {
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = defaultBatchBytes
-	}
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = defaultSegmentBytes
-	}
-	if c.FlushInterval <= 0 && c.Sync == SyncInterval {
-		c.FlushInterval = defaultSyncInterval
-	}
-	if c.KeepSegments < 0 {
-		c.KeepSegments = 0
 	}
 	return c
 }
@@ -199,6 +144,9 @@ func Open(cfg Config, replay ReplayFn) (*Log, error) {
 	}
 	if cfg.Lanes > 1<<16-1 {
 		return nil, fmt.Errorf("wal: %d lanes exceed the format limit", cfg.Lanes)
+	}
+	if cfg.Sync != SyncTrain {
+		return nil, fmt.Errorf("wal: unknown sync mode %d (only SyncTrain exists)", cfg.Sync)
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -350,7 +298,7 @@ func (l *Log) Append(lane int, r *Record) uint64 {
 	ll.mu.Unlock()
 	l.appends.Add(1)
 	l.appendBytes.Add(uint64(size - start))
-	if size >= l.cfg.BatchBytes {
+	if size >= defaultBatchBytes {
 		l.kick()
 	}
 	return seq
@@ -359,9 +307,9 @@ func (l *Log) Append(lane int, r *Record) uint64 {
 // WaitLane blocks until a sync covers the lane's records up to seq (as
 // returned by Append), kicking the group-commit pass. It returns
 // ErrAborted when abort fires, ErrClosed when the log stops, or the
-// disk error that failed the log. In SyncTrain mode this is the send
-// gate: a ring frame leaves only after WaitLane returns nil for the
-// highest sequence its envelopes staged.
+// disk error that failed the log. This is the send gate: a ring frame
+// leaves only after WaitLane returns nil for the highest sequence its
+// envelopes staged.
 func (l *Log) WaitLane(lane int, seq uint64, abort <-chan struct{}) error {
 	ll := &l.lanes[lane]
 	for {
@@ -395,19 +343,12 @@ func (l *Log) kick() {
 	}
 }
 
-func (l *Log) tickEvery() time.Duration {
-	if l.cfg.Sync == SyncInterval {
-		return l.cfg.FlushInterval
-	}
-	return housekeepEvery
-}
-
 // syncLoop is the group-commit engine: one goroutine serving every
 // lane, so trains staged by concurrent lanes during the same pass share
 // it.
 func (l *Log) syncLoop() {
 	defer close(l.done)
-	tick := time.NewTicker(l.tickEvery())
+	tick := time.NewTicker(housekeepEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -421,19 +362,19 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// syncPass flushes every dirty lane once (and syncs, by mode).
+// syncPass flushes and syncs every dirty lane once.
 func (l *Log) syncPass() {
 	for i := range l.lanes {
-		l.flushLane(i, l.cfg.Sync != SyncNone)
+		l.flushLane(i)
 	}
 }
 
 // flushLane swaps out the lane's staging buffer, writes it (appending
-// the audit root when enabled), optionally syncs, and publishes the
-// new watermark. On a disk error the log fails permanently; waiters
-// are woken and receive the error instead of a watermark they would
-// wait on forever.
-func (l *Log) flushLane(lane int, doSync bool) {
+// the audit root when enabled), syncs, and publishes the new
+// watermark. On a disk error the log fails permanently; waiters are
+// woken and receive the error instead of a watermark they would wait
+// on forever.
+func (l *Log) flushLane(lane int) {
 	ll := &l.lanes[lane]
 	if l.failed() != nil {
 		l.wake(ll)
@@ -458,7 +399,7 @@ func (l *Log) flushLane(lane int, doSync bool) {
 	}
 
 	err := l.writeLane(ll, buf)
-	if err == nil && doSync {
+	if err == nil {
 		err = ll.f.Sync()
 	}
 	if err != nil {
@@ -476,10 +417,8 @@ func (l *Log) flushLane(lane int, doSync bool) {
 	ll.mu.Unlock()
 	if err == nil {
 		l.batches.Add(1)
-		if doSync {
-			l.syncs.Add(1)
-			l.syncBytes.Add(uint64(len(buf)))
-		}
+		l.syncs.Add(1)
+		l.syncBytes.Add(uint64(len(buf)))
 	}
 }
 
@@ -526,8 +465,8 @@ func (l *Log) wake(ll *laneLog) {
 
 // Compact rewrites one lane as a snapshot: rotate to a fresh segment,
 // let the caller re-log the lane's live state through add, sync it,
-// then delete the segments the snapshot replaced (keeping
-// KeepSegments of history). Call between Open and Start. Crash-safe:
+// then delete every segment the snapshot replaced. Call between Open
+// and Start. Crash-safe:
 // old segments are deleted only after the snapshot is on disk, and the
 // replay fold is idempotent, so a crash mid-compaction replays history
 // plus a partial snapshot.
@@ -539,28 +478,21 @@ func (l *Log) Compact(lane int, emit func(add func(*Record))) error {
 	if err := l.rotateLane(ll); err != nil {
 		return err
 	}
-	old := append([]uint32(nil), ll.segs[:len(ll.segs)-1]...)
+	old := ll.segs[:len(ll.segs)-1]
 	emit(func(r *Record) { l.Append(lane, r) })
-	l.flushLane(lane, true)
+	l.flushLane(lane)
 	if err := l.failed(); err != nil {
 		return err
 	}
-	drop := len(old) - l.cfg.KeepSegments
-	for i := 0; i < drop; i++ {
-		if err := os.Remove(segPath(l.cfg.Dir, ll.lane, old[i])); err != nil {
+	for _, seg := range old {
+		if err := os.Remove(segPath(l.cfg.Dir, ll.lane, seg)); err != nil {
 			return err
 		}
 	}
-	if drop > 0 {
-		if err := syncDir(l.cfg.Dir); err != nil {
-			return err
-		}
-	} else {
-		drop = 0
+	if err := syncDir(l.cfg.Dir); err != nil {
+		return err
 	}
-	// Live list: kept history plus the snapshot segment.
-	ll.segs = append(ll.segs[:0], old[drop:]...)
-	ll.segs = append(ll.segs, ll.seg)
+	ll.segs = append(ll.segs[:0], ll.seg)
 	return nil
 }
 
@@ -579,16 +511,14 @@ func (l *Log) setFailed(err error) {
 }
 
 // Close stops the syncer, flushes every lane, and syncs — a graceful
-// stop never relies on torn-tail repair, whatever the sync mode.
+// stop never relies on torn-tail repair.
 func (l *Log) Close() error {
 	l.once.Do(func() { l.closeErr = l.shutdown(false) })
 	return l.closeErr
 }
 
 // Kill stops the log abruptly, dropping staged-but-unsynced records on
-// the floor — the process-crash simulation. Records the OS already
-// holds (written but unsynced, as SyncInterval/SyncNone do between
-// syncs) survive, as they may on a real crash.
+// the floor — the process-crash simulation.
 func (l *Log) Kill() {
 	l.once.Do(func() { l.closeErr = l.shutdown(true) })
 }
@@ -602,7 +532,7 @@ func (l *Log) shutdown(abrupt bool) error {
 	for i := range l.lanes {
 		ll := &l.lanes[i]
 		if !abrupt {
-			l.flushLane(i, true)
+			l.flushLane(i)
 			if ll.f != nil {
 				if err := ll.f.Sync(); err != nil && first == nil {
 					first = err

@@ -26,7 +26,7 @@ type RecordType uint8
 const (
 	// RecInit logs a locally initiated write at ring-commit time: the
 	// pre-write's tag, the requesting client, and the value. Synced
-	// before the initiation frame leaves (train mode), so a restart can
+	// before the initiation frame leaves, so a restart can
 	// re-circulate the pre-write instead of leaving ghost barriers at
 	// peers that logged it.
 	RecInit RecordType = 1

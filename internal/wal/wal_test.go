@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/tag"
 )
@@ -254,7 +253,7 @@ func TestCorruptionInSealedSegmentIsFatal(t *testing.T) {
 	recs := testRecords()
 	for i := range recs {
 		l.Append(0, &recs[i])
-		l.flushLane(0, true) // one flush per record -> one rotation each
+		l.flushLane(0) // one flush per record -> one rotation each
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -291,7 +290,7 @@ func TestRotationAndCompaction(t *testing.T) {
 		rec.Tag = tag.Tag{TS: uint64(i + 1), ID: 1}
 		l.Append(0, &rec)
 		if i%5 == 4 {
-			l.flushLane(0, true)
+			l.flushLane(0)
 		}
 	}
 	if err := l.Close(); err != nil {
@@ -378,7 +377,7 @@ func TestKillDropsStagedRecords(t *testing.T) {
 	// No Start(): nothing can flush the staged records.
 	synced := Record{Type: RecInit, Object: 1, Tag: tag.Tag{TS: 1, ID: 1}, Origin: 1, Flags: FlagHasValue, Value: []byte("durable")}
 	seq := l.Append(0, &synced)
-	l.flushLane(0, true)
+	l.flushLane(0)
 	if l.Stats().Syncs != 1 {
 		t.Fatal("setup: first record should be synced")
 	}
@@ -414,8 +413,8 @@ func TestVerifyAuditChain(t *testing.T) {
 		for i := range recs {
 			l.Append(i%2, &recs[i])
 		}
-		l.flushLane(0, true)
-		l.flushLane(1, true)
+		l.flushLane(0)
+		l.flushLane(1)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -474,35 +473,31 @@ func TestVerifyAuditChain(t *testing.T) {
 	}
 }
 
-func TestIntervalModeSyncsWithoutWaiters(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{Dir: dir, Lanes: 1, Sync: SyncInterval, FlushInterval: time.Millisecond}
-	l, err := Open(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
-	rec := Record{Type: RecWrite, Object: 1, Tag: tag.Tag{TS: 1, ID: 1}, Origin: 1, Flags: FlagHasValue, Value: []byte("v")}
-	l.Append(0, &rec)
-	deadline := time.After(2 * time.Second)
-	for l.Stats().Syncs == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("interval mode never synced the staged record")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+// TestOpenRejectsUnknownSyncMode pins that SyncTrain is the only sync
+// policy: any other numeric mode must fail at Open, so that no
+// configuration can silently mean "never gate an ack".
+func TestOpenRejectsUnknownSyncMode(t *testing.T) {
+	if l, err := Open(Config{Dir: t.TempDir(), Lanes: 1, Sync: SyncMode(1)}, nil); err == nil {
+		l.Close()
+		t.Fatal("Open accepted SyncMode(1)")
 	}
 }
 
+// truncateStaging empties a lane's staging buffer in place, as a flush
+// would, without writing it: the syncer is never started by the
+// staging-path measurements below, so nothing else drains it (a kick
+// only fills the unserved request channel).
+func truncateStaging(l *Log, lane int) {
+	ll := &l.lanes[lane]
+	ll.mu.Lock()
+	ll.buf = ll.buf[:0]
+	ll.mu.Unlock()
+}
+
 func BenchmarkAppend(b *testing.B) {
-	dir := b.TempDir()
-	// Interval mode with an hour-long period: the syncer never runs
-	// during the measurement, so this isolates the staging path the
+	// The syncer is never started, so this isolates the staging path the
 	// lane goroutines execute (the 0 allocs/op hot-path gate).
-	l, err := Open(Config{Dir: dir, Lanes: 1, Sync: SyncInterval, FlushInterval: time.Hour, BatchBytes: 1 << 30}, nil)
+	l, err := Open(Config{Dir: b.TempDir(), Lanes: 1}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -515,18 +510,17 @@ func BenchmarkAppend(b *testing.B) {
 		rec.Tag = tag.Tag{TS: uint64(i + 1), ID: 1}
 		l.Append(0, &rec)
 		if i%8192 == 8191 {
-			l.flushLane(0, false) // bound staging growth; amortizes to ~0 allocs/op
+			truncateStaging(l, 0) // bound staging growth; amortizes to ~0 allocs/op
 		}
 	}
 }
 
 // TestAppendNoAlloc gates the cost a lane's event loop pays per committed
 // envelope — encode, CRC, copy into the lane's staging buffer — at zero
-// steady-state allocations. The syncer is never started, so nothing
-// drains the staging buffer; each run truncates it in place, as a flush
-// would, once it has grown to the burst's size.
+// steady-state allocations. The syncer is never started; each run
+// truncates the staging buffer once it has grown to the burst's size.
 func TestAppendNoAlloc(t *testing.T) {
-	l, err := Open(Config{Dir: t.TempDir(), Lanes: 1, Sync: SyncNone, BatchBytes: 1 << 30}, nil)
+	l, err := Open(Config{Dir: t.TempDir(), Lanes: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,10 +533,7 @@ func TestAppendNoAlloc(t *testing.T) {
 			rec.Tag = tag.Tag{TS: ts, ID: 2}
 			l.Append(0, &rec)
 		}
-		ll := &l.lanes[0]
-		ll.mu.Lock()
-		ll.buf = ll.buf[:0]
-		ll.mu.Unlock()
+		truncateStaging(l, 0)
 	}
 	burst()
 	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
