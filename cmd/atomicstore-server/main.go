@@ -178,8 +178,8 @@ func run() error {
 		// do it before reporting so the counters include the final sync.
 		err := srv.Close()
 		st := srv.WALStats()
-		fmt.Printf("wal: %d records staged, %d syncs, %d bytes synced, %d rotations, %d replayed at start, %d torn tails repaired\n",
-			st.Appends, st.Syncs, st.SyncBytes, st.Rotations, st.Replayed, st.TornTails)
+		fmt.Printf("wal: %d records staged, %d syncs, %d bytes synced, %d zero-fill bytes, %d rotations, %d replayed at start, %d torn tails repaired\n",
+			st.Appends, st.Syncs, st.SyncBytes, st.ZeroFillBytes, st.Rotations, st.Replayed, st.TornTails)
 		return err
 	}
 	return nil
@@ -214,8 +214,8 @@ func verifyWAL(dir string) error {
 			fmt.Printf("%s: FAIL: %v\n", d, err)
 			continue
 		}
-		line := fmt.Sprintf("%s: ok — %d lanes, %d segments, %d records, %d audit roots",
-			d, res.Lanes, res.Segments, res.Records, res.Roots)
+		line := fmt.Sprintf("%s: ok — %d segments, %d records, %d audit roots",
+			d, res.Segments, res.Records, res.Roots)
 		if res.Unrooted > 0 {
 			line += fmt.Sprintf(", %d unrooted", res.Unrooted)
 		}

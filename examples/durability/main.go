@@ -54,7 +54,7 @@ func run() error {
 	fmt.Println("cluster stopped; state lives only in", dir)
 
 	// 2. A brand-new cluster over the same directory: NewServer replays
-	// each lane's log before the ring starts, so the first read already
+	// each server's log before the ring starts, so the first read already
 	// sees every acknowledged write.
 	cluster, err = atomicstore.StartCluster(3, atomicstore.WithDurability(dir))
 	if err != nil {

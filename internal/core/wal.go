@@ -30,7 +30,7 @@ import (
 // Start spins up lanes, the control plane, or any ring adoption.
 
 // openWAL opens the configured log, replays it into protocol state,
-// compacts each lane to a snapshot, and queues the retransmissions
+// compacts it to a snapshot, and queues the retransmissions
 // that resume interrupted ring traversals. Called by NewServer after
 // lane construction; single-threaded, nothing is running yet.
 func (s *Server) openWAL() error {
@@ -53,14 +53,16 @@ func (s *Server) openWAL() error {
 	return nil
 }
 
-// replayRecord folds one replayed WAL record into protocol state. The
-// fold re-runs the handlers' state transitions in the order the lane
-// originally performed them, so it is idempotent over the
+// replayRecord folds one replayed WAL record into protocol state, on
+// the lane that owns the record's object: every lane's records share
+// one stream, and an object's records all come from its own lane, in
+// the order that lane staged them. The fold re-runs the handlers'
+// state transitions in that order, so it is idempotent over the
 // history-plus-partial-snapshot a crash mid-compaction leaves behind:
 // addPending refuses duplicates and tags at or below the stored tag,
 // apply refuses stale tags, and myWrites upserts.
-func (s *Server) replayRecord(laneIdx int, r *wal.Record) error {
-	ln := s.lanes[laneIdx]
+func (s *Server) replayRecord(r *wal.Record) error {
+	ln := s.lanes[s.laneFor(r.Object)]
 	switch r.Type {
 	case wal.RecInit:
 		key := writeKey{object: r.Object, tag: r.Tag}
@@ -116,40 +118,39 @@ func (s *Server) replayRecord(laneIdx int, r *wal.Record) error {
 	return nil
 }
 
-// compactWAL rewrites each lane of the log as a snapshot of the live
-// state the replay produced: stored values, pending pre-writes, and
-// in-flight own writes. History the snapshot supersedes is deleted,
-// bounding restart replay work by live state instead of log age.
+// compactWAL rewrites the log as a snapshot of the live state the
+// replay produced: every object's stored value and pending pre-writes,
+// then every lane's in-flight own writes, so each object's own writes
+// follow its stored state as they would in history. History the
+// snapshot supersedes is deleted, bounding restart replay work by live
+// state instead of log age.
 func (s *Server) compactWAL() error {
-	for _, ln := range s.lanes {
-		err := s.wal.Compact(ln.idx, func(add func(*wal.Record)) {
-			s.objects.Range(func(objID wire.ObjectID, o *objectState) bool {
-				if s.laneFor(objID) != ln.idx {
-					return true
-				}
-				if !o.tag.IsZero() {
-					add(&wal.Record{
-						Type:   wal.RecWrite,
-						Object: objID,
-						Tag:    o.tag,
-						Origin: wire.ProcessID(o.tag.ID),
-						Flags:  wal.FlagHasValue,
-						Value:  o.value,
-					})
-				}
-				for i := range o.pending.entries {
-					e := &o.pending.entries[i]
-					add(&wal.Record{
-						Type:   wal.RecPreWrite,
-						Object: objID,
-						Tag:    e.tag,
-						Origin: wire.ProcessID(e.tag.ID),
-						Flags:  wal.FlagHasValue,
-						Value:  e.value,
-					})
-				}
-				return true
-			})
+	return s.wal.Compact(func(add func(*wal.Record)) {
+		s.objects.Range(func(objID wire.ObjectID, o *objectState) bool {
+			if !o.tag.IsZero() {
+				add(&wal.Record{
+					Type:   wal.RecWrite,
+					Object: objID,
+					Tag:    o.tag,
+					Origin: wire.ProcessID(o.tag.ID),
+					Flags:  wal.FlagHasValue,
+					Value:  o.value,
+				})
+			}
+			for i := range o.pending.entries {
+				e := &o.pending.entries[i]
+				add(&wal.Record{
+					Type:   wal.RecPreWrite,
+					Object: objID,
+					Tag:    e.tag,
+					Origin: wire.ProcessID(e.tag.ID),
+					Flags:  wal.FlagHasValue,
+					Value:  e.value,
+				})
+			}
+			return true
+		})
+		for _, ln := range s.lanes {
 			for key, w := range ln.myWrites {
 				rec := wal.Record{
 					Type:   wal.RecInit,
@@ -167,12 +168,8 @@ func (s *Server) compactWAL() error {
 				}
 				add(&rec)
 			}
-		})
-		if err != nil {
-			return fmt.Errorf("lane %d: %w", ln.idx, err)
 		}
-	}
-	return nil
+	})
 }
 
 // requeueReplayedState resumes the ring traversals the crash
@@ -254,7 +251,7 @@ func (s *Server) requeueReplayedState() {
 	}
 }
 
-// walStage appends one record to the lane's slice of the WAL, tracking
+// walStage stages one record in the lane's WAL buffer, tracking
 // the highest staged sequence for the sender gate. Called only from
 // the lane's event-loop goroutine (handlers and ring commit), so
 // walSeq needs no synchronization. No-op without a WAL.

@@ -13,8 +13,8 @@ import (
 type SyncMode uint8
 
 // SyncTrain, the only mode, gates every outgoing ring frame on a sync
-// covering the records its envelopes staged: one fdatasync per frame
-// train, shared across lanes that staged during the same pass.
+// covering the records its envelopes staged: one fdatasync per sync
+// pass, shared by every lane that staged during it.
 // Acknowledged writes are durable at every server.
 const SyncTrain SyncMode = 0
 
@@ -24,13 +24,14 @@ type Config struct {
 	// Dir is the log directory; empty disables the WAL entirely at the
 	// layers above this package.
 	Dir string
-	// Lanes is the lane fanout, one segment sequence per lane. Fixed
-	// at first open (recorded in the MANIFEST).
+	// Lanes is the number of staging lanes, each with its own buffer and
+	// sequence numbers. All lanes share the log's one segment sequence,
+	// so the count is not part of the on-disk format.
 	Lanes int
 	// Sync is the durability policy; Open rejects anything but
 	// SyncTrain.
 	Sync SyncMode
-	// SegmentBytes rotates a lane to a fresh segment once the current
+	// SegmentBytes rotates the log to a fresh segment once the current
 	// one exceeds this size. Default 64 MiB.
 	SegmentBytes int64
 	// MerkleRoots appends a chained batch-root record per sync, making
@@ -44,9 +45,19 @@ const (
 	// MaxBatchBytes).
 	defaultBatchBytes   = 256 << 10
 	defaultSegmentBytes = 64 << 20
+	// zeroChunk is how far the syncer extends the open segment with
+	// zeros ahead of its records. Batches then overwrite blocks the
+	// file already has, so their fdatasync changes no metadata and
+	// needs no journal commit; only the pass that writes a chunk pays
+	// for growing the file (DESIGN.md §13.2).
+	zeroChunk = 1 << 20
 	// housekeepEvery flushes lanes that stopped sending.
 	housekeepEvery = 100 * time.Millisecond
 )
+
+// zeros is the source of every zero-fill write, so extending a segment
+// allocates nothing.
+var zeros [zeroChunk]byte
 
 func (c Config) withDefaults() Config {
 	if c.SegmentBytes <= 0 {
@@ -63,23 +74,22 @@ var (
 
 // Stats is a point-in-time snapshot of the log's counters.
 type Stats struct {
-	Appends     uint64 // records staged
-	AppendBytes uint64 // framed bytes staged
-	Batches     uint64 // non-empty lane flushes
-	Syncs       uint64 // fdatasyncs that covered staged records
-	SyncBytes   uint64 // bytes written by those flushes
-	Rotations   uint64 // segment rotations
-	Roots       uint64 // audit root records written
-	Replayed    uint64 // data records replayed at open
-	TornTails   uint64 // tails truncated at open (bad CRC / short record)
-	Failed      bool   // a disk error stopped the log
+	Appends       uint64 // records staged
+	AppendBytes   uint64 // framed bytes staged
+	Batches       uint64 // non-empty lane buffers written by sync passes
+	Syncs         uint64 // fdatasyncs that covered staged records
+	SyncBytes     uint64 // record bytes written by those passes
+	ZeroFillBytes uint64 // zeros written to extend segments ahead of their records
+	Rotations     uint64 // segment rotations
+	Roots         uint64 // audit root records written
+	Replayed      uint64 // data records replayed at open
+	TornTails     uint64 // tails truncated at open (bad CRC / short record)
+	Failed        bool   // a disk error stopped the log
 }
 
-// laneLog is one lane's staging buffer and open segment. Appends land
-// in buf under mu; the syncer swaps buf out, writes and syncs outside
-// the lock (appends continue into the spare), then publishes the new
-// synced watermark. The file and segment bookkeeping are touched only
-// by the syncer (or pre-Start, single-threaded).
+// laneLog is one lane's staging buffer. Appends land in buf under mu;
+// the syncer swaps buf out, writes and syncs outside the lock (appends
+// continue into the spare), then publishes the new synced watermark.
 type laneLog struct {
 	mu     sync.Mutex
 	buf    []byte
@@ -87,23 +97,39 @@ type laneLog struct {
 	leaves [][32]byte
 	spareL [][32]byte
 	staged uint64 // records staged, monotonic; the Append/WaitLane seq
-	synced uint64 // records covered by the last successful flush
+	synced uint64 // records covered by the last successful sync
 	waitc  chan struct{}
-
-	lane     int
-	f        *os.File
-	seg      uint32
-	segBytes int64
-	segs     []uint32 // live segment indices, oldest first
-	prevRoot [32]byte // audit chain link, syncer-confined
 }
 
-// Log is one server's write-ahead log. Append and WaitLane are safe
-// for concurrent use; Open/Compact/Start/Close follow the lifecycle
-// Open → (Compact per lane) → Start → Close|Kill.
+// swapped is one lane's batch, taken by a sync pass.
+type swapped struct {
+	lane   int
+	buf    []byte
+	leaves [][32]byte
+	target uint64
+}
+
+// Log is one server's write-ahead log: per-lane staging over one
+// segment sequence. Append and WaitLane are safe for concurrent use;
+// Open/Compact/Start/Close follow the lifecycle
+// Open → Compact → Start → Close|Kill.
 type Log struct {
 	cfg   Config
 	lanes []laneLog
+
+	// The open segment, the audit chain and the pass scratch are touched
+	// only by the syncer (or before Start, single-threaded). Records end
+	// at segBytes; [segBytes, alloc) is the zero-filled run the next
+	// batches overwrite.
+	f        *os.File
+	seg      uint32
+	segBytes int64
+	alloc    int64
+	segs     []uint32 // live segment indices, oldest first
+	prevRoot [32]byte // audit chain link
+	pass     []swapped
+	passL    [][32]byte
+	rootBuf  []byte
 
 	reqc    chan struct{} // sync kick, capacity 1 (kicks coalesce)
 	stopc   chan struct{}
@@ -116,24 +142,26 @@ type Log struct {
 
 	appends, appendBytes atomic.Uint64
 	batches, syncs       atomic.Uint64
-	syncBytes            atomic.Uint64
+	syncBytes, zeroFill  atomic.Uint64
 	rotations, roots     atomic.Uint64
 	replayed, tornTails  atomic.Uint64
 	closeErr             error
 }
 
-// ReplayFn receives every data record of one lane in append order.
-// The Record (and its Value) is owned by the callee.
-type ReplayFn func(lane int, r *Record) error
+// ReplayFn receives every data record of the log in append order (each
+// lane's records in that lane's order). The Record (and its Value) is
+// owned by the callee.
+type ReplayFn func(r *Record) error
 
-// Open opens (or creates) the log directory and replays every lane
-// before returning, delivering data records to replay (which may be
-// nil to scan without delivering — torn tails are still repaired).
-// Replay happens here, before the caller wires the log into a running
-// server, which is what guarantees recovery replays before any ring
-// adoption traffic. Corruption anywhere but the newest record of the
-// newest segment of a lane is an error; a torn or corrupt tail is
-// truncated away and counted in Stats.TornTails.
+// Open opens (or creates) the log directory and replays it before
+// returning, delivering data records to replay (which may be nil to
+// scan without delivering — torn tails are still repaired). Replay
+// happens here, before the caller wires the log into a running server,
+// which is what guarantees recovery replays before any ring adoption
+// traffic. Corruption anywhere but the tail of the newest segment is
+// an error; a torn or corrupt tail is truncated away and counted in
+// Stats.TornTails, and the rest of a zero-filled run is truncated
+// without being counted.
 func Open(cfg Config, replay ReplayFn) (*Log, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -142,16 +170,13 @@ func Open(cfg Config, replay ReplayFn) (*Log, error) {
 	if cfg.Lanes <= 0 {
 		return nil, errors.New("wal: Config.Lanes must be positive")
 	}
-	if cfg.Lanes > 1<<16-1 {
-		return nil, fmt.Errorf("wal: %d lanes exceed the format limit", cfg.Lanes)
-	}
 	if cfg.Sync != SyncTrain {
 		return nil, fmt.Errorf("wal: unknown sync mode %d (only SyncTrain exists)", cfg.Sync)
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := loadManifest(cfg.Dir, cfg.Lanes); err != nil {
+	if err := loadManifest(cfg.Dir); err != nil {
 		return nil, err
 	}
 	l := &Log{
@@ -162,60 +187,61 @@ func Open(cfg Config, replay ReplayFn) (*Log, error) {
 		done:  make(chan struct{}),
 	}
 	for i := range l.lanes {
-		ll := &l.lanes[i]
-		ll.lane = i
-		ll.waitc = make(chan struct{})
-		if err := l.openLane(ll, replay); err != nil {
-			l.closeFiles()
-			return nil, fmt.Errorf("wal: lane %d: %w", i, err)
+		l.lanes[i].waitc = make(chan struct{})
+	}
+	if err := l.openSegments(replay); err != nil {
+		if l.f != nil {
+			l.f.Close()
 		}
+		return nil, fmt.Errorf("wal: %w", err)
 	}
 	return l, nil
 }
 
-// openLane replays one lane's segments and leaves the newest open for
-// appending, repaired of any torn tail.
-func (l *Log) openLane(ll *laneLog, replay ReplayFn) error {
-	segs, err := listSegments(l.cfg.Dir, ll.lane)
+// openSegments replays every segment and leaves the newest open for
+// writing, cut back to its last intact record.
+func (l *Log) openSegments(replay ReplayFn) error {
+	segs, err := listSegments(l.cfg.Dir)
 	if err != nil {
 		return err
 	}
 	if len(segs) == 0 {
-		f, err := createSegment(l.cfg.Dir, ll.lane, 0)
+		f, err := createSegment(l.cfg.Dir, 0)
 		if err != nil {
 			return err
 		}
-		ll.f, ll.seg, ll.segBytes, ll.segs = f, 0, segHeaderSize, []uint32{0}
+		l.f, l.seg, l.segBytes, l.alloc, l.segs = f, 0, segHeaderSize, segHeaderSize, []uint32{0}
 		return nil
 	}
-	ll.segs = segs
+	l.segs = segs
 	for i, seg := range segs {
 		last := i == len(segs)-1
-		end, err := l.replaySegment(ll, seg, last, replay)
+		end, err := l.replaySegment(seg, last, replay)
 		if err != nil {
 			return err
 		}
-		if last {
-			path := segPath(l.cfg.Dir, ll.lane, seg)
-			info, err := os.Stat(path)
-			if err != nil {
-				return err
-			}
-			if info.Size() > end {
-				if err := os.Truncate(path, end); err != nil {
-					return err
-				}
-			}
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
-				return err
-			}
-			if err := f.Sync(); err != nil { // make the repair durable
-				f.Close()
-				return err
-			}
-			ll.f, ll.seg, ll.segBytes = f, seg, end
+		if !last {
+			continue
 		}
+		path := segPath(l.cfg.Dir, seg)
+		info, err := os.Stat(path)
+		if err != nil {
+			return err
+		}
+		if info.Size() > end {
+			if err := os.Truncate(path, end); err != nil {
+				return err
+			}
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			return err
+		}
+		if err := f.Sync(); err != nil { // make the repair durable
+			f.Close()
+			return err
+		}
+		l.f, l.seg, l.segBytes, l.alloc = f, seg, end, end
 	}
 	return nil
 }
@@ -223,14 +249,16 @@ func (l *Log) openLane(ll *laneLog, replay ReplayFn) error {
 // replaySegment scans one segment, delivering data records, tracking
 // the audit chain, and returning the offset of the first byte past the
 // last intact record. Damage is repaired (and counted) only in the
-// lane's newest segment; elsewhere it is corruption.
-func (l *Log) replaySegment(ll *laneLog, seg uint32, last bool, replay ReplayFn) (int64, error) {
-	path := segPath(l.cfg.Dir, ll.lane, seg)
+// newest segment; elsewhere it is corruption. There, a tail of nothing
+// but zeros is the unwritten rest of the zero-filled run: the clean
+// end of the log, not damage.
+func (l *Log) replaySegment(seg uint32, last bool, replay ReplayFn) (int64, error) {
+	path := segPath(l.cfg.Dir, seg)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	if err := checkSegHeader(data, ll.lane, seg); err != nil {
+	if err := checkSegHeader(data, seg); err != nil {
 		if !last {
 			return 0, fmt.Errorf("segment %d: %w", seg, err)
 		}
@@ -240,7 +268,7 @@ func (l *Log) replaySegment(ll *laneLog, seg uint32, last bool, replay ReplayFn)
 		if err := os.Remove(path); err != nil {
 			return 0, err
 		}
-		f, err := createSegment(l.cfg.Dir, ll.lane, seg)
+		f, err := createSegment(l.cfg.Dir, seg)
 		if err != nil {
 			return 0, err
 		}
@@ -254,22 +282,34 @@ func (l *Log) replaySegment(ll *laneLog, seg uint32, last bool, replay ReplayFn)
 			if !last {
 				return 0, fmt.Errorf("segment %d offset %d: %w", seg, off, err)
 			}
-			l.tornTails.Add(1)
+			if !allZero(data[off:]) {
+				l.tornTails.Add(1)
+			}
 			return off, nil
 		}
 		off += int64(n)
 		if rec.Type == RecRoot {
-			ll.prevRoot = rec.Root
+			l.prevRoot = rec.Root
 			continue
 		}
 		l.replayed.Add(1)
 		if replay != nil {
-			if err := replay(ll.lane, &rec); err != nil {
+			if err := replay(&rec); err != nil {
 				return 0, err
 			}
 		}
 	}
 	return off, nil
+}
+
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Start launches the group-commit syncer. Call after any Compact.
@@ -345,7 +385,7 @@ func (l *Log) kick() {
 
 // syncLoop is the group-commit engine: one goroutine serving every
 // lane, so trains staged by concurrent lanes during the same pass share
-// it.
+// its fdatasync.
 func (l *Log) syncLoop() {
 	defer close(l.done)
 	tick := time.NewTicker(housekeepEvery)
@@ -362,137 +402,190 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// syncPass flushes and syncs every dirty lane once.
+// syncPass swaps out every dirty lane's staging buffer, writes the
+// batches back to back at the data end (then the audit root, when
+// enabled), issues one fdatasync, and publishes each swapped lane's
+// new watermark. On a disk error the log fails permanently, and every
+// lane's waiters are woken to receive the error instead of a watermark
+// they would wait on forever.
 func (l *Log) syncPass() {
-	for i := range l.lanes {
-		l.flushLane(i)
-	}
-}
-
-// flushLane swaps out the lane's staging buffer, writes it (appending
-// the audit root when enabled), syncs, and publishes the new
-// watermark. On a disk error the log fails permanently; waiters are
-// woken and receive the error instead of a watermark they would wait
-// on forever.
-func (l *Log) flushLane(lane int) {
-	ll := &l.lanes[lane]
 	if l.failed() != nil {
-		l.wake(ll)
+		l.wakeAll()
 		return
 	}
-	ll.mu.Lock()
-	if len(ll.buf) == 0 {
+	l.pass = l.pass[:0]
+	for i := range l.lanes {
+		ll := &l.lanes[i]
+		ll.mu.Lock()
+		if len(ll.buf) > 0 {
+			l.pass = append(l.pass, swapped{lane: i, buf: ll.buf, leaves: ll.leaves, target: ll.staged})
+			ll.buf = ll.spare[:0]
+			ll.leaves = ll.spareL[:0]
+		}
 		ll.mu.Unlock()
+	}
+	if len(l.pass) == 0 {
 		return
 	}
-	buf, leaves, target := ll.buf, ll.leaves, ll.staged
-	ll.buf = ll.spare[:0]
-	ll.leaves = ll.spareL[:0]
-	ll.mu.Unlock()
 
-	if l.cfg.MerkleRoots && len(leaves) > 0 {
-		count := uint32(len(leaves))
-		root := merkleFold(leaves)
-		buf = appendRecord(buf, &Record{Type: RecRoot, Count: count, Prev: ll.prevRoot, Root: root})
-		ll.prevRoot = root
-		l.roots.Add(1)
-	}
-
-	err := l.writeLane(ll, buf)
+	err := l.writePass()
 	if err == nil {
-		err = ll.f.Sync()
+		err = l.f.Sync()
 	}
 	if err != nil {
 		l.setFailed(err)
 	}
 
-	ll.mu.Lock()
-	if err == nil {
-		ll.synced = target
+	var written uint64
+	for i := range l.pass {
+		p := &l.pass[i]
+		written += uint64(len(p.buf))
+		ll := &l.lanes[p.lane]
+		ll.mu.Lock()
+		if err == nil {
+			ll.synced = p.target
+		}
+		ll.spare = p.buf[:0]
+		ll.spareL = p.leaves[:0]
+		close(ll.waitc)
+		ll.waitc = make(chan struct{})
+		ll.mu.Unlock()
+		p.buf, p.leaves = nil, nil
 	}
-	ll.spare = buf[:0]
-	ll.spareL = leaves[:0]
-	close(ll.waitc)
-	ll.waitc = make(chan struct{})
-	ll.mu.Unlock()
-	if err == nil {
-		l.batches.Add(1)
-		l.syncs.Add(1)
-		l.syncBytes.Add(uint64(len(buf)))
+	if err != nil {
+		l.wakeAll()
+		return
 	}
+	l.batches.Add(uint64(len(l.pass)))
+	l.syncs.Add(1)
+	l.syncBytes.Add(written)
 }
 
-// writeLane appends a batch to the lane's segment, rotating first when
+// writePass writes the pass's batches, then its audit root when
+// enabled, at the data end of the open segment, rotating first when
 // the segment is full.
-func (l *Log) writeLane(ll *laneLog, b []byte) error {
-	if ll.segBytes >= l.cfg.SegmentBytes {
-		if err := l.rotateLane(ll); err != nil {
+func (l *Log) writePass() error {
+	if l.segBytes >= l.cfg.SegmentBytes {
+		if err := l.rotate(); err != nil {
 			return err
 		}
 	}
-	n, err := ll.f.Write(b)
-	ll.segBytes += int64(n)
+	l.rootBuf = l.rootBuf[:0]
+	if l.cfg.MerkleRoots {
+		l.passL = l.passL[:0]
+		for i := range l.pass {
+			l.passL = append(l.passL, l.pass[i].leaves...)
+		}
+		if len(l.passL) > 0 {
+			count := uint32(len(l.passL))
+			root := merkleFold(l.passL)
+			l.rootBuf = appendRecord(l.rootBuf, &Record{Type: RecRoot, Count: count, Prev: l.prevRoot, Root: root})
+			l.prevRoot = root
+			l.roots.Add(1)
+		}
+	}
+	n := int64(len(l.rootBuf))
+	for i := range l.pass {
+		n += int64(len(l.pass[i].buf))
+	}
+	if err := l.reserve(n); err != nil {
+		return err
+	}
+	for i := range l.pass {
+		if err := l.writeAt(l.pass[i].buf); err != nil {
+			return err
+		}
+	}
+	return l.writeAt(l.rootBuf)
+}
+
+// reserve extends the zero-filled run until it holds the next n bytes.
+func (l *Log) reserve(n int64) error {
+	for l.alloc < l.segBytes+n {
+		k, err := l.f.WriteAt(zeros[:], l.alloc)
+		l.alloc += int64(k)
+		l.zeroFill.Add(uint64(k))
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeAt writes b at the data end, over the zero-filled run.
+func (l *Log) writeAt(b []byte) error {
+	n, err := l.f.WriteAt(b, l.segBytes)
+	l.segBytes += int64(n)
 	return err
 }
 
-// rotateLane seals the current segment (synced, so sealed segments are
-// immutable-on-disk) and opens the next.
-func (l *Log) rotateLane(ll *laneLog) error {
-	if err := ll.f.Sync(); err != nil {
+// rotate seals the current segment — cut back to its last record and
+// synced, so a sealed segment is immutable on disk and ends at a record
+// boundary — and opens the next.
+func (l *Log) rotate() error {
+	if err := l.f.Truncate(l.segBytes); err != nil {
 		return err
 	}
-	if err := ll.f.Close(); err != nil {
+	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	ll.seg++
-	f, err := createSegment(l.cfg.Dir, ll.lane, ll.seg)
+	if err := l.f.Close(); err != nil {
+		return err
+	}
+	l.f = nil
+	l.seg++
+	f, err := createSegment(l.cfg.Dir, l.seg)
 	if err != nil {
 		return err
 	}
-	ll.f = f
-	ll.segBytes = segHeaderSize
-	ll.segs = append(ll.segs, ll.seg)
+	l.f = f
+	l.segBytes, l.alloc = segHeaderSize, segHeaderSize
+	l.segs = append(l.segs, l.seg)
 	l.rotations.Add(1)
 	return nil
 }
 
-func (l *Log) wake(ll *laneLog) {
-	ll.mu.Lock()
-	close(ll.waitc)
-	ll.waitc = make(chan struct{})
-	ll.mu.Unlock()
+// wakeAll wakes every lane's waiters so they observe a failure.
+func (l *Log) wakeAll() {
+	for i := range l.lanes {
+		ll := &l.lanes[i]
+		ll.mu.Lock()
+		close(ll.waitc)
+		ll.waitc = make(chan struct{})
+		ll.mu.Unlock()
+	}
 }
 
-// Compact rewrites one lane as a snapshot: rotate to a fresh segment,
-// let the caller re-log the lane's live state through add, sync it,
-// then delete every segment the snapshot replaced. Call between Open
-// and Start. Crash-safe:
-// old segments are deleted only after the snapshot is on disk, and the
-// replay fold is idempotent, so a crash mid-compaction replays history
-// plus a partial snapshot.
-func (l *Log) Compact(lane int, emit func(add func(*Record))) error {
-	ll := &l.lanes[lane]
-	if ll.segBytes == segHeaderSize && len(ll.segs) == 1 {
+// Compact rewrites the log as a snapshot: rotate to a fresh segment,
+// let the caller re-log the live state through add, sync it, then
+// delete every segment the snapshot replaced. Call between Open and
+// Start. The snapshot stages on lane 0; replay routes records by their
+// content, not by the lane that staged them. Crash-safe: old segments
+// are deleted only after the snapshot is on disk, and the replay fold
+// is idempotent, so a crash mid-compaction replays history plus a
+// partial snapshot.
+func (l *Log) Compact(emit func(add func(*Record))) error {
+	if l.segBytes == segHeaderSize && len(l.segs) == 1 {
 		return nil // nothing logged, nothing to compact
 	}
-	if err := l.rotateLane(ll); err != nil {
+	if err := l.rotate(); err != nil {
 		return err
 	}
-	old := ll.segs[:len(ll.segs)-1]
-	emit(func(r *Record) { l.Append(lane, r) })
-	l.flushLane(lane)
+	old := l.segs[:len(l.segs)-1]
+	emit(func(r *Record) { l.Append(0, r) })
+	l.syncPass()
 	if err := l.failed(); err != nil {
 		return err
 	}
 	for _, seg := range old {
-		if err := os.Remove(segPath(l.cfg.Dir, ll.lane, seg)); err != nil {
+		if err := os.Remove(segPath(l.cfg.Dir, seg)); err != nil {
 			return err
 		}
 	}
 	if err := syncDir(l.cfg.Dir); err != nil {
 		return err
 	}
-	ll.segs = append(ll.segs[:0], ll.seg)
+	l.segs = append(l.segs[:0], l.seg)
 	return nil
 }
 
@@ -529,22 +622,17 @@ func (l *Log) shutdown(abrupt bool) error {
 		<-l.done
 	}
 	var first error
-	for i := range l.lanes {
-		ll := &l.lanes[i]
+	if l.f != nil {
 		if !abrupt {
-			l.flushLane(i)
-			if ll.f != nil {
-				if err := ll.f.Sync(); err != nil && first == nil {
-					first = err
-				}
-			}
-		}
-		if ll.f != nil {
-			if err := ll.f.Close(); err != nil && first == nil {
+			l.syncPass()
+			if err := l.f.Sync(); err != nil {
 				first = err
 			}
-			ll.f = nil
 		}
+		if err := l.f.Close(); err != nil && first == nil {
+			first = err
+		}
+		l.f = nil
 	}
 	if err := l.failed(); err != nil && first == nil {
 		first = err
@@ -552,28 +640,19 @@ func (l *Log) shutdown(abrupt bool) error {
 	return first
 }
 
-// closeFiles releases any lane files opened by a failed Open.
-func (l *Log) closeFiles() {
-	for i := range l.lanes {
-		if f := l.lanes[i].f; f != nil {
-			f.Close()
-			l.lanes[i].f = nil
-		}
-	}
-}
-
 // Stats snapshots the log's counters.
 func (l *Log) Stats() Stats {
 	return Stats{
-		Appends:     l.appends.Load(),
-		AppendBytes: l.appendBytes.Load(),
-		Batches:     l.batches.Load(),
-		Syncs:       l.syncs.Load(),
-		SyncBytes:   l.syncBytes.Load(),
-		Rotations:   l.rotations.Load(),
-		Roots:       l.roots.Load(),
-		Replayed:    l.replayed.Load(),
-		TornTails:   l.tornTails.Load(),
-		Failed:      l.failed() != nil,
+		Appends:       l.appends.Load(),
+		AppendBytes:   l.appendBytes.Load(),
+		Batches:       l.batches.Load(),
+		Syncs:         l.syncs.Load(),
+		SyncBytes:     l.syncBytes.Load(),
+		ZeroFillBytes: l.zeroFill.Load(),
+		Rotations:     l.rotations.Load(),
+		Roots:         l.roots.Load(),
+		Replayed:      l.replayed.Load(),
+		TornTails:     l.tornTails.Load(),
+		Failed:        l.failed() != nil,
 	}
 }

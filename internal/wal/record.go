@@ -1,8 +1,10 @@
-// Package wal is the durable write-ahead log behind the ring server: a
-// per-lane segmented append-only log whose fsync is amortized per frame
-// train (DESIGN.md §13). Records are length-prefixed and CRC32C-framed
-// with a versioned header; appends stage into an in-memory lane buffer
-// and reach the file only at a sync pass, so a killed process loses
+// Package wal is the durable write-ahead log behind the ring server:
+// one segmented log per server whose fsync is amortized over every
+// lane's frame trains (DESIGN.md §13). Records are length-prefixed and
+// CRC32C-framed with a versioned header; appends stage into an
+// in-memory lane buffer and reach the file only at a sync pass, which
+// writes every dirty lane's batch in place over a zero-filled run and
+// covers them all with one fdatasync. A killed process therefore loses
 // exactly what a crashed machine would — everything after the last
 // covering sync — even when the test runs on a real filesystem.
 package wal

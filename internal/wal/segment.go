@@ -2,7 +2,9 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,34 +13,38 @@ import (
 )
 
 // On-disk layout: one MANIFEST per log directory pinning the format
-// version and lane count, plus per-lane segment files named
-// wal-<lane>-<segment>.log. Lane count is fixed at first open — a WAL
-// directory belongs to one server with one lane configuration.
+// version, plus one sequence of segment files named wal-<segment>.log
+// that every lane's records share. The open segment ends in a
+// zero-filled run that the next records overwrite; a sealed one ends
+// at its last record. Format version 1 kept one sequence per lane
+// (wal-<lane>-<segment>.log) and pinned the lane count; Open refuses
+// it, and nothing migrates it.
 const (
 	segMagic      = 0x4757414c // "LAWG" little-endian on disk
-	segVersion    = 1
-	segHeaderSize = 16 // magic u32, version u16, lane u16, segment u32, reserved u32
+	segVersion    = 2
+	segHeaderSize = 16 // magic u32, version u16, reserved u16, segment u32, reserved u32
 
-	manifestName  = "MANIFEST"
-	manifestMagic = 0x4d57414c // "LAWM"
-	manifestSize  = 8          // magic u32, version u16, lanes u16
+	manifestName    = "MANIFEST"
+	manifestMagic   = 0x4d57414c // "LAWM"
+	manifestVersion = 2
+	manifestSize    = 8 // magic u32, version u16, reserved u16
 )
 
-func segName(lane int, seg uint32) string {
-	return fmt.Sprintf("wal-%03d-%08d.log", lane, seg)
+func segName(seg uint32) string {
+	return fmt.Sprintf("wal-%08d.log", seg)
 }
 
-func segPath(dir string, lane int, seg uint32) string {
-	return filepath.Join(dir, segName(lane, seg))
+func segPath(dir string, seg uint32) string {
+	return filepath.Join(dir, segName(seg))
 }
 
-// listSegments returns the lane's segment indices, oldest first.
-func listSegments(dir string, lane int) ([]uint32, error) {
+// listSegments returns the log's segment indices, oldest first.
+func listSegments(dir string) ([]uint32, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	prefix := fmt.Sprintf("wal-%03d-", lane)
+	const prefix = "wal-"
 	var segs []uint32
 	for _, e := range entries {
 		name := e.Name()
@@ -56,21 +62,27 @@ func listSegments(dir string, lane int) ([]uint32, error) {
 	return segs, nil
 }
 
-// createSegment creates a fresh segment file with its header written
-// and synced, and the directory entry synced so the file survives a
-// crash that immediately follows (records acked against this segment
-// must not lose the segment itself).
-func createSegment(dir string, lane int, seg uint32) (*os.File, error) {
-	f, err := os.OpenFile(segPath(dir, lane, seg), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
+// segHeader returns the header segment seg starts with.
+func segHeader(seg uint32) [segHeaderSize]byte {
 	var hdr [segHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], segMagic)
 	binary.LittleEndian.PutUint16(hdr[4:], segVersion)
-	binary.LittleEndian.PutUint16(hdr[6:], uint16(lane))
 	binary.LittleEndian.PutUint32(hdr[8:], seg)
-	if _, err := f.Write(hdr[:]); err != nil {
+	return hdr
+}
+
+// createSegment creates a fresh segment file with its header written
+// and synced, and the directory entry synced so the file survives a
+// crash that immediately follows (records acked against this segment
+// must not lose the segment itself). The file takes positioned writes
+// only: records land with WriteAt over the zero-filled run.
+func createSegment(dir string, seg uint32) (*os.File, error) {
+	f, err := os.OpenFile(segPath(dir, seg), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	hdr := segHeader(seg)
+	if _, err := f.WriteAt(hdr[:], 0); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -86,8 +98,8 @@ func createSegment(dir string, lane int, seg uint32) (*os.File, error) {
 }
 
 // checkSegHeader validates a segment file's 16-byte header against the
-// lane and index its name promised.
-func checkSegHeader(hdr []byte, lane int, seg uint32) error {
+// index its name promised.
+func checkSegHeader(hdr []byte, seg uint32) error {
 	if len(hdr) < segHeaderSize {
 		return fmt.Errorf("wal: segment header truncated (%d bytes)", len(hdr))
 	}
@@ -97,57 +109,47 @@ func checkSegHeader(hdr []byte, lane int, seg uint32) error {
 	if v := binary.LittleEndian.Uint16(hdr[4:]); v != segVersion {
 		return fmt.Errorf("wal: unsupported segment version %d", v)
 	}
-	if l := binary.LittleEndian.Uint16(hdr[6:]); int(l) != lane {
-		return fmt.Errorf("wal: segment header lane %d, file named for lane %d", l, lane)
-	}
 	if s := binary.LittleEndian.Uint32(hdr[8:]); s != seg {
 		return fmt.Errorf("wal: segment header index %d, file named %d", s, seg)
 	}
 	return nil
 }
 
-// loadManifest reads or creates the directory manifest, erroring when
-// an existing one disagrees on the lane count: the lane fanout decides
-// which file each record lives in, so it is fixed at first open.
-func loadManifest(dir string, lanes int) error {
+// loadManifest checks the directory's manifest, creating one in a
+// directory that has none.
+func loadManifest(dir string) error {
+	err := checkManifest(dir)
+	if !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	var m [manifestSize]byte
+	binary.LittleEndian.PutUint32(m[0:], manifestMagic)
+	binary.LittleEndian.PutUint16(m[4:], manifestVersion)
+	if err := os.WriteFile(filepath.Join(dir, manifestName), m[:], 0o644); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// checkManifest reads the directory's manifest and refuses every
+// format but the current one.
+func checkManifest(dir string) error {
 	path := filepath.Join(dir, manifestName)
 	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		var m [manifestSize]byte
-		binary.LittleEndian.PutUint32(m[0:], manifestMagic)
-		binary.LittleEndian.PutUint16(m[4:], 1)
-		binary.LittleEndian.PutUint16(m[6:], uint16(lanes))
-		if err := os.WriteFile(path, m[:], 0o644); err != nil {
-			return err
-		}
-		return syncDir(dir)
-	}
 	if err != nil {
 		return err
 	}
 	if len(b) != manifestSize || binary.LittleEndian.Uint32(b) != manifestMagic {
 		return fmt.Errorf("wal: %s is not a WAL manifest", path)
 	}
-	if v := binary.LittleEndian.Uint16(b[4:]); v != 1 {
+	switch v := binary.LittleEndian.Uint16(b[4:]); v {
+	case manifestVersion:
+		return nil
+	case 1:
+		return fmt.Errorf("wal: %s holds a version 1 per-lane log (one segment sequence per lane); this build reads only version 2 (one sequence per log) and does not migrate it", dir)
+	default:
 		return fmt.Errorf("wal: unsupported manifest version %d", v)
 	}
-	if l := int(binary.LittleEndian.Uint16(b[6:])); l != lanes {
-		return fmt.Errorf("wal: directory was created with %d lanes, server configured for %d (lane count is fixed per WAL directory)", l, lanes)
-	}
-	return nil
-}
-
-// manifestLanes reads the lane count of an existing manifest (offline
-// verification does not know the server configuration).
-func manifestLanes(dir string) (int, error) {
-	b, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return 0, err
-	}
-	if len(b) != manifestSize || binary.LittleEndian.Uint32(b) != manifestMagic {
-		return 0, fmt.Errorf("wal: %s does not hold a WAL manifest", dir)
-	}
-	return int(binary.LittleEndian.Uint16(b[6:])), nil
 }
 
 // syncDir fsyncs a directory so entry creation/removal is durable.

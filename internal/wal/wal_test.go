@@ -2,9 +2,11 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/tag"
@@ -27,6 +29,14 @@ func recordsEqual(a, b Record) bool {
 		a.Count == b.Count && a.Prev == b.Prev && a.Root == b.Root
 }
 
+// decoded is r as replay returns it: an empty value decodes as nil.
+func decoded(r Record) Record {
+	if len(r.Value) == 0 {
+		r.Value = nil
+	}
+	return r
+}
+
 func TestRecordRoundTrip(t *testing.T) {
 	recs := testRecords()
 	recs = append(recs, Record{Type: RecRoot, Count: 3, Prev: [32]byte{1}, Root: [32]byte{2}})
@@ -40,12 +50,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: decode: %v", i, err)
 		}
-		want := recs[i]
-		want.Value = nil
-		if len(recs[i].Value) > 0 {
-			want.Value = recs[i].Value
-		}
-		if !recordsEqual(got, want) {
+		if want := decoded(recs[i]); !recordsEqual(got, want) {
 			t.Fatalf("record %d: got %+v want %+v", i, got, want)
 		}
 		off += n
@@ -55,18 +60,17 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
-type replayed struct {
-	lane int
-	rec  Record
-}
-
-func collect(dst *[]replayed) ReplayFn {
-	return func(lane int, r *Record) error {
-		*dst = append(*dst, replayed{lane, *r})
+func collect(dst *[]Record) ReplayFn {
+	return func(r *Record) error {
+		*dst = append(*dst, *r)
 		return nil
 	}
 }
 
+// TestOpenAppendReplayRoundTrip stages records on two lanes, closes the
+// log, and reopens it: one pass wrote lane 0's batch, then lane 1's,
+// into the one segment, ahead of a zero-filled run that the reopen must
+// read as the clean end of the log, not as a torn tail.
 func TestOpenAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Dir: dir, Lanes: 2}
@@ -76,16 +80,27 @@ func TestOpenAppendReplayRoundTrip(t *testing.T) {
 	}
 	recs := testRecords()
 	for i := range recs {
-		lane := i % 2
-		if seq := l.Append(lane, &recs[i]); seq == 0 {
+		if seq := l.Append(i%2, &recs[i]); seq == 0 {
 			t.Fatal("Append returned sequence 0")
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	st := l.Stats()
+	if st.Syncs != 1 || st.Batches != 2 {
+		t.Fatalf("close flushed with %d syncs over %d batches, want 1 over 2", st.Syncs, st.Batches)
+	}
+	info, err := os.Stat(segPath(dir, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end := int64(segHeaderSize) + int64(st.SyncBytes); info.Size() <= end || st.ZeroFillBytes == 0 {
+		t.Fatalf("segment is %d bytes with records ending at %d (%d zero-fill bytes): no zero-filled run",
+			info.Size(), end, st.ZeroFillBytes)
+	}
 
-	var got []replayed
+	var got []Record
 	l2, err := Open(cfg, collect(&got))
 	if err != nil {
 		t.Fatal(err)
@@ -94,40 +109,90 @@ func TestOpenAppendReplayRoundTrip(t *testing.T) {
 	if st := l2.Stats(); st.Replayed != uint64(len(recs)) || st.TornTails != 0 {
 		t.Fatalf("replayed %d records, %d torn tails; want %d, 0", st.Replayed, st.TornTails, len(recs))
 	}
-	perLane := map[int][]Record{}
-	for _, g := range got {
-		perLane[g.lane] = append(perLane[g.lane], g.rec)
-	}
-	for i := range recs {
-		lane := i % 2
-		want := recs[i]
-		if len(want.Value) == 0 {
-			want.Value = nil
+	var want []Record
+	for lane := 0; lane < 2; lane++ {
+		for i := lane; i < len(recs); i += 2 {
+			want = append(want, decoded(recs[i]))
 		}
-		g := perLane[lane][0]
-		perLane[lane] = perLane[lane][1:]
-		if !recordsEqual(g, want) {
-			t.Fatalf("lane %d record: got %+v want %+v", lane, g, want)
+	}
+	for i := range want {
+		if !recordsEqual(got[i], want[i]) {
+			t.Fatalf("record %d: got %+v want %+v", i, got[i], want[i])
 		}
 	}
 }
 
-func TestManifestLaneMismatch(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(Config{Dir: dir, Lanes: 2}, nil)
+// TestOneSyncCoversEveryLane pins the group commit's promise: a pass
+// writes every dirty lane's batch into the one segment and covers them
+// all with a single fdatasync, so the other lanes' waits then return
+// without another.
+func TestOneSyncCoversEveryLane(t *testing.T) {
+	const lanes = 4
+	l, err := Open(Config{Dir: t.TempDir(), Lanes: lanes}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
-	if _, err := Open(Config{Dir: dir, Lanes: 4}, nil); err == nil {
-		t.Fatal("reopening with a different lane count should fail")
+	defer l.Close()
+	rec := Record{Type: RecPreWrite, Object: 1, Tag: tag.Tag{TS: 1, ID: 2}, Origin: 2, Flags: FlagHasValue, Value: []byte("v")}
+	var seqs [lanes]uint64
+	for lane := range seqs {
+		seqs[lane] = l.Append(lane, &rec)
+	}
+	l.Start()
+	if err := l.WaitLane(0, seqs[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := l.Stats(); st.Syncs != 1 || st.Batches != lanes {
+		t.Fatalf("after waiting on lane 0: %d syncs over %d batches, want 1 over %d", st.Syncs, st.Batches, lanes)
+	}
+	for lane := 1; lane < lanes; lane++ {
+		if err := l.WaitLane(lane, seqs[lane], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := l.Stats(); st.Syncs != 1 {
+		t.Fatalf("lanes 1-%d needed %d more syncs, want 0", lanes-1, st.Syncs-1)
+	}
+}
+
+// TestOpenRefusesPerLaneFormat pins the format break: a directory in
+// the per-lane layout (MANIFEST version 1, one segment sequence per
+// lane) is refused, by Open and Verify alike, with an error naming that
+// layout, and left untouched; nothing migrates it.
+func TestOpenRefusesPerLaneFormat(t *testing.T) {
+	dir := t.TempDir()
+	var m [manifestSize]byte
+	binary.LittleEndian.PutUint32(m[0:], manifestMagic)
+	binary.LittleEndian.PutUint16(m[4:], 1)
+	binary.LittleEndian.PutUint16(m[6:], 2) // the lane count version 1 pinned
+	if err := os.WriteFile(filepath.Join(dir, manifestName), m[:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(Config{Dir: dir, Lanes: 2}, nil)
+	if err == nil {
+		l.Close()
+		t.Fatal("Open accepted a per-lane (version 1) directory")
+	}
+	if !strings.Contains(err.Error(), "per-lane") {
+		t.Fatalf("Open's refusal does not name the per-lane format: %v", err)
+	}
+	if _, err := Verify(dir); err == nil || !strings.Contains(err.Error(), "per-lane") {
+		t.Fatalf("Verify of a per-lane directory: %v, want the per-lane refusal", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("the refused directory holds %d entries, want only its MANIFEST", len(entries))
 	}
 }
 
 // seedSegment builds a pristine single-lane log with the test records
-// and returns the manifest bytes, segment bytes, and each record's
-// frame offset within the segment file.
-func seedSegment(t *testing.T) (manifest, segment []byte, offsets []int) {
+// and returns the manifest bytes, the segment bytes — zero-filled run
+// included — each record's frame offset, and the offset just past the
+// last record.
+func seedSegment(t *testing.T) (manifest, segment []byte, offsets []int, end int) {
 	t.Helper()
 	dir := t.TempDir()
 	l, err := Open(Config{Dir: dir, Lanes: 1}, nil)
@@ -145,20 +210,24 @@ func seedSegment(t *testing.T) (manifest, segment []byte, offsets []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segment, err = os.ReadFile(segPath(dir, 0, 0))
+	segment, err = os.ReadFile(segPath(dir, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := segHeaderSize
-	for off < len(segment) {
-		_, n, err := decodeRecord(segment[off:])
+	end = segHeaderSize
+	for !allZero(segment[end:]) {
+		_, n, err := decodeRecord(segment[end:])
 		if err != nil {
-			t.Fatalf("pristine segment undecodable at %d: %v", off, err)
+			t.Fatalf("pristine segment undecodable at %d: %v", end, err)
 		}
-		offsets = append(offsets, off)
-		off += n
+		offsets = append(offsets, end)
+		end += n
 	}
-	return manifest, segment, offsets
+	if len(offsets) != len(recs) || len(segment) <= end {
+		t.Fatalf("setup: %d records ending at %d in a %d-byte segment; want %d records and a zero-filled run",
+			len(offsets), end, len(segment), len(recs))
+	}
+	return manifest, segment, offsets, end
 }
 
 func restoreDir(t *testing.T, manifest, segment []byte) string {
@@ -167,24 +236,46 @@ func restoreDir(t *testing.T, manifest, segment []byte) string {
 	if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(segPath(dir, 0, 0), segment, 0o644); err != nil {
+	if err := os.WriteFile(segPath(dir, 0), segment, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir
 }
 
-// TestTornTailEveryOffset truncates the segment at every byte offset
-// inside the last record, and separately corrupts every byte of it:
-// replay must always recover exactly the preceding records, count one
-// torn tail, and leave the log appendable.
+// TestTornTailEveryOffset damages a segment that ends in a zero-filled
+// run, as the open segment always does: it cuts the file at every
+// offset, zeroes it from every offset to EOF, and corrupts every byte of
+// the last record. Replay must recover exactly the records that lie
+// wholly before the damage, count a torn tail exactly when the damage
+// does not start on a record boundary, and leave the log appendable.
 func TestTornTailEveryOffset(t *testing.T) {
-	manifest, segment, offsets := seedSegment(t)
+	manifest, segment, offsets, end := seedSegment(t)
 	recs := testRecords()
 	lastStart := offsets[len(offsets)-1]
-	wantPrefix := len(offsets) - 1
+	// intact reports how many records end at or before off, and whether
+	// off is a record boundary (the end of the records included).
+	ends := append(offsets[1:len(offsets):len(offsets)], end)
+	intact := func(off int) (n int, boundary bool) {
+		boundary = off >= end
+		for i := range offsets {
+			boundary = boundary || offsets[i] == off
+			if ends[i] <= off {
+				n++
+			}
+		}
+		return n, boundary
+	}
+	// zeroed is intact for zeroing from off to EOF, which leaves a
+	// record that already ends in zeros from off onwards unchanged.
+	zeroed := func(off int) (n int, boundary bool) {
+		for n < len(offsets) && allZero(segment[min(max(offsets[n], off), ends[n]):ends[n]]) {
+			n++
+		}
+		return n, n == len(offsets) || offsets[n] >= off
+	}
 
-	check := func(t *testing.T, dir string, wantTorn uint64) {
-		var got []replayed
+	check := func(t *testing.T, dir string, wantN int, wantTorn uint64) {
+		var got []Record
 		cfg := Config{Dir: dir, Lanes: 1}
 		l, err := Open(cfg, collect(&got))
 		if err != nil {
@@ -194,16 +285,12 @@ func TestTornTailEveryOffset(t *testing.T) {
 		if st.TornTails != wantTorn {
 			t.Fatalf("torn tails = %d, want %d", st.TornTails, wantTorn)
 		}
-		if len(got) != wantPrefix {
-			t.Fatalf("replayed %d records, want the %d-record prefix", len(got), wantPrefix)
+		if len(got) != wantN {
+			t.Fatalf("replayed %d records, want the %d-record prefix", len(got), wantN)
 		}
 		for i, g := range got {
-			want := recs[i]
-			if len(want.Value) == 0 {
-				want.Value = nil
-			}
-			if !recordsEqual(g.rec, want) {
-				t.Fatalf("record %d diverged after repair: got %+v want %+v", i, g.rec, want)
+			if want := decoded(recs[i]); !recordsEqual(g, want) {
+				t.Fatalf("record %d diverged after repair: got %+v want %+v", i, g, want)
 			}
 		}
 		// The repaired log must accept and persist new appends.
@@ -212,40 +299,90 @@ func TestTornTailEveryOffset(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		var again []replayed
+		var again []Record
 		l2, err := Open(cfg, collect(&again))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer l2.Close()
-		if len(again) != wantPrefix+1 || !recordsEqual(again[len(again)-1].rec, extra) {
-			t.Fatalf("after repair+append: replayed %d records, want %d ending in the new append", len(again), wantPrefix+1)
+		if st := l2.Stats(); st.TornTails != 0 {
+			t.Fatalf("reopen after repair+append counted %d torn tails", st.TornTails)
+		}
+		if len(again) != wantN+1 || !recordsEqual(again[len(again)-1], extra) {
+			t.Fatalf("after repair+append: replayed %d records, want %d ending in the new append", len(again), wantN+1)
 		}
 	}
+	torn := func(boundary bool) uint64 {
+		if boundary {
+			return 0
+		}
+		return 1
+	}
 
-	for cut := lastStart; cut < len(segment); cut++ {
+	// Every offset through the records and into the run, then a few
+	// deeper into the run and the full file.
+	cuts := []int{}
+	for off := segHeaderSize; off <= end+frameHeaderSize; off++ {
+		cuts = append(cuts, off)
+	}
+	cuts = append(cuts, end+(len(segment)-end)/2, len(segment))
+	for _, cut := range cuts {
 		t.Run(fmt.Sprintf("truncate@%d", cut), func(t *testing.T) {
-			dir := restoreDir(t, manifest, segment[:cut])
-			var wantTorn uint64 = 1
-			if cut == lastStart {
-				wantTorn = 0 // a clean cut at a record boundary is not torn
-			}
-			check(t, dir, wantTorn)
+			n, boundary := intact(cut)
+			check(t, restoreDir(t, manifest, segment[:cut]), n, torn(boundary))
 		})
 	}
-	for off := lastStart; off < len(segment); off++ {
+	for off := segHeaderSize; off <= end; off++ {
+		t.Run(fmt.Sprintf("zero@%d", off), func(t *testing.T) {
+			mut := append([]byte(nil), segment...)
+			clear(mut[off:])
+			n, boundary := zeroed(off)
+			check(t, restoreDir(t, manifest, mut), n, torn(boundary))
+		})
+	}
+	for off := lastStart; off < end; off++ {
 		t.Run(fmt.Sprintf("corrupt@%d", off), func(t *testing.T) {
 			mut := append([]byte(nil), segment...)
 			mut[off] ^= 0x5a
+			check(t, restoreDir(t, manifest, mut), len(offsets)-1, 1)
+		})
+	}
+}
+
+// TestZeroRunWithStrayByteIsTorn: a zero frame header is the clean end
+// of the log only when nothing but zeros follows it up to EOF. One
+// non-zero byte anywhere later in the run makes the tail torn: counted
+// once, truncated, and clean at the next open.
+func TestZeroRunWithStrayByteIsTorn(t *testing.T) {
+	manifest, segment, offsets, end := seedSegment(t)
+	for _, at := range []int{end + frameHeaderSize, len(segment) - 1} {
+		t.Run(fmt.Sprintf("stray@%d", at), func(t *testing.T) {
+			mut := append([]byte(nil), segment...)
+			mut[at] = 1
 			dir := restoreDir(t, manifest, mut)
-			check(t, dir, 1)
+			cfg := Config{Dir: dir, Lanes: 1}
+			for round, wantTorn := range []uint64{1, 0} {
+				var got []Record
+				l, err := Open(cfg, collect(&got))
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := l.Stats()
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if st.TornTails != wantTorn || len(got) != len(offsets) {
+					t.Fatalf("open %d: %d torn tails, %d records; want %d, %d",
+						round, st.TornTails, len(got), wantTorn, len(offsets))
+				}
+			}
 		})
 	}
 }
 
 func TestCorruptionInSealedSegmentIsFatal(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Lanes: 1, SegmentBytes: 1} // rotate on every flush
+	cfg := Config{Dir: dir, Lanes: 1, SegmentBytes: 1} // rotate on every pass
 	l, err := Open(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +390,7 @@ func TestCorruptionInSealedSegmentIsFatal(t *testing.T) {
 	recs := testRecords()
 	for i := range recs {
 		l.Append(0, &recs[i])
-		l.flushLane(0) // one flush per record -> one rotation each
+		l.syncPass() // one pass per record -> one rotation each
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -261,7 +398,7 @@ func TestCorruptionInSealedSegmentIsFatal(t *testing.T) {
 	// Corrupt a record in an early sealed segment (with SegmentBytes 1
 	// every batch rotates first, so segment 0 holds only its header and
 	// the first record lives in segment 1).
-	path := segPath(dir, 0, 1)
+	path := segPath(dir, 1)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +427,7 @@ func TestRotationAndCompaction(t *testing.T) {
 		rec.Tag = tag.Tag{TS: uint64(i + 1), ID: 1}
 		l.Append(0, &rec)
 		if i%5 == 4 {
-			l.flushLane(0)
+			l.syncPass()
 		}
 	}
 	if err := l.Close(); err != nil {
@@ -299,15 +436,31 @@ func TestRotationAndCompaction(t *testing.T) {
 	if st := l.Stats(); st.Rotations == 0 {
 		t.Fatal("expected segment rotations")
 	}
-	segs, err := listSegments(dir, 0)
+	segs, err := listSegments(dir)
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("want >= 3 segments, got %d (err %v)", len(segs), err)
+	}
+	// Rotation cuts a sealed segment back to its last record: no
+	// zero-filled run survives in it.
+	for _, seg := range segs[:len(segs)-1] {
+		b, err := os.ReadFile(segPath(dir, seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := segHeaderSize
+		for off < len(b) {
+			_, n, err := decodeRecord(b[off:])
+			if err != nil {
+				t.Fatalf("sealed segment %d does not end at a record boundary: offset %d of %d: %v", seg, off, len(b), err)
+			}
+			off += n
+		}
 	}
 
 	// Reopen, compact to a single snapshot record, and confirm the
 	// old segments are gone and replay sees only the snapshot.
 	var count int
-	l2, err := Open(cfg, func(lane int, r *Record) error { count++; return nil })
+	l2, err := Open(cfg, func(r *Record) error { count++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,23 +468,23 @@ func TestRotationAndCompaction(t *testing.T) {
 		t.Fatalf("replayed %d records, want 50", count)
 	}
 	snap := Record{Type: RecWrite, Object: 3, Tag: tag.Tag{TS: 50, ID: 1}, Origin: 1, Flags: FlagHasValue, Value: bytes.Repeat([]byte("v"), 64)}
-	if err := l2.Compact(0, func(add func(*Record)) { add(&snap) }); err != nil {
+	if err := l2.Compact(func(add func(*Record)) { add(&snap) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err = listSegments(dir, 0)
+	segs, err = listSegments(dir)
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("after compaction want 1 segment, got %v (err %v)", segs, err)
 	}
-	var got []replayed
+	var got []Record
 	l3, err := Open(cfg, collect(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l3.Close()
-	if len(got) != 1 || !recordsEqual(got[0].rec, snap) {
+	if len(got) != 1 || !recordsEqual(got[0], snap) {
 		t.Fatalf("replay after compaction: got %d records, want just the snapshot", len(got))
 	}
 }
@@ -377,7 +530,7 @@ func TestKillDropsStagedRecords(t *testing.T) {
 	// No Start(): nothing can flush the staged records.
 	synced := Record{Type: RecInit, Object: 1, Tag: tag.Tag{TS: 1, ID: 1}, Origin: 1, Flags: FlagHasValue, Value: []byte("durable")}
 	seq := l.Append(0, &synced)
-	l.flushLane(0)
+	l.syncPass()
 	if l.Stats().Syncs != 1 {
 		t.Fatal("setup: first record should be synced")
 	}
@@ -387,13 +540,13 @@ func TestKillDropsStagedRecords(t *testing.T) {
 	}
 	l.Kill()
 
-	var got []replayed
+	var got []Record
 	l2, err := Open(cfg, collect(&got))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if len(got) != 1 || !bytes.Equal(got[0].rec.Value, []byte("durable")) {
+	if len(got) != 1 || !bytes.Equal(got[0].Value, []byte("durable")) {
 		t.Fatalf("after kill: replayed %d records (%v), want only the synced one", len(got), got)
 	}
 	if l2.Stats().TornTails != 0 {
@@ -401,6 +554,9 @@ func TestKillDropsStagedRecords(t *testing.T) {
 	}
 }
 
+// TestVerifyAuditChain checks the one audit chain of a log: each pass
+// appends one root covering every lane's batch in file order, the chain
+// survives a reopen, and a CRC-consistent tamper breaks it.
 func TestVerifyAuditChain(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Dir: dir, Lanes: 2, Sync: SyncTrain, MerkleRoots: true}
@@ -409,12 +565,12 @@ func TestVerifyAuditChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := testRecords()
-	for round := 0; round < 3; round++ {
+	const rounds = 3
+	for round := 0; round < rounds; round++ {
 		for i := range recs {
 			l.Append(i%2, &recs[i])
 		}
-		l.flushLane(0)
-		l.flushLane(1)
+		l.syncPass()
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -423,8 +579,9 @@ func TestVerifyAuditChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("verify clean log: %v", err)
 	}
-	if res.Lanes != 2 || res.Records != uint64(3*len(recs)) || res.Roots == 0 || res.Unrooted != 0 || res.TornTail {
-		t.Fatalf("unexpected verify result: %+v", res)
+	want := VerifyResult{Segments: 1, Records: uint64(rounds * len(recs)), Roots: rounds}
+	if res != want {
+		t.Fatalf("verify result %+v, want %+v", res, want)
 	}
 
 	// Root chaining must survive a reopen (the chain continues from
@@ -433,23 +590,23 @@ func TestVerifyAuditChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2.Append(0, &recs[0])
+	l2.Append(1, &recs[0])
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Verify(dir); err != nil {
-		t.Fatalf("verify after reopen append: %v", err)
+	if res, err := Verify(dir); err != nil || res.Roots != rounds+1 {
+		t.Fatalf("verify after reopen append: %+v, %v; want %d roots", res, err, rounds+1)
 	}
 
 	// Tampering with a committed value must break verification even
 	// though the CRC is fixed up to match.
-	path := segPath(dir, 0, 0)
+	path := segPath(dir, 0)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tampered := false
-	for off := segHeaderSize; off < len(b); {
+	for off := segHeaderSize; !allZero(b[off:]); {
 		rec, n, err := decodeRecord(b[off:])
 		if err != nil {
 			t.Fatal(err)
