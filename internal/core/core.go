@@ -84,10 +84,10 @@ type Config struct {
 	// empty WAL.Dir disables durability entirely — the pre-WAL behavior.
 	// WAL.Lanes is ignored: the server pins it to its resolved WriteLanes,
 	// giving each lane its own staging buffer in front of the server's
-	// one log file. Every outgoing
-	// ring frame is gated on a sync covering the records its envelopes
-	// staged, so an acknowledged write is durable at every server that
-	// applied it; wal.SyncTrain is the only sync policy.
+	// one log file. Every outgoing ring frame is gated on a sync
+	// covering the records its envelopes staged, so an acknowledged
+	// write is durable at every server that applied it; wal.SyncTrain
+	// is the only sync policy.
 	WAL wal.Config
 
 	// Logger receives debug events; nil discards them.

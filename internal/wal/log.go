@@ -13,7 +13,7 @@ import (
 type SyncMode uint8
 
 // SyncTrain, the only mode, gates every outgoing ring frame on a sync
-// covering the records its envelopes staged: one fdatasync per sync
+// covering the records its envelopes staged: one file sync per sync
 // pass, shared by every lane that staged during it.
 // Acknowledged writes are durable at every server.
 const SyncTrain SyncMode = 0
@@ -47,9 +47,10 @@ const (
 	defaultSegmentBytes = 64 << 20
 	// zeroChunk is how far the syncer extends the open segment with
 	// zeros ahead of its records. Batches then overwrite blocks the
-	// file already has, so their fdatasync changes no metadata and
-	// needs no journal commit; only the pass that writes a chunk pays
-	// for growing the file (DESIGN.md §13.2).
+	// file already has, so syncing them changes neither the file's size
+	// nor its block map; only the pass that writes a chunk pays for
+	// growing the file (DESIGN.md §13.2). 256 KiB and 4 MiB measured
+	// slower on durable_write.
 	zeroChunk = 1 << 20
 	// housekeepEvery flushes lanes that stopped sending.
 	housekeepEvery = 100 * time.Millisecond
@@ -77,7 +78,7 @@ type Stats struct {
 	Appends       uint64 // records staged
 	AppendBytes   uint64 // framed bytes staged
 	Batches       uint64 // non-empty lane buffers written by sync passes
-	Syncs         uint64 // fdatasyncs that covered staged records
+	Syncs         uint64 // file syncs that covered staged records
 	SyncBytes     uint64 // record bytes written by those passes
 	ZeroFillBytes uint64 // zeros written to extend segments ahead of their records
 	Rotations     uint64 // segment rotations
@@ -385,7 +386,7 @@ func (l *Log) kick() {
 
 // syncLoop is the group-commit engine: one goroutine serving every
 // lane, so trains staged by concurrent lanes during the same pass share
-// its fdatasync.
+// its file sync.
 func (l *Log) syncLoop() {
 	defer close(l.done)
 	tick := time.NewTicker(housekeepEvery)
@@ -404,7 +405,7 @@ func (l *Log) syncLoop() {
 
 // syncPass swaps out every dirty lane's staging buffer, writes the
 // batches back to back at the data end (then the audit root, when
-// enabled), issues one fdatasync, and publishes each swapped lane's
+// enabled), issues one file sync, and publishes each swapped lane's
 // new watermark. On a disk error the log fails permanently, and every
 // lane's waiters are woken to receive the error instead of a watermark
 // they would wait on forever.

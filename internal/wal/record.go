@@ -4,7 +4,7 @@
 // CRC32C-framed with a versioned header; appends stage into an
 // in-memory lane buffer and reach the file only at a sync pass, which
 // writes every dirty lane's batch in place over a zero-filled run and
-// covers them all with one fdatasync. A killed process therefore loses
+// covers them all with one file sync. A killed process therefore loses
 // exactly what a crashed machine would — everything after the last
 // covering sync — even when the test runs on a real filesystem.
 package wal

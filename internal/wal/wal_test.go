@@ -124,7 +124,7 @@ func TestOpenAppendReplayRoundTrip(t *testing.T) {
 
 // TestOneSyncCoversEveryLane pins the group commit's promise: a pass
 // writes every dirty lane's batch into the one segment and covers them
-// all with a single fdatasync, so the other lanes' waits then return
+// all with a single file sync, so the other lanes' waits then return
 // without another.
 func TestOneSyncCoversEveryLane(t *testing.T) {
 	const lanes = 4
