@@ -185,25 +185,41 @@ func (c *Cluster) Client(opts ...Option) (*Client, error) {
 	return &Client{cl: cl, ep: ep, pinned: cfg.pinned}, nil
 }
 
-// Crash kills one server abruptly: its endpoint stops delivering,
-// every other process observes the failure through the perfect failure
-// detector, and — when the cluster is durable — WAL records staged
-// since the last covering sync are dropped on the floor, exactly as a
-// process crash would drop them. Exercises the ring's
-// splice-and-recover path; Restart exercises log recovery.
-func (c *Cluster) Crash(id ServerID) {
+// Crash kills a set of servers abruptly and at once: their endpoints
+// stop delivering, every other process observes each failure through
+// the perfect failure detector, and — when the cluster is durable — WAL
+// records staged since the last covering sync are dropped on the floor,
+// exactly as a process crash would drop them. The whole set leaves the
+// network before any survivor is notified, so no victim splices out
+// another and acks writes that one never logged (a sequence of Crash
+// calls is a sequence of crashes, each seen by the later victims).
+// Exercises the ring's splice-and-recover path; Restart exercises log
+// recovery. Ids not running are skipped.
+func (c *Cluster) Crash(ids ...ServerID) {
+	var (
+		victims []ServerID
+		srvs    []*core.Server
+		eps     []*transport.MemEndpoint
+	)
 	c.mu.Lock()
-	srv := c.servers[id]
-	ep := c.eps[id]
-	delete(c.servers, id)
-	delete(c.eps, id)
+	for _, id := range ids {
+		if srv := c.servers[id]; srv != nil {
+			victims = append(victims, id)
+			srvs = append(srvs, srv)
+			eps = append(eps, c.eps[id])
+			delete(c.servers, id)
+			delete(c.eps, id)
+		}
+	}
 	c.mu.Unlock()
-	if srv == nil {
+	if len(victims) == 0 {
 		return
 	}
-	c.net.Crash(id)
-	srv.Kill()
-	_ = ep.Close()
+	c.net.Crash(victims...)
+	for i, srv := range srvs {
+		srv.Kill()
+		_ = eps[i].Close()
+	}
 }
 
 // Restart brings a crashed (or freshly stopped) server back up on a

@@ -52,7 +52,7 @@ type Sharded[K ~uint32, T any] struct {
 
 // laneStripes is the lane-map fanout. Lookups take a read lock, so the
 // stripe count only matters for lane creation and the (rare) write
-// lock; 64 matches shard.DefaultShards.
+// lock; 64 is well past any realistic core count.
 const laneStripes = 64
 
 type laneStripe[K ~uint32, T any] struct {

@@ -11,8 +11,6 @@ import (
 	"repro/internal/checker"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/placement"
-	"repro/internal/shard"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -457,17 +455,12 @@ func TestManyObjectsConcurrently(t *testing.T) {
 
 // TestLaneConfigurations drives a mixed multi-object workload — one
 // writer and two concurrent readers per object — under the lane
-// fanout's extremes (single lane, more lanes than objects) and on two
-// objects that share a shard lock but belong to different lanes, and
-// checks every object's history stays atomic. With -race this asserts
-// the lane concurrency contract: lanes, the delivering goroutines'
-// snapshot reads, the ack sender, and the control plane may only meet
-// through shard locks, published snapshots, and channels.
-//
-// The shared-shard row runs 3 lanes: lanes and shards hash an object
-// with the same multiplier, so at a power-of-two lane count dividing
-// shard.DefaultShards (the default 4 included) an object's lane is its
-// shard index mod lanes, and no shard is ever shared across lanes.
+// fanout's extremes (single lane, more lanes than objects) and at a
+// lane count that is not a power of two, and checks every object's
+// history stays atomic. With -race this asserts the lane concurrency
+// contract: lanes, the delivering goroutines' snapshot reads, the ack
+// sender, and the control plane may only meet through published
+// snapshots, the lanes' copy-on-write object tables, and channels.
 func TestLaneConfigurations(t *testing.T) {
 	firstSix := []wire.ObjectID{0, 1, 2, 3, 4, 5}
 	for _, tc := range []struct {
@@ -478,7 +471,7 @@ func TestLaneConfigurations(t *testing.T) {
 		{"singleLane", -1, firstSix},
 		{"fourLanes", 4, firstSix},
 		{"moreLanesThanObjects", 16, firstSix},
-		{"crossLaneSharedShard", 3, crossLaneShardPair(t, 3)},
+		{"threeLanes", 3, firstSix},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCluster(t, 3, func(c *core.Config) { c.WriteLanes = tc.lanes })
@@ -527,26 +520,4 @@ func TestLaneConfigurations(t *testing.T) {
 			}
 		})
 	}
-}
-
-// crossLaneShardPair returns the first two object ids that share a
-// shard of the servers' per-object map but belong to different lanes at
-// the given fanout, so two lane event loops take one shard lock.
-func crossLaneShardPair(t *testing.T, lanes int) []wire.ObjectID {
-	t.Helper()
-	m := shard.New[wire.ObjectID, struct{}]()
-	firstIn := make(map[int]wire.ObjectID)
-	for id := wire.ObjectID(0); id < 1024; id++ {
-		i := m.ShardIndex(id)
-		first, seen := firstIn[i]
-		if !seen {
-			firstIn[i] = id
-			continue
-		}
-		if placement.LaneOf(first, lanes) != placement.LaneOf(id, lanes) {
-			return []wire.ObjectID{first, id}
-		}
-	}
-	t.Fatalf("no two object ids below 1024 share a shard across %d lanes", lanes)
-	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"log/slog"
+	"sync/atomic"
 
 	"repro/internal/ring"
 	"repro/internal/tag"
@@ -20,12 +21,23 @@ import (
 // the §3.1 read barrier, §3.2 fairness, and §3.4 orphan-adoption
 // arguments apply per lane unchanged (DESIGN.md §7).
 //
-// All lane fields are confined to the lane's event-loop goroutine; the
-// per-object states it touches are guarded by their shard locks.
+// All lane fields are confined to the lane's event-loop goroutine, and
+// so are the per-object states in its object table: the lane is the
+// only process that holds a register's replica state, as in the paper.
+// The one exception is objectState.snap, the published read snapshot,
+// which any goroutine may load (DESIGN.md §10).
 type lane struct {
 	srv *Server
 	idx int
 	log *slog.Logger
+
+	// objs is the lane's object table, the replica state of every
+	// object this lane owns, spread over objSlots copy-on-write maps.
+	// Only the lane goroutine (or the single-threaded replay before
+	// Start) writes it, through obj; any goroutine may read it through
+	// lookup. Creating an object copies one slot's map, so creation
+	// costs a copy of 1/objSlots of the lane's objects, not of all.
+	objs [objSlots]atomic.Pointer[map[wire.ObjectID]*objectState]
 
 	// view is the lane's ring view replica. It starts identical to the
 	// control plane's view and transitions only on crash events fanned
@@ -95,6 +107,63 @@ type lane struct {
 
 // noteStateChange invalidates the cached plan.
 func (ln *lane) noteStateChange() { ln.stateVer++ }
+
+// objSlots is the fanout of a lane's object table. A power of two:
+// objSlot keeps the top bits of the object's hash.
+const objSlots = 64
+
+// objSlot returns the slot of a lane's object table holding id: the top
+// six bits of Knuth's multiplicative hash. LaneOf's verdict comes from
+// the low bits, so it does not determine these, and each lane's objects
+// spread over all of its slots.
+func objSlot(id wire.ObjectID) int {
+	return int(uint32(id) * 2654435761 >> 26)
+}
+
+// obj returns the replica state for an object this lane owns, creating
+// it on first use. Only the lane goroutine calls it (or the replay
+// before Start), so the copy-on-write slot has a single writer.
+func (ln *lane) obj(id wire.ObjectID) *objectState {
+	slot := &ln.objs[objSlot(id)]
+	var cur map[wire.ObjectID]*objectState
+	if m := slot.Load(); m != nil {
+		cur = *m
+		if o, ok := cur[id]; ok {
+			return o
+		}
+	}
+	next := make(map[wire.ObjectID]*objectState, len(cur)+1)
+	for k, v := range cur {
+		next[k] = v
+	}
+	o := newObjectState()
+	next[id] = o
+	slot.Store(&next)
+	return o
+}
+
+// lookup returns the replica state for an object, or nil when this lane
+// has never touched it: one atomic load and one lookup in an immutable
+// map, safe from any goroutine. Other goroutines may use only the
+// returned state's snap.
+func (ln *lane) lookup(id wire.ObjectID) *objectState {
+	if m := ln.objs[objSlot(id)].Load(); m != nil {
+		return (*m)[id]
+	}
+	return nil
+}
+
+// rangeObjects calls fn for every object in the lane's table. Lane
+// goroutine (or replay) only.
+func (ln *lane) rangeObjects(fn func(wire.ObjectID, *objectState)) {
+	for i := range ln.objs {
+		if m := ln.objs[i].Load(); m != nil {
+			for id, o := range *m {
+				fn(id, o)
+			}
+		}
+	}
+}
 
 // loop owns the lane's algorithm state. Each iteration first drains
 // every event already delivered to the lane (without blocking), then
@@ -279,18 +348,18 @@ func (ln *lane) onWriteRequest(from wire.ProcessID, env *wire.Envelope) {
 // published snapshot on the delivering goroutine (Server.route). The
 // lane sees the rest (cold objects, outstanding barriers, pooled
 // values, pre-demux or non-demux deliveries) plus snapshot races, so it
-// retries the snapshot once, then serves or parks under the shard lock.
-// Serving a pooled value dissolves its pool ownership (ackRead) and the
-// republished snapshot moves every later read of it back to the
-// lock-free path. The ack goes through the non-blocking ack sender, so
-// the lane never waits on a client.
+// retries the snapshot once, then serves or parks. The decision runs on
+// the owning lane, so no apply can interleave with it. Serving a pooled
+// value dissolves its pool ownership (ackRead) and the republished
+// snapshot moves every later read of it back to the snapshot path. The
+// ack goes through the non-blocking ack sender, so the lane never waits
+// on a client.
 func (ln *lane) onReadRequest(from wire.ProcessID, env *wire.Envelope) {
 	s := ln.srv
 	if s.serveReadFromSnapshot(from, env) {
 		return
 	}
-	sh, o := s.lockedObj(env.Object)
-	defer sh.Unlock()
+	o := ln.obj(env.Object)
 	if o.readableNow() {
 		s.ackRead(from, env.ReqID, env.Object, o)
 		o.publish()
@@ -303,7 +372,7 @@ func (ln *lane) onReadRequest(from wire.ProcessID, env *wire.Envelope) {
 func (ln *lane) onPreWrite(env *wire.Envelope) {
 	ln.noteStateChange()
 	s := ln.srv
-	sh, o := s.lockedObj(env.Object)
+	o := ln.obj(env.Object)
 	key := writeKey{object: env.Object, tag: env.Tag}
 
 	if env.Origin == s.cfg.ID {
@@ -312,7 +381,6 @@ func (ln *lane) onPreWrite(env *wire.Envelope) {
 		// lines 33-38).
 		w, ok := ln.myWrites[key]
 		if !ok || w.phase != phasePreWrite {
-			sh.Unlock()
 			env.RetireValue() // duplicate from recovery retransmission
 			return
 		}
@@ -344,7 +412,6 @@ func (ln *lane) onPreWrite(env *wire.Envelope) {
 		// could complete, so the entry is its last reference).
 		o.prune(env.Tag)
 		o.publish()
-		sh.Unlock()
 		// Value elided like the wire message: replay resolves it from
 		// the pending entry the covering RecInit re-creates.
 		ln.walStage(&wal.Record{
@@ -371,7 +438,6 @@ func (ln *lane) onPreWrite(env *wire.Envelope) {
 		s.applyAndRelease(env.Object, o, env.Tag, env.Value, false)
 		o.prune(env.Tag)
 		o.publish()
-		sh.Unlock()
 		// The adopted write carries its value: the originator's log died
 		// with it, so this server's own RecPreWrite may be the only
 		// covering record — and a restart mid-adoption must not depend
@@ -395,16 +461,15 @@ func (ln *lane) onPreWrite(env *wire.Envelope) {
 	}
 
 	// Paper line 71 records a forwarded pre-write in the pending set on
-	// forward; recording it here, under the lock this handler already
-	// holds, makes the commit-time acquisition unnecessary — one lock
-	// acquisition per forwarded pre-write instead of two. Atomicity is
-	// preserved (reads park earlier, never later), and the buffer
-	// ownership rule is untouched: the entry retires only when a write
-	// for its exact tag arrives, which cannot happen before this lane's
-	// forward has been encoded (DESIGN.md §10).
+	// forward; recording it here, at receive, leaves the commit nothing
+	// to do for a forward and publishes the raised barrier before the
+	// forward is even queued. Atomicity is preserved (reads park
+	// earlier, never later), and the buffer ownership rule is
+	// untouched: the entry retires only when a write for its exact tag
+	// arrives, which cannot happen before this lane's forward has been
+	// encoded (DESIGN.md §10).
 	added := o.addPending(env.Tag, env.Value, env.ValuePooled())
 	o.publish()
-	sh.Unlock()
 	if added {
 		// Staged before the forward leaves (the train gate waits on it),
 		// so a restart re-erects exactly the read barriers this server
@@ -429,8 +494,8 @@ func (ln *lane) onWrite(env *wire.Envelope) {
 
 	if env.Origin == s.cfg.ID {
 		// My own write completed the ring: acknowledge the client
-		// (paper lines 49-51). Only lane-confined bookkeeping is
-		// touched, so no shard lock is taken at all. Recovery can
+		// (paper lines 49-51). Only the lane's write bookkeeping is
+		// touched, not the object's state. Recovery can
 		// re-deliver writes whose bookkeeping is gone; those are
 		// absorbed silently. Either way any carried value (recovery
 		// writes ship one) ends here.
@@ -460,7 +525,7 @@ func (ln *lane) onWrite(env *wire.Envelope) {
 		return
 	}
 
-	sh, o := s.lockedObj(env.Object)
+	o := ln.obj(env.Object)
 	absorb := ln.isOrphanAdopter(env.Origin)
 	elided := env.Flags&wire.FlagValueElided != 0
 	applied := false
@@ -481,7 +546,6 @@ func (ln *lane) onWrite(env *wire.Envelope) {
 	}
 	o.prune(env.Tag)
 	o.publish()
-	sh.Unlock()
 	if applied {
 		rec := wal.Record{
 			Type:   wal.RecWrite,

@@ -11,13 +11,12 @@ import (
 // (one "read/write object" in the paper's terminology; a deployment can
 // multiplex many objects over the same ring).
 //
-// Locking contract (DESIGN.md §10): the owning lane is the only
-// goroutine that mutates tag, value, pending, and the pooled marks; the
-// read path mutates only valuePooled and parked. Every mutation happens
-// under the object's shard lock, and every mutating critical section
-// republishes the read snapshot before unlocking, so the lock-free read
-// fast path always observes the state some completed critical section
-// left behind.
+// Ownership contract (DESIGN.md §10): the object lives in its owning
+// lane's table, and that lane's goroutine is the only one that reads or
+// writes any field but snap — the read slow path included, which runs
+// on the lane too. Every handler that changes the state republishes the
+// read snapshot before it returns, so a snapshot loaded by any other
+// goroutine is always the state some completed handler left behind.
 type objectState struct {
 	// value is the locally stored register value (paper: v).
 	value []byte
@@ -40,18 +39,18 @@ type objectState struct {
 	// circulate through the pool; read values fall to the GC.
 	valuePooled bool
 
-	// snap is the immutable read snapshot served by the lock-free read
-	// fast path. Stored only while holding the object's shard lock
-	// (loads are lock-free), so a loaded snapshot is always the complete
-	// result of some critical section, never a torn intermediate.
+	// snap is the immutable read snapshot the read fast path serves.
+	// Stored only by the owning lane, at the end of a handler, and
+	// loaded by any goroutine, so a loaded snapshot is always the
+	// complete result of some handler, never a torn intermediate.
 	snap atomic.Pointer[readSnapshot]
 }
 
 // readSnapshot is an immutable publication of the replica state a read
-// admission decision needs. handleRead's fast path loads it with one
-// atomic pointer read and serves without ever taking the shard lock —
-// the paper's headline property (reads cost two message delays and
-// never block behind writes) realized at the lock level.
+// admission decision needs. The demux loads it with one atomic pointer
+// read and serves without a hop to the owning lane — the paper's
+// headline property (reads cost two message delays and never block
+// behind writes) realized inside the server.
 type readSnapshot struct {
 	// value and tag are the stored register value and its version.
 	value []byte
@@ -63,9 +62,9 @@ type readSnapshot struct {
 	readable bool
 	// pooled marks value's buffer as still pool-owned. The fast path
 	// must not serve it: handing it to an ack requires dissolving the
-	// ownership under the lock first (the slow path does, and
+	// ownership on the owning lane first (the slow path does, and
 	// republishes with pooled=false, so at most one read per installed
-	// value pays the lock).
+	// value pays the hop to the lane).
 	pooled bool
 }
 
@@ -87,9 +86,9 @@ func sameSlice(a, b []byte) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
-// publish stores a fresh read snapshot of the current state. The caller
-// holds the object's shard lock and calls this once per mutating
-// critical section, just before unlocking.
+// publish stores a fresh read snapshot of the current state. The owning
+// lane calls this once per handler that changed the state, before the
+// handler returns.
 func (o *objectState) publish() {
 	o.snap.Store(&readSnapshot{
 		value:    o.value,

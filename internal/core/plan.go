@@ -183,14 +183,15 @@ func (ln *lane) planFIFO() sendPlan {
 }
 
 // highestObserved returns max(stored tag, highest pending tag) for an
-// object without taking its shard lock: the lane is the sole mutator of
-// an object's tag and pending set (the read path only flips the pooled
-// mark), and every mutating critical section republishes the snapshot
-// before unlocking, so the snapshot this lane last published is exact —
-// not merely a lower bound. A nil snapshot means the object has never
-// been written or pre-written here and the zero tag is correct.
+// object from its published snapshot, without creating the object: the
+// lane is the only goroutine that changes an object's tag and pending
+// set, and every handler that changes them republishes the snapshot
+// before it returns, so the snapshot this lane last published is exact
+// — not merely a lower bound. A missing object or nil snapshot means
+// the object has never been written or pre-written here and the zero
+// tag is correct.
 func (ln *lane) highestObserved(obj wire.ObjectID) tag.Tag {
-	if o := ln.srv.fastObj(obj); o != nil {
+	if o := ln.lookup(obj); o != nil {
 		if sn := o.snap.Load(); sn != nil {
 			return sn.tag.Max(sn.barrier)
 		}
@@ -296,12 +297,11 @@ func (ln *lane) finishPlan(prim planItem) sendPlan {
 // have changed since planning: the lane plans and commits within one
 // select iteration.
 //
-// Shard-lock budget (DESIGN.md §10): forwarded envelopes touch no object
-// state at commit (pre-writes joined the pending set at receive time,
-// under the receive handler's lock hold), and the initiations' pending
-// entries are recorded grouped by object — exactly one shard-lock
-// acquisition per distinct initiated object per train, asserted by the
-// lockObserver test hook.
+// Object-state budget (DESIGN.md §10): forwarded envelopes touch no
+// object state at commit (pre-writes joined the pending set at receive
+// time), and the initiations' pending entries are recorded grouped by
+// object — one snapshot publication per distinct initiated object per
+// train.
 func (ln *lane) commitRingSend(plan sendPlan) {
 	ln.noteStateChange()
 	ln.srv.ringFrames.Add(1)
@@ -328,7 +328,7 @@ func (ln *lane) commitRingSend(plan sendPlan) {
 
 // initAdd is one initiation's deferred pending-set insertion, batched by
 // commitRingSend so one train's initiations of the same object share a
-// single lock hold.
+// single snapshot publication.
 type initAdd struct {
 	object wire.ObjectID
 	tag    tag.Tag
@@ -392,12 +392,11 @@ func (ln *lane) commitItem(it planItem) {
 		ln.fq.charge(it.origin) // paper line 72
 	}
 	// Forwarded pre-writes joined the pending set at receive time
-	// (paper line 71, moved under the receive handler's lock hold);
-	// nothing left to record here.
+	// (paper line 71, moved to onPreWrite); nothing left to record here.
 }
 
 // flushInitAdds records the train's initiations in their objects'
-// pending sets, one shard-lock acquisition per distinct object. The
+// pending sets, one snapshot publication per distinct object. The
 // scratch slice is lane-owned and reused across trains; vacated slots
 // are zeroed so committed values do not linger through the backing
 // array. The nested scan is quadratic in the train's initiation count,
@@ -411,7 +410,7 @@ func (ln *lane) flushInitAdds() {
 		if adds[i].done {
 			continue
 		}
-		sh, o := ln.srv.lockedObj(adds[i].object)
+		o := ln.obj(adds[i].object)
 		for j := i; j < len(adds); j++ {
 			if adds[j].done || adds[j].object != adds[i].object {
 				continue
@@ -420,18 +419,9 @@ func (ln *lane) flushInitAdds() {
 			adds[j].done = true
 		}
 		o.publish()
-		sh.Unlock()
 	}
 	for i := range adds {
 		adds[i] = initAdd{}
 	}
 	ln.initAdds = adds[:0]
-}
-
-// pendingBarrier returns the read barrier for an object: the highest
-// pending tag (used by internal tests).
-func (s *Server) pendingBarrier(obj wire.ObjectID) tag.Tag {
-	sh, o := s.lockedObj(obj)
-	defer sh.Unlock()
-	return o.maxPending()
 }

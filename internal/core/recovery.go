@@ -70,14 +70,7 @@ func (ln *lane) requeue(env wire.Envelope) {
 // a second reference, so its buffer is struck from the pool-ownership
 // books (leaked to the GC) before the requeue.
 func (ln *lane) retransmitAfterSuccessorCrash() {
-	s := ln.srv
-	// Range holds each shard's lock while its objects are visited, which
-	// stalls other lanes' locked handlers on those shards for the
-	// duration — crash recovery is rare enough that simplicity wins.
-	s.objects.Range(func(objID wire.ObjectID, o *objectState) bool {
-		if s.laneFor(objID) != ln.idx {
-			return true // another lane's object; its loop retransmits it
-		}
+	ln.rangeObjects(func(objID wire.ObjectID, o *objectState) {
 		if !o.tag.IsZero() {
 			o.valuePooled = false
 			ln.requeue(wire.Envelope{
@@ -100,7 +93,6 @@ func (ln *lane) retransmitAfterSuccessorCrash() {
 			})
 		}
 		o.publish()
-		return true
 	})
 }
 
@@ -118,7 +110,7 @@ func (ln *lane) adoptOrphans() {
 			if env.Kind != wire.KindPreWrite {
 				continue // writes were applied on receipt; just absorb
 			}
-			sh, o := s.lockedObj(env.Object)
+			o := ln.obj(env.Object)
 			// The turned-around write re-ships the value, aliasing it:
 			// neither the installed copy nor any pending entry for the
 			// tag may recycle its buffer — and unlike a write received
@@ -130,7 +122,6 @@ func (ln *lane) adoptOrphans() {
 			o.prune(env.Tag)
 			o.dropPending(env.Tag)
 			o.publish()
-			sh.Unlock()
 			// Same rule as the receive-time adoption in onPreWrite: the
 			// turned-around write is logged with its value, because the
 			// crashed originator's RecInit no longer exists anywhere.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/ackq"
 	"repro/internal/placement"
 	"repro/internal/ring"
-	"repro/internal/shard"
 	"repro/internal/tag"
 	"repro/internal/transport"
 	"repro/internal/wal"
@@ -76,10 +75,10 @@ type outFrame struct {
 // view replica) is confined to that lane's event-loop goroutine. The
 // transports demultiplex inbound frames straight into the owning lane's
 // inbox, so lanes never synchronize on the hot path. Per-object replica
-// state lives in the sharded objects map: the owning lane takes the
-// object's shard lock around every access, and the delivering
-// goroutines serve reads from the published snapshot without it. What
-// remains shared is the control plane — one goroutine owning the
+// state lives in the owning lane's object table and only that lane
+// touches it; the delivering goroutines serve reads from the published
+// snapshot, the one piece of object state other goroutines read, and
+// the server takes no mutex at all. What remains shared is the control plane — one goroutine owning the
 // authoritative ring view, consuming the failure detector and crash
 // gossip and fanning recovery out to every lane — and the ack sender,
 // sharded per client (DESIGN.md §11): each destination gets its own
@@ -96,28 +95,6 @@ type Server struct {
 	// goroutine; each lane holds its own replica, updated by crash
 	// fan-out.
 	view *ring.View
-
-	// objects holds the per-register replica state, created lazily and
-	// sharded by ObjectID hash. Every access to an objectState's mutable
-	// fields happens under its shard's lock; the published read snapshot
-	// (objectState.snap) is loaded lock-free.
-	objects *shard.Map[wire.ObjectID, *objectState]
-
-	// objIndex is a copy-on-write replica of the objects map, one slot
-	// per shard, for lock-free lookups: the read fast path and the
-	// train planner resolve an objectState pointer with one atomic load
-	// and one lookup in an immutable map, no lock. A slot is rebuilt
-	// (rarely: only when lockedObj creates an object) under its shard's
-	// lock, which also serializes the slot's writers, so creation costs
-	// one copy of that shard's slice of the objects — not of the whole
-	// map — and takes no extra mutex.
-	objIndex []atomic.Pointer[map[wire.ObjectID]*objectState]
-
-	// lockObserver, when non-nil, is invoked with the object id on every
-	// shard-lock acquisition through lockedObj. Test hook backing the
-	// locking-contract assertions (one acquisition per object per train
-	// commit, zero on the read serve path); nil outside tests.
-	lockObserver func(wire.ObjectID)
 
 	// lanes are the independent ring lanes of the write path.
 	lanes []*lane
@@ -201,12 +178,10 @@ func NewServer(cfg Config, ep transport.Endpoint) (*Server, error) {
 		ep:       ep,
 		log:      cfg.logger().With("server", cfg.ID),
 		view:     view,
-		objects:  shard.New[wire.ObjectID, *objectState](),
 		ctrlc:    make(chan transport.Inbound, 16),
 		stopc:    make(chan struct{}),
 		trainLen: cfg.trainLength(),
 	}
-	s.objIndex = make([]atomic.Pointer[map[wire.ObjectID]*objectState], s.objects.NumShards())
 	var try func(wire.ProcessID, wire.Frame) bool
 	if ts, ok := ep.(transport.TrySender); ok {
 		try = ts.TrySend
@@ -480,63 +455,13 @@ func (s *Server) noteCrash(crashed wire.ProcessID) {
 	}
 }
 
-// lockedObj returns the replica state for an object with its shard
-// locked, creating the state on first use. The caller unlocks the shard
-// when done with the objectState.
-func (s *Server) lockedObj(id wire.ObjectID) (*shard.Shard[wire.ObjectID, *objectState], *objectState) {
-	sh := s.objects.Shard(id)
-	sh.Lock()
-	if s.lockObserver != nil {
-		s.lockObserver(id)
-	}
-	o, ok := sh.Get(id)
-	if !ok {
-		o = newObjectState()
-		sh.Put(id, o)
-		s.indexObject(id, o)
-	}
-	return sh, o
-}
-
-// indexObject publishes a freshly created objectState into the
-// copy-on-write lock-free index. Called with the object's shard lock
-// held, which is also what serializes writers of the shard's slot; the
-// shard-sized copy is paid once per object lifetime, never on a hot
-// path.
-func (s *Server) indexObject(id wire.ObjectID, o *objectState) {
-	slot := &s.objIndex[s.objects.ShardIndex(id)]
-	old := slot.Load()
-	var next map[wire.ObjectID]*objectState
-	if old == nil {
-		next = make(map[wire.ObjectID]*objectState, 4)
-	} else {
-		next = make(map[wire.ObjectID]*objectState, len(*old)+1)
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[id] = o
-	slot.Store(&next)
-}
-
-// fastObj resolves an objectState without any lock, or nil when the
-// object has never been touched on this server. The returned pointer is
-// only safe for lock-free use of objectState.snap; everything else
-// still requires the shard lock.
-func (s *Server) fastObj(id wire.ObjectID) *objectState {
-	if m := s.objIndex[s.objects.ShardIndex(id)].Load(); m != nil {
-		return (*m)[id]
-	}
-	return nil
-}
-
 // loadSnapshot returns the object's published read snapshot when it is
-// servable by the lock-free fast path: the admission check passed at
-// publish time and the value's buffer can no longer be recycled under
-// the ack. Everything else (park, pooled value, cold object) reports
-// false and falls to the locked slow path.
+// servable from any goroutine: the admission check passed at publish
+// time and the value's buffer can no longer be recycled under the ack.
+// Everything else (park, pooled value, cold object) reports false and
+// falls to the owning lane.
 func (s *Server) loadSnapshot(id wire.ObjectID) (*readSnapshot, bool) {
-	o := s.fastObj(id)
+	o := s.lanes[s.laneFor(id)].lookup(id)
 	if o == nil {
 		return nil, false
 	}
@@ -547,24 +472,13 @@ func (s *Server) loadSnapshot(id wire.ObjectID) (*readSnapshot, bool) {
 	return sn, true
 }
 
-// obj returns the replica state for an object, creating it on first use.
-// It takes and releases the shard lock; the returned pointer is only
-// safe to use without further locking while no other goroutine touches
-// object state (the internal test harnesses that drive handlers
-// synchronously).
-func (s *Server) obj(id wire.ObjectID) *objectState {
-	sh, o := s.lockedObj(id)
-	sh.Unlock()
-	return o
-}
-
 // ackRead queues a read_ack with the stored value. Handing the value to
 // an ack creates an alias whose lifetime the server cannot observe (the
 // ack sender and the transport encode at an unobservable later time),
 // so the buffer's pool ownership dissolves: a value that was ever read
 // is left to the GC when replaced, and only never-read values recycle
-// through the pool. The caller holds the object's shard lock; the
-// enqueue never blocks under it.
+// through the pool. Called on the object's lane; the enqueue never
+// blocks it.
 func (s *Server) ackRead(to wire.ProcessID, reqID uint64, obj wire.ObjectID, o *objectState) {
 	o.valuePooled = false
 	s.enqueueAck(to, wire.NewFrame(wire.Envelope{
@@ -583,10 +497,10 @@ func (s *Server) ackRead(to wire.ProcessID, reqID uint64, obj wire.ObjectID, o *
 // NEXT apply may recycle it; the replaced value's buffer is recycled now
 // if its ownership survived — i.e. it was pooled and never handed to a
 // read ack (ackRead dissolves ownership, because ack encoding happens
-// at an unobservable later time on the transport's writer). The caller
-// holds the object's shard lock — which is what makes the park-or-serve
-// decision of a concurrent slow-path read atomic with respect to this
-// apply — and republishes the read snapshot before unlocking.
+// at an unobservable later time on the transport's writer). Called on
+// the object's lane, which also makes every park-or-serve decision for
+// the object, so the two never interleave; the caller republishes the
+// read snapshot afterwards.
 func (s *Server) applyAndRelease(objID wire.ObjectID, o *objectState, t tag.Tag, v []byte, pooled bool) bool {
 	old, oldPooled := o.value, o.valuePooled
 	if !o.apply(t, v) {

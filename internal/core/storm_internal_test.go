@@ -45,6 +45,20 @@ func (h *stormHarness) lane(obj wire.ObjectID) *lane {
 	return h.s.lanes[h.s.laneFor(obj)]
 }
 
+// obj returns the replica state for an object from its owning lane's
+// table, creating it on first use. Only for tests that drive the
+// handlers synchronously, with no lane goroutine running.
+func (s *Server) obj(id wire.ObjectID) *objectState {
+	return s.lanes[s.laneFor(id)].obj(id)
+}
+
+// rangeAllObjects walks every lane's object table.
+func (s *Server) rangeAllObjects(fn func(wire.ObjectID, *objectState)) {
+	for _, ln := range s.lanes {
+		ln.rangeObjects(fn)
+	}
+}
+
 // crashAll fans a crash event out to every lane, as the control plane
 // does.
 func (h *stormHarness) crashAll(crashed wire.ProcessID) {
@@ -56,7 +70,7 @@ func (h *stormHarness) crashAll(crashed wire.ProcessID) {
 // invariants checks the safety conditions after every step.
 func (h *stormHarness) invariants(prevTags map[wire.ObjectID]tag.Tag) {
 	h.t.Helper()
-	h.s.objects.Range(func(objID wire.ObjectID, o *objectState) bool {
+	h.s.rangeAllObjects(func(objID wire.ObjectID, o *objectState) {
 		// Stored tags never regress.
 		if prev, ok := prevTags[objID]; ok && o.tag.Less(prev) {
 			h.t.Fatalf("object %d tag regressed: %s -> %s", objID, prev, o.tag)
@@ -78,7 +92,6 @@ func (h *stormHarness) invariants(prevTags map[wire.ObjectID]tag.Tag) {
 				}
 			}
 		}
-		return true
 	})
 }
 
@@ -264,60 +277,91 @@ func TestPlanCommitConsistency(t *testing.T) {
 }
 
 // TestRecoveryRetransmitsPendingAndValue checks paper lines 85-92
-// directly: after the successor crashes, the forward queue contains the
-// current value as a write and every pending pre-write.
+// directly: after the successor crashes, each lane's forward queue holds
+// the current value of every object the lane owns as a write and every
+// pending pre-write — and nothing of another lane's objects, at one lane
+// and at four.
 func TestRecoveryRetransmitsPendingAndValue(t *testing.T) {
-	h := newStormHarness(t, 0, func(c *Config) { c.WriteLanes = 1 })
-	ln := h.s.lanes[0]
-	// Install a value and two pending pre-writes.
-	ln.onWrite(&wire.Envelope{Kind: wire.KindWrite, Object: 0, Tag: tag.Tag{TS: 3, ID: 2}, Origin: 2, Value: []byte("stored")})
-	ln.onPreWrite(&wire.Envelope{Kind: wire.KindPreWrite, Object: 0, Tag: tag.Tag{TS: 4, ID: 2}, Origin: 2, Value: []byte("p1")})
-	ln.onPreWrite(&wire.Envelope{Kind: wire.KindPreWrite, Object: 0, Tag: tag.Tag{TS: 5, ID: 3}, Origin: 3, Value: []byte("p2")})
-	// Forward them so they enter the pending set (on-forward mode).
-	for {
-		plan := ln.planRingSend()
-		if !plan.ok {
-			break
+	const objects = 8
+	stored := tag.Tag{TS: 3, ID: 3}
+	orphan := tag.Tag{TS: 4, ID: 2}
+	pending := tag.Tag{TS: 5, ID: 3}
+	for _, lanes := range []int{1, 4} {
+		h := newStormHarness(t, 0, func(c *Config) { c.WriteLanes = lanes })
+		own := make([]map[wire.ObjectID]bool, len(h.s.lanes))
+		for i := range own {
+			own[i] = make(map[wire.ObjectID]bool)
 		}
-		ln.commitRingSend(plan)
-	}
-	if h.s.obj(0).pending.size() != 2 {
-		t.Fatalf("pending = %d, want 2", h.s.obj(0).pending.size())
-	}
+		// Install a value and two pending pre-writes on every object.
+		for obj := wire.ObjectID(0); obj < objects; obj++ {
+			ln := h.lane(obj)
+			own[ln.idx][obj] = true
+			ln.onWrite(&wire.Envelope{Kind: wire.KindWrite, Object: obj, Tag: stored, Origin: 3, Value: []byte("stored")})
+			ln.onPreWrite(&wire.Envelope{Kind: wire.KindPreWrite, Object: obj, Tag: orphan, Origin: 2, Value: []byte("p1")})
+			ln.onPreWrite(&wire.Envelope{Kind: wire.KindPreWrite, Object: obj, Tag: pending, Origin: 3, Value: []byte("p2")})
+		}
+		for i, mine := range own {
+			if len(mine) == 0 {
+				t.Fatalf("lanes=%d: lane %d owns none of objects 0..%d", lanes, i, objects-1)
+			}
+		}
+		// Forward everything, so every forward queue starts out empty.
+		for _, ln := range h.s.lanes {
+			for {
+				plan := ln.planRingSend()
+				if !plan.ok {
+					break
+				}
+				ln.commitRingSend(plan)
+			}
+		}
+		for obj := wire.ObjectID(0); obj < objects; obj++ {
+			if n := h.s.obj(obj).pending.size(); n != 2 {
+				t.Fatalf("lanes=%d: object %d pending = %d, want 2", lanes, obj, n)
+			}
+		}
 
-	// Successor 2 crashes: recovery must queue 1 value write + 2
-	// pre-write retransmissions (plus adopt orphans of origin 2).
-	h.crashAll(2)
-	var writes, prewrites int
-	for _, origin := range ln.fq.order {
-		for _, env := range ln.fq.envelopesOf(origin) {
-			switch env.Kind {
-			case wire.KindWrite:
-				writes++
-			case wire.KindPreWrite:
-				prewrites++
+		// Successor 2 crashes: every lane re-queues its objects' values
+		// and pending pre-writes, and, as the alive predecessor of 2 in
+		// ring order 1->2->3, turns 2's orphaned pre-write around into
+		// its write phase.
+		h.crashAll(2)
+		for _, ln := range h.s.lanes {
+			type requeued struct{ value, orphanWrite, preWrite bool }
+			got := make(map[wire.ObjectID]*requeued)
+			for _, origin := range ln.fq.order {
+				for _, env := range ln.fq.envelopesOf(origin) {
+					if !own[ln.idx][env.Object] {
+						t.Fatalf("lanes=%d: lane %d re-queued object %d, owned by lane %d",
+							lanes, ln.idx, env.Object, h.s.laneFor(env.Object))
+					}
+					r := got[env.Object]
+					if r == nil {
+						r = &requeued{}
+						got[env.Object] = r
+					}
+					switch {
+					case env.Kind == wire.KindWrite && env.Tag == stored:
+						r.value = true
+					case env.Kind == wire.KindWrite && env.Tag == orphan:
+						r.orphanWrite = true
+					case env.Kind == wire.KindPreWrite && env.Tag == pending:
+						r.preWrite = true
+					}
+				}
+			}
+			for obj := range own[ln.idx] {
+				r := got[obj]
+				switch {
+				case r == nil || !r.value:
+					t.Fatalf("lanes=%d: recovery did not retransmit object %d's current value", lanes, obj)
+				case !r.preWrite:
+					t.Fatalf("lanes=%d: recovery did not retransmit object %d's pending pre-write", lanes, obj)
+				case !r.orphanWrite:
+					t.Fatalf("lanes=%d: object %d's orphaned pre-write was not turned around", lanes, obj)
+				}
 			}
 		}
-	}
-	if writes == 0 {
-		t.Fatal("recovery did not retransmit the current value")
-	}
-	if prewrites == 0 {
-		t.Fatal("recovery did not retransmit pending pre-writes")
-	}
-	// The orphaned pre-write of crashed origin 2 must have been turned
-	// around into its write phase by the adopter (in ring order 1->2->3,
-	// 2's alive predecessor is 1).
-	foundOrphanWrite := false
-	for _, origin := range ln.fq.order {
-		for _, env := range ln.fq.envelopesOf(origin) {
-			if env.Kind == wire.KindWrite && env.Tag == (tag.Tag{TS: 4, ID: 2}) {
-				foundOrphanWrite = true
-			}
-		}
-	}
-	if !foundOrphanWrite {
-		t.Fatal("orphaned pre-write of the crashed originator was not turned around")
 	}
 }
 

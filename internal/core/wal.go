@@ -84,12 +84,12 @@ func (s *Server) replayRecord(r *wal.Record) error {
 				ln.replayVals = make(map[writeKey][]byte)
 			}
 			ln.replayVals[key] = r.Value
-			s.obj(r.Object).addPending(r.Tag, r.Value, false)
+			ln.obj(r.Object).addPending(r.Tag, r.Value, false)
 		}
 	case wal.RecPreWrite:
-		s.obj(r.Object).addPending(r.Tag, r.Value, false)
+		ln.obj(r.Object).addPending(r.Tag, r.Value, false)
 	case wal.RecWrite:
-		o := s.obj(r.Object)
+		o := ln.obj(r.Object)
 		v, haveV := r.Value, r.Flags&wal.FlagHasValue != 0
 		if !haveV {
 			// Elided, like the wire message it logged: the value lives in
@@ -119,38 +119,37 @@ func (s *Server) replayRecord(r *wal.Record) error {
 }
 
 // compactWAL rewrites the log as a snapshot of the live state the
-// replay produced: every object's stored value and pending pre-writes,
-// then every lane's in-flight own writes, so each object's own writes
-// follow its stored state as they would in history. History the
-// snapshot supersedes is deleted, bounding restart replay work by live
-// state instead of log age.
+// replay produced: lane by lane, every object's stored value and
+// pending pre-writes, then the lane's in-flight own writes, so each
+// object's own writes follow its stored state as they would in history.
+// History the snapshot supersedes is deleted, bounding restart replay
+// work by live state instead of log age.
 func (s *Server) compactWAL() error {
 	return s.wal.Compact(func(add func(*wal.Record)) {
-		s.objects.Range(func(objID wire.ObjectID, o *objectState) bool {
-			if !o.tag.IsZero() {
-				add(&wal.Record{
-					Type:   wal.RecWrite,
-					Object: objID,
-					Tag:    o.tag,
-					Origin: wire.ProcessID(o.tag.ID),
-					Flags:  wal.FlagHasValue,
-					Value:  o.value,
-				})
-			}
-			for i := range o.pending.entries {
-				e := &o.pending.entries[i]
-				add(&wal.Record{
-					Type:   wal.RecPreWrite,
-					Object: objID,
-					Tag:    e.tag,
-					Origin: wire.ProcessID(e.tag.ID),
-					Flags:  wal.FlagHasValue,
-					Value:  e.value,
-				})
-			}
-			return true
-		})
 		for _, ln := range s.lanes {
+			ln.rangeObjects(func(objID wire.ObjectID, o *objectState) {
+				if !o.tag.IsZero() {
+					add(&wal.Record{
+						Type:   wal.RecWrite,
+						Object: objID,
+						Tag:    o.tag,
+						Origin: wire.ProcessID(o.tag.ID),
+						Flags:  wal.FlagHasValue,
+						Value:  o.value,
+					})
+				}
+				for i := range o.pending.entries {
+					e := &o.pending.entries[i]
+					add(&wal.Record{
+						Type:   wal.RecPreWrite,
+						Object: objID,
+						Tag:    e.tag,
+						Origin: wire.ProcessID(e.tag.ID),
+						Flags:  wal.FlagHasValue,
+						Value:  e.value,
+					})
+				}
+			})
 			for key, w := range ln.myWrites {
 				rec := wal.Record{
 					Type:   wal.RecInit,
@@ -173,43 +172,18 @@ func (s *Server) compactWAL() error {
 }
 
 // requeueReplayedState resumes the ring traversals the crash
-// interrupted, mirroring retransmitAfterSuccessorCrash: the stored
-// value re-circulates as a write, every pending pre-write re-circulates
-// as a pre-write (each with its original origin, so it terminates at
-// its originator or adopter), and this server's own in-flight writes
+// interrupted. Each lane runs retransmitAfterSuccessorCrash: its stored
+// values re-circulate as writes and its pending pre-writes as
+// pre-writes (each with its original origin, so it terminates at its
+// originator or adopter). Then this server's own in-flight writes
 // restart their current phase. Prefix pruning at the receivers absorbs
 // whatever is stale; completed traversals re-ack, and a duplicate ack
 // to a client that already moved on is harmless (and, after a full-
 // cluster restart, expected — restart tests must not assert
 // AckSendFailures == 0).
 func (s *Server) requeueReplayedState() {
-	s.objects.Range(func(objID wire.ObjectID, o *objectState) bool {
-		ln := s.lanes[s.laneFor(objID)]
-		if !o.tag.IsZero() {
-			o.valuePooled = false
-			ln.requeue(wire.Envelope{
-				Kind:   wire.KindWrite,
-				Object: objID,
-				Tag:    o.tag,
-				Origin: wire.ProcessID(o.tag.ID),
-				Value:  o.value,
-			})
-		}
-		for i := range o.pending.entries {
-			e := &o.pending.entries[i]
-			e.pooled = false
-			ln.requeue(wire.Envelope{
-				Kind:   wire.KindPreWrite,
-				Object: objID,
-				Tag:    e.tag,
-				Origin: wire.ProcessID(e.tag.ID),
-				Value:  e.value,
-			})
-		}
-		o.publish()
-		return true
-	})
 	for _, ln := range s.lanes {
+		ln.retransmitAfterSuccessorCrash()
 		for key, w := range ln.myWrites {
 			switch w.phase {
 			case phasePreWrite:
@@ -219,7 +193,7 @@ func (s *Server) requeueReplayedState() {
 				// replayVals still holds the client's bytes.
 				v, ok := ln.replayVals[key]
 				if !ok {
-					v, _ = s.obj(key.object).pending.get(key.tag)
+					v, _ = ln.obj(key.object).pending.get(key.tag)
 				}
 				ln.requeue(wire.Envelope{
 					Kind:   wire.KindPreWrite,
@@ -229,7 +203,7 @@ func (s *Server) requeueReplayedState() {
 					Value:  v,
 				})
 			case phaseWrite:
-				if o := s.obj(key.object); o.tag == key.tag {
+				if o := ln.obj(key.object); o.tag == key.tag {
 					continue // the stored-value requeue above re-circulates it
 				}
 				// Elided, like the live write phase: any server whose

@@ -407,9 +407,7 @@ func (r *runner) fire(at time.Duration, a Action) {
 		r.eng.heal()
 	case ActCrash:
 		ids := r.crashTargets(a.Target)
-		for _, id := range ids {
-			r.cluster.Crash(id)
-		}
+		r.cluster.Crash(ids...)
 		desc = fmt.Sprintf("%s -> %v", desc, ids)
 	case ActRestart:
 		ids := r.restartTargets(a.Target)

@@ -97,26 +97,35 @@ func (n *MemNetwork) register(id wire.ProcessID, hello *wire.Hello) (*MemEndpoin
 	return ep, nil
 }
 
-// Crash simulates the crash of a process: its endpoint stops accepting
-// and delivering messages and every other endpoint receives a failure
-// notification. Crashing an unknown or already-down process is a no-op.
-func (n *MemNetwork) Crash(id wire.ProcessID) {
+// Crash simulates the simultaneous crash of a set of processes: their
+// endpoints stop accepting and delivering messages, and every surviving
+// endpoint receives one failure notification per victim. The whole set
+// leaves the network before anyone is notified, so no survivor's
+// failure detector fires while another victim can still act on it —
+// crashing {1, 2} in one call is one event, not two. Unknown or
+// already-down ids are skipped.
+func (n *MemNetwork) Crash(ids ...wire.ProcessID) {
 	n.mu.Lock()
-	victim := n.endpoints[id]
-	if victim == nil {
-		n.mu.Unlock()
-		return
+	victims := make([]*MemEndpoint, 0, len(ids))
+	for _, id := range ids {
+		if ep := n.endpoints[id]; ep != nil {
+			victims = append(victims, ep)
+			delete(n.endpoints, id)
+		}
 	}
-	delete(n.endpoints, id)
-	others := make([]*MemEndpoint, 0, len(n.endpoints))
+	survivors := make([]*MemEndpoint, 0, len(n.endpoints))
 	for _, ep := range n.endpoints {
-		others = append(others, ep)
+		survivors = append(survivors, ep)
 	}
 	n.mu.Unlock()
 
-	victim.shutdown()
-	for _, ep := range others {
-		ep.notifyFailure(id)
+	for _, v := range victims {
+		v.shutdown()
+	}
+	for _, ep := range survivors {
+		for _, v := range victims {
+			ep.notifyFailure(v.id)
+		}
 	}
 }
 

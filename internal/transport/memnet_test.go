@@ -102,6 +102,42 @@ func TestCrashNotifiesEveryoneElse(t *testing.T) {
 	}
 }
 
+// TestCrashSetNotifiesOnlySurvivors crashes two of three endpoints in
+// one call: only the survivor hears of the crashes, once each, and
+// neither victim is told of the other.
+func TestCrashSetNotifiesOnlySurvivors(t *testing.T) {
+	n := NewMemNetwork(MemNetworkOptions{})
+	a, _ := n.Register(1)
+	b, _ := n.Register(2)
+	c, _ := n.Register(3)
+	n.Crash(1, 2)
+
+	heard := make(map[wire.ProcessID]bool)
+	for len(heard) < 2 {
+		select {
+		case got := <-c.Failures():
+			if heard[got] || (got != 1 && got != 2) {
+				t.Fatalf("survivor heard crash of %d after %v, want 1 and 2 once each", got, heard)
+			}
+			heard[got] = true
+		case <-time.After(time.Second):
+			t.Fatalf("survivor heard only %v", heard)
+		}
+	}
+	for _, ep := range []*MemEndpoint{a, b} {
+		select {
+		case got := <-ep.Failures():
+			t.Fatalf("crashed endpoint %d received failure notice %d", ep.ID(), got)
+		default:
+		}
+	}
+	select {
+	case got := <-c.Failures():
+		t.Fatalf("survivor received extra failure notice %d", got)
+	default:
+	}
+}
+
 func TestSendToCrashedPeer(t *testing.T) {
 	n := NewMemNetwork(MemNetworkOptions{})
 	a, _ := n.Register(1)
