@@ -108,16 +108,19 @@ type lane struct {
 // noteStateChange invalidates the cached plan.
 func (ln *lane) noteStateChange() { ln.stateVer++ }
 
-// objSlots is the fanout of a lane's object table. A power of two:
-// objSlot keeps the top bits of the object's hash.
-const objSlots = 64
+// objSlots is the fanout of a lane's object table: 64 slots, indexed
+// by the top objSlotBits bits of the object's hash.
+const (
+	objSlotBits = 6
+	objSlots    = 1 << objSlotBits
+)
 
 // objSlot returns the slot of a lane's object table holding id: the top
-// six bits of Knuth's multiplicative hash. LaneOf's verdict comes from
-// the low bits, so it does not determine these, and each lane's objects
+// bits of Knuth's multiplicative hash. LaneOf's verdict comes from the
+// low bits, so it does not determine these, and each lane's objects
 // spread over all of its slots.
 func objSlot(id wire.ObjectID) int {
-	return int(uint32(id) * 2654435761 >> 26)
+	return int(uint32(id) * 2654435761 >> (32 - objSlotBits))
 }
 
 // obj returns the replica state for an object this lane owns, creating

@@ -77,8 +77,8 @@ type outFrame struct {
 // inbox, so lanes never synchronize on the hot path. Per-object replica
 // state lives in the owning lane's object table and only that lane
 // touches it; the delivering goroutines serve reads from the published
-// snapshot, the one piece of object state other goroutines read, and
-// the server takes no mutex at all. What remains shared is the control plane — one goroutine owning the
+// snapshot, the one piece of object state other goroutines read. What
+// remains shared is the control plane — one goroutine owning the
 // authoritative ring view, consuming the failure detector and crash
 // gossip and fanning recovery out to every lane — and the ack sender,
 // sharded per client (DESIGN.md §11): each destination gets its own

@@ -435,12 +435,20 @@ func (l *Log) syncPass() {
 	}
 	if err != nil {
 		l.setFailed(err)
+	} else {
+		// Count the pass before publishing its watermarks, so a waiter
+		// that returns finds the sync it waited on in Stats.
+		var written uint64
+		for i := range l.pass {
+			written += uint64(len(l.pass[i].buf))
+		}
+		l.batches.Add(uint64(len(l.pass)))
+		l.syncs.Add(1)
+		l.syncBytes.Add(written)
 	}
 
-	var written uint64
 	for i := range l.pass {
 		p := &l.pass[i]
-		written += uint64(len(p.buf))
 		ll := &l.lanes[p.lane]
 		ll.mu.Lock()
 		if err == nil {
@@ -455,11 +463,7 @@ func (l *Log) syncPass() {
 	}
 	if err != nil {
 		l.wakeAll()
-		return
 	}
-	l.batches.Add(uint64(len(l.pass)))
-	l.syncs.Add(1)
-	l.syncBytes.Add(written)
 }
 
 // writePass writes the pass's batches, then its audit root when
