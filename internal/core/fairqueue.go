@@ -316,146 +316,3 @@ func (q *fairQueue) fifoPop() (wire.Envelope, bool) {
 	}
 	return wire.Envelope{}, false
 }
-
-// fifoPeek is the non-destructive version of fifoPop.
-func (q *fairQueue) fifoPeek() (wire.Envelope, bool) {
-	for _, origin := range q.order {
-		if q.hasAny(origin) {
-			return q.peekFirst(origin, 0)
-		}
-	}
-	return wire.Envelope{}, false
-}
-
-// trainCursor applies the fairness rule repeatedly over a fairQueue
-// without mutating it: the train planner consumes envelopes and charges
-// origins against a plan-local overlay, and the real pops and charges
-// happen at commit time — planning stays side-effect-free (DESIGN.md
-// §3.5), so a plan discarded by the event loop's select leaves no trace.
-type trainCursor struct {
-	q        *fairQueue
-	overlays map[wire.ProcessID]*cursorOverlay
-	// touched lists the overlays dirtied since the last reset, so reset
-	// zeroes only those instead of walking the whole map every plan.
-	touched []*cursorOverlay
-}
-
-// cursorOverlay is one origin's plan-local state: how many envelopes of
-// each bucket the plan has consumed, and how many simulated nb_msg
-// charges it has accrued.
-type cursorOverlay struct {
-	consumed [fqBuckets]int
-	charges  uint64
-}
-
-// newTrainCursor returns an empty cursor; bind it with reset.
-func newTrainCursor() *trainCursor {
-	return &trainCursor{overlays: make(map[wire.ProcessID]*cursorOverlay)}
-}
-
-// reset binds the cursor to q and clears plan-local state. Overlay
-// entries are retained across plans (the origin set is small and
-// stable); only the ones the previous plan dirtied are zeroed.
-func (c *trainCursor) reset(q *fairQueue) {
-	c.q = q
-	for _, ov := range c.touched {
-		*ov = cursorOverlay{}
-	}
-	c.touched = c.touched[:0]
-}
-
-// overlay returns (creating if needed) the origin's overlay and marks
-// it dirty for the next reset.
-func (c *trainCursor) overlay(origin wire.ProcessID) *cursorOverlay {
-	ov := c.overlays[origin]
-	if ov == nil {
-		ov = &cursorOverlay{}
-		c.overlays[origin] = ov
-	}
-	if ov.consumed == [fqBuckets]int{} && ov.charges == 0 {
-		c.touched = append(c.touched, ov)
-	}
-	return ov
-}
-
-// count returns the origin's effective nb_msg: committed plus planned.
-func (c *trainCursor) count(origin wire.ProcessID) uint64 {
-	n := c.q.nbMsg[origin]
-	if ov := c.overlays[origin]; ov != nil {
-		n += ov.charges
-	}
-	return n
-}
-
-// charge accrues one simulated nb_msg charge for the origin.
-func (c *trainCursor) charge(origin wire.ProcessID) { c.overlay(origin).charges++ }
-
-// hasAny reports whether the origin still has unconsumed envelopes.
-func (c *trainCursor) hasAny(origin wire.ProcessID) bool {
-	oq := c.q.queues[origin]
-	if oq == nil {
-		return false
-	}
-	ov := c.overlays[origin]
-	for b := 0; b < fqBuckets; b++ {
-		n := oq.bucketLen(b)
-		if ov != nil {
-			n -= ov.consumed[b]
-		}
-		if n > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// selectOrigin is fairQueue.selectOrigin with the overlay applied:
-// consumed envelopes no longer qualify their origin, and planned
-// charges count against it.
-func (c *trainCursor) selectOrigin(self wire.ProcessID, includeSelf bool) (wire.ProcessID, bool) {
-	best := wire.NoProcess
-	var bestCount uint64
-	found := false
-	for _, origin := range c.q.order {
-		if !c.hasAny(origin) {
-			continue
-		}
-		n := c.count(origin)
-		if !found || n < bestCount {
-			best, bestCount, found = origin, n, true
-		}
-	}
-	if includeSelf && !found {
-		return self, true
-	}
-	if includeSelf && c.count(self) < bestCount && !c.hasAny(self) {
-		return self, true
-	}
-	return best, found
-}
-
-// next consumes and returns the origin's next unconsumed envelope in
-// arrival order.
-func (c *trainCursor) next(origin wire.ProcessID) (wire.Envelope, bool) {
-	oq := c.q.queues[origin]
-	if oq == nil {
-		return wire.Envelope{}, false
-	}
-	ov := c.overlay(origin)
-	best := -1
-	var bestSeq uint64
-	for b := 0; b < fqBuckets; b++ {
-		if oq.bucketLen(b) <= ov.consumed[b] {
-			continue
-		}
-		if s := oq.at(b, ov.consumed[b]).seq; best == -1 || s < bestSeq {
-			best, bestSeq = b, s
-		}
-	}
-	if best == -1 {
-		return wire.Envelope{}, false
-	}
-	env := oq.at(best, ov.consumed[best]).env
-	ov.consumed[best]++
-	return env, true
-}

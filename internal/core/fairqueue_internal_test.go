@@ -436,105 +436,3 @@ func TestFairQueueCompaction(t *testing.T) {
 		}
 	}
 }
-
-// TestTrainCursorConsumesInOrder pins the plan-time overlay: next()
-// walks each origin's queue in arrival order without repeats and
-// without mutating the underlying queue.
-func TestTrainCursorConsumesInOrder(t *testing.T) {
-	q := newFairQueue()
-	q.push(pwEnv(2, 1))
-	q.push(wEnv(2, 2))
-	q.push(pwEnv(2, 3))
-	cur := newTrainCursor()
-	cur.reset(q)
-	for want := uint64(1); want <= 3; want++ {
-		e, ok := cur.next(2)
-		if !ok || e.Tag.TS != want {
-			t.Fatalf("next %d = %v %v", want, e, ok)
-		}
-	}
-	if _, ok := cur.next(2); ok {
-		t.Fatal("cursor re-served a consumed envelope")
-	}
-	if cur.hasAny(2) {
-		t.Fatal("hasAny true after full consumption")
-	}
-	if q.len() != 3 {
-		t.Fatalf("cursor mutated the queue: len %d", q.len())
-	}
-	// A reset starts over.
-	cur.reset(q)
-	if e, ok := cur.next(2); !ok || e.Tag.TS != 1 {
-		t.Fatalf("post-reset next = %v %v", e, ok)
-	}
-}
-
-// TestTrainCursorFairness replays the no-starvation property through
-// the train planner's selection loop: trains of K slots, each slot
-// awarded by the overlay fairness rule, must keep serving every origin
-// even against a flooder.
-func TestTrainCursorFairness(t *testing.T) {
-	prop := func(seed uint32) bool {
-		q := newFairQueue()
-		origins := []wire.ProcessID{2, 3, 4, 5}
-		forwarded := make(map[wire.ProcessID]int)
-		cur := newTrainCursor()
-		rng := seed
-		next := func(n int) int {
-			rng = rng*1664525 + 1013904223
-			return int(rng>>16) % n
-		}
-		ts := uint64(0)
-		const trainLen = 4
-		for step := 0; step < 500; step++ {
-			arrivals := 1 + next(4)
-			for a := 0; a < arrivals; a++ {
-				o := origins[0] // flooder
-				if next(4) == 3 {
-					o = origins[1+next(3)]
-				}
-				ts++
-				q.push(pwEnv(o, ts))
-			}
-			// One train per step: select up to trainLen envelopes with
-			// simulated charges, then commit them like commitRingSend.
-			cur.reset(q)
-			type pick struct {
-				origin wire.ProcessID
-				kind   wire.Kind
-			}
-			var picks []pick
-			for len(picks) < trainLen {
-				origin, ok := cur.selectOrigin(1, false)
-				if !ok {
-					break
-				}
-				env, ok := cur.next(origin)
-				if !ok {
-					return false
-				}
-				cur.charge(origin)
-				picks = append(picks, pick{origin: origin, kind: env.Kind})
-			}
-			for _, p := range picks {
-				if _, ok := q.popFirst(p.origin, p.kind); !ok {
-					return false
-				}
-				q.charge(p.origin)
-				forwarded[p.origin]++
-			}
-			if q.empty() {
-				q.resetCounts()
-			}
-		}
-		for _, o := range origins {
-			if forwarded[o] == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}

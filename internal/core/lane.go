@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ring"
-	"repro/internal/tag"
 	"repro/internal/transport"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -14,7 +13,7 @@ import (
 // lane is one independent slice of the server's ring write path: the
 // objects with hash(ObjectID) mod L equal to idx. A lane owns its own
 // event loop, write queue, forward queue with fairness table, in-flight
-// write bookkeeping, and plan/commit cycle — the full §3 algorithm,
+// write bookkeeping, and a one-frame send slot — the full §3 algorithm,
 // restricted to its objects. Because an object's ring messages land in
 // the same lane on every server, each lane is exactly the paper's
 // single-loop protocol running over a sub-ring of lane event loops, and
@@ -50,17 +49,16 @@ type lane struct {
 	inbox chan transport.Inbound
 	// crashc receives crash fan-out from the control plane.
 	crashc chan wire.ProcessID
-	// ringOut hands planned ring frames to the lane's sender goroutine.
-	// It is unbuffered: at most one frame of this lane is in flight
-	// locally, and backpressure reaches the queue handler. Lanes
-	// pipeline the ring independently — that is the point.
+	// slot is the lane's send slot: it holds one token while the sender
+	// is free. The event loop takes the token, builds the next frame
+	// (nextFrame) and hands it over on ringOut; the sender returns the
+	// token once the frame is on the transport. So a frame is built only
+	// when the link is free, as in the paper's queue handler, at most one
+	// frame of this lane is in flight locally, and ringOut (capacity 1)
+	// never blocks. Lanes pipeline the ring independently — that is the
+	// point.
+	slot    chan struct{}
 	ringOut chan outFrame
-	// gatec pairs each committed ring frame with the WAL sequence its
-	// envelopes staged (capacity 1; nil exactly when the server runs
-	// without a WAL). The pairing is structural: ringOut is unbuffered,
-	// so the event loop's commit — which pushes here — runs strictly
-	// between the sender's ringOut receive and its next one.
-	gatec chan uint64
 	// walSeq is the highest WAL sequence this lane has staged; event-
 	// loop-confined like the rest of the lane state.
 	walSeq uint64
@@ -77,36 +75,11 @@ type lane struct {
 	// myWrites tracks writes this server originated on this lane.
 	myWrites map[writeKey]ownWrite
 
-	// cursor is the plan-time fairness overlay the train planner drains
-	// envelopes through (side-effect-free; see sendPlan).
-	cursor *trainCursor
-	// planScratch backs sendPlan.items, reused across plans.
-	planScratch []planItem
-	// initAdds backs commitRingSend's grouped pending-set insertions,
-	// reused across trains.
-	initAdds []initAdd
-	// planTags tracks the tags a train plan has assigned to its own
-	// initiations per object, so several initiations of one object in
-	// one frame get strictly increasing tags. Cleared per train plan.
-	planTags map[wire.ObjectID]tag.Tag
-
-	// stateVer counts mutations of the plan's inputs (forward queue,
-	// write queue, per-object tags/pending of this lane, the view).
-	// Read requests leave it untouched — they change nothing a plan
-	// depends on — which is what makes the plan cache below effective
-	// under read-heavy load: the event loop replans on every select
-	// iteration, and without the cache a discarded train plan's
-	// selection work and envelope copy would be paid per inbound read.
-	stateVer uint64
-	// cachedPlan/cachedVer/cachedOK memoize the last computed plan; it
-	// is returned as long as stateVer is unchanged.
-	cachedPlan sendPlan
-	cachedVer  uint64
-	cachedOK   bool
+	// envs and initiated are nextFrame's scratch: the frame's envelopes
+	// and the objects it initiated on, reused across frames.
+	envs      []wire.Envelope
+	initiated []*objectState
 }
-
-// noteStateChange invalidates the cached plan.
-func (ln *lane) noteStateChange() { ln.stateVer++ }
 
 // objSlots is the fanout of a lane's object table: 64 slots, indexed
 // by the top objSlotBits bits of the object's hash.
@@ -170,11 +143,13 @@ func (ln *lane) rangeObjects(fn func(wire.ObjectID, *objectState)) {
 
 // loop owns the lane's algorithm state. Each iteration first drains
 // every event already delivered to the lane (without blocking), then
-// offers one ring send planned from the resulting state; the ring send
-// is (re)planned whenever state changed, so the fairness decision
-// always reflects the latest queues.
+// waits for the next event or, when it has something to send, for the
+// send slot; holding the slot it builds and hands over one frame from
+// the latest queues (nextFrame). The frame is built when the sender is
+// free, never earlier, so the fairness decision always reflects the
+// state at send time and nothing is built that is not sent.
 //
-// The drain-before-plan order is what lets frame trains form: handling
+// The drain-before-send order is what lets frame trains form: handling
 // one event per send kept the forward queue at depth <=1 under load —
 // every arriving envelope left on its own frame before the next could
 // join it — so per-frame costs were paid per envelope no matter the
@@ -182,8 +157,8 @@ func (ln *lane) rangeObjects(fn func(wire.ObjectID, *objectState)) {
 // into one train. The drain is capped at laneInboxCapacity events per
 // iteration — without the cap, inbound arriving as fast as it is
 // handled would keep the drain spinning and starve the send — so every
-// send offer waits for at most one inbox-full of events, and an idle
-// lane still forwards every envelope immediately.
+// send waits for at most one inbox-full of events, and an idle lane
+// still forwards every envelope immediately.
 func (ln *lane) loop() {
 	s := ln.srv
 	defer s.wg.Done()
@@ -200,23 +175,17 @@ func (ln *lane) loop() {
 			}
 		}
 
-		var (
-			ringC  chan outFrame
-			ringOF outFrame
-		)
-		plan := ln.planRingSend()
-		if plan.ok {
-			ringC = ln.ringOut
-			ringOF = outFrame{to: ln.view.Successor(s.cfg.ID), f: plan.frame}
+		var slot chan struct{}
+		if ln.hasWork() {
+			slot = ln.slot
 		}
-
 		select {
 		case in := <-ln.inbox:
 			ln.handleInbound(in)
 		case crashed := <-ln.crashc:
 			ln.handleCrash(crashed)
-		case ringC <- ringOF:
-			ln.commitRingSend(plan)
+		case <-slot:
+			ln.ringOut <- ln.nextFrame()
 		case <-s.stopc:
 			return
 		}
@@ -226,17 +195,17 @@ func (ln *lane) loop() {
 // senderLoop drains the lane's outbound channel onto the transport,
 // using the lane's dedicated link when the endpoint maintains per-lane
 // links (transport.LaneSender) so lanes never head-of-line-block each
-// other on one shared successor connection. A send failure is logged
-// and dropped: the failure detector will report the peer and recovery
-// retransmits whatever mattered.
+// other on one shared successor connection, and returns the send slot
+// after each frame. A send failure is logged and dropped: the failure
+// detector will report the peer and recovery retransmits whatever
+// mattered.
 //
-// With a WAL the sender is also the durability gate: after each frame
-// handoff it receives the frame's covering WAL sequence (pushed by the
-// event loop's commit) and blocks in WaitLane until one group-commit
-// sync covers it. The gate lives here, off the event
-// loop, so the lane keeps draining its inbox and planning the next
-// train while the sync is in flight — the fsync is amortized per
-// train, not paid per envelope.
+// With a WAL the sender is also the durability gate: it blocks in
+// WaitLane until one group-commit sync covers the frame's seq. The gate
+// lives here, off the event loop, so the lane keeps draining its inbox
+// while the sync is in flight — the fsync is amortized per train, not
+// paid per envelope. The slot stays out while the sender waits, so the
+// next frame is built from everything that arrived meanwhile.
 //
 // The transport's zero-copy egress (DESIGN.md §14) encodes frames at
 // enqueue time — inside SendLane/Send, on this goroutine. That keeps
@@ -252,14 +221,8 @@ func (ln *lane) senderLoop() {
 	for {
 		select {
 		case of := <-ln.ringOut:
-			if ln.gatec != nil {
-				var seq uint64
-				select {
-				case seq = <-ln.gatec:
-				case <-s.stopc:
-					return
-				}
-				if err := s.wal.WaitLane(ln.idx, seq, s.stopc); err != nil {
+			if s.wal != nil {
+				if err := s.wal.WaitLane(ln.idx, of.seq, s.stopc); err != nil {
 					if err == wal.ErrAborted || err == wal.ErrClosed {
 						return // stopping; the unsent frame dies with us
 					}
@@ -279,6 +242,7 @@ func (ln *lane) senderLoop() {
 			if err != nil {
 				ln.log.Debug("ring send failed", "to", of.to, "err", err)
 			}
+			ln.slot <- struct{}{}
 		case <-s.stopc:
 			return
 		}
@@ -317,13 +281,6 @@ func (ln *lane) handleEnvelope(from wire.ProcessID, env *wire.Envelope) {
 		ln.onPreWrite(env)
 	case wire.KindWrite:
 		ln.onWrite(env)
-	case wire.KindCrash:
-		// Misrouted (delivered before the demux was installed): hand
-		// it to the control plane, which owns crash handling.
-		select {
-		case ln.srv.ctrlc <- transport.Inbound{From: from, Frame: wire.NewFrame(*env)}:
-		case <-ln.srv.stopc:
-		}
 	default:
 		env.RetireValue()
 		ln.log.Debug("dropping unexpected kind", "kind", env.Kind)
@@ -333,7 +290,6 @@ func (ln *lane) handleEnvelope(from wire.ProcessID, env *wire.Envelope) {
 // onWriteRequest implements paper lines 18-20: queue the client write
 // until the fairness rule lets this server initiate it.
 func (ln *lane) onWriteRequest(from wire.ProcessID, env *wire.Envelope) {
-	ln.noteStateChange()
 	ln.writeQueue = append(ln.writeQueue, writeIntent{
 		client: from,
 		reqID:  env.ReqID,
@@ -373,7 +329,6 @@ func (ln *lane) onReadRequest(from wire.ProcessID, env *wire.Envelope) {
 
 // onPreWrite implements paper lines 29-40 plus the crash-adoption rule.
 func (ln *lane) onPreWrite(env *wire.Envelope) {
-	ln.noteStateChange()
 	s := ln.srv
 	o := ln.obj(env.Object)
 	key := writeKey{object: env.Object, tag: env.Tag}
@@ -492,7 +447,6 @@ func (ln *lane) onPreWrite(env *wire.Envelope) {
 
 // onWrite implements paper lines 41-52 plus the crash-absorption rule.
 func (ln *lane) onWrite(env *wire.Envelope) {
-	ln.noteStateChange()
 	s := ln.srv
 
 	if env.Origin == s.cfg.ID {

@@ -12,10 +12,11 @@ import (
 // stood for: which steps publish a new read snapshot, and which reads
 // the published snapshot serves without the owning lane.
 
-// TestTrainCommitOneLockPerObject asserts the commit contract: planning
-// a train publishes nothing (the planner reads published snapshots),
-// and committing it records every initiation in its object's pending
-// set, publishing a snapshot whose barrier covers all of them.
+// TestTrainCommitOneLockPerObject asserts the initiation contract: a
+// train that initiates several writes on each of two objects records
+// every initiation in its object's pending set, and the snapshot each
+// object publishes once the frame is built has a barrier covering all of
+// them.
 func TestTrainCommitOneLockPerObject(t *testing.T) {
 	h := newStormHarness(t, 0, func(c *Config) {
 		c.WriteLanes = 1
@@ -36,45 +37,39 @@ func TestTrainCommitOneLockPerObject(t *testing.T) {
 		})
 	}
 	before := []*readSnapshot{objs[0].snap.Load(), objs[1].snap.Load()}
-	plan := ln.planRingSend()
-	if !plan.ok {
-		t.Fatal("no plan for queued writes")
-	}
-	for i, o := range objs {
-		if o.snap.Load() != before[i] {
-			t.Fatalf("planning republished object %d's snapshot", i)
-		}
-	}
+	of := ln.nextFrame()
 	inits := 0
 	highest := make(map[wire.ObjectID]tag.Tag)
-	for _, it := range plan.items {
-		if it.initiate {
+	for _, env := range of.f.Envelopes() {
+		if env.Origin == h.s.cfg.ID {
 			inits++
-			highest[it.env.Object] = highest[it.env.Object].Max(it.env.Tag)
+			highest[env.Object] = highest[env.Object].Max(env.Tag)
 		}
 	}
 	if len(highest) != 2 || inits < 3 {
 		t.Fatalf("train initiated %d writes on %d objects, want several on both", inits, len(highest))
 	}
-	ln.commitRingSend(plan)
 	if got := objs[0].pending.size() + objs[1].pending.size(); got != inits {
-		t.Fatalf("pending entries after commit = %d, want %d", got, inits)
+		t.Fatalf("pending entries after the frame = %d, want %d", got, inits)
 	}
 	for i, o := range objs {
 		sn := o.snap.Load()
 		if sn == before[i] {
-			t.Fatalf("commit did not republish object %d's snapshot", i)
+			t.Fatalf("the frame did not republish object %d's snapshot", i)
 		}
 		if want := highest[wire.ObjectID(i)]; sn.barrier != want || sn.readable {
 			t.Fatalf("object %d snapshot barrier=%s readable=%v, want barrier %s, not readable",
 				i, sn.barrier, sn.readable, want)
 		}
 	}
+	if len(ln.initiated) != 0 {
+		t.Fatalf("%d initiated objects left unpublished after the frame", len(ln.initiated))
+	}
 }
 
 // TestForwardedEnvelopeSingleLock asserts the receive-side half: a
-// forwarded pre-write is recorded and published at receive time, so its
-// forward's commit leaves the object's snapshot untouched; a forwarded
+// forwarded pre-write is recorded and published at receive time, so the
+// frame that forwards it leaves the object's snapshot untouched; a forwarded
 // write applies and publishes at receive time.
 func TestForwardedEnvelopeSingleLock(t *testing.T) {
 	h := newStormHarness(t, 0, func(c *Config) { c.WriteLanes = 1 })
@@ -93,13 +88,12 @@ func TestForwardedEnvelopeSingleLock(t *testing.T) {
 	if received == nil || received.barrier != pw || received.readable {
 		t.Fatalf("pre-write receive published %+v, want barrier %s, not readable", received, pw)
 	}
-	plan := ln.planRingSend()
-	if !plan.ok {
-		t.Fatal("no forward planned")
+	if !ln.hasWork() {
+		t.Fatal("no forward queued")
 	}
-	ln.commitRingSend(plan)
+	ln.nextFrame()
 	if o.snap.Load() != received {
-		t.Fatal("forward commit republished the object's snapshot")
+		t.Fatal("the forwarding frame republished the object's snapshot")
 	}
 
 	ln.onWrite(&wire.Envelope{

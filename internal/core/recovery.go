@@ -14,7 +14,6 @@ import (
 // lanes but not others just means each lane runs the seed's single-ring
 // recovery for its own objects, at its own pace.
 func (ln *lane) handleCrash(crashed wire.ProcessID) {
-	ln.noteStateChange()
 	s := ln.srv
 	if crashed == s.cfg.ID || !ln.view.Contains(crashed) || !ln.view.Alive(crashed) {
 		return

@@ -59,10 +59,12 @@ type writeKey struct {
 	tag    tag.Tag
 }
 
-// outFrame is a frame addressed to a concrete process.
+// outFrame is a ring frame addressed to a concrete process, with the
+// lane's WAL sequence the sender must see synced before it sends.
 type outFrame struct {
-	to wire.ProcessID
-	f  wire.Frame
+	to  wire.ProcessID
+	f   wire.Frame
+	seq uint64
 }
 
 // Server is one storage server of the ring. Create it with NewServer,
@@ -198,13 +200,13 @@ func NewServer(cfg Config, ep transport.Endpoint) (*Server, error) {
 			view:     view.Clone(),
 			inbox:    make(chan transport.Inbound, laneInboxCapacity),
 			crashc:   make(chan wire.ProcessID, len(cfg.Members)),
-			ringOut:  make(chan outFrame),
+			slot:     make(chan struct{}, 1),
+			ringOut:  make(chan outFrame, 1),
 			fq:       newFairQueue(),
 			myWrites: make(map[writeKey]ownWrite),
-			cursor:   newTrainCursor(),
-			planTags: make(map[wire.ObjectID]tag.Tag),
 			log:      s.log.With("lane", i),
 		}
+		s.lanes[i].slot <- struct{}{}
 	}
 	if cfg.WAL.Dir != "" {
 		// Open replays the log into the lanes and objects built above;

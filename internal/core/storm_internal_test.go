@@ -18,6 +18,7 @@ import (
 type stormHarness struct {
 	t   *testing.T
 	s   *Server
+	net *transport.MemNetwork
 	rng *rand.Rand
 }
 
@@ -37,7 +38,7 @@ func newStormHarness(t *testing.T, seed int64, mods ...func(*Config)) *stormHarn
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &stormHarness{t: t, s: s, rng: rand.New(rand.NewSource(seed))}
+	return &stormHarness{t: t, s: s, net: net, rng: rand.New(rand.NewSource(seed))}
 }
 
 // lane returns the lane owning obj, the one the demux would deliver to.
@@ -112,9 +113,9 @@ func (h *stormHarness) step(i, maxObj int) {
 		ln.onWrite(&wire.Envelope{Kind: wire.KindWrite, Object: obj, Tag: t, Origin: wire.ProcessID(t.ID), Value: val})
 	case 4: // elided write from the ring
 		ln.onWrite(&wire.Envelope{Kind: wire.KindWrite, Object: obj, Tag: t, Origin: wire.ProcessID(t.ID), Flags: wire.FlagValueElided})
-	case 5: // drain one planned ring send on the object's lane, if any
-		if plan := ln.planRingSend(); plan.ok {
-			ln.commitRingSend(plan)
+	case 5: // send one ring frame on the object's lane, if it has work
+		if ln.hasWork() {
+			ln.nextFrame()
 		}
 	}
 }
@@ -194,12 +195,12 @@ func TestMultiLaneStormWithCrashes(t *testing.T) {
 	}
 	// With everyone else dead, the server is its own successor and every
 	// lane's queue handler must still make progress (self-delivery
-	// happens via the transport, which is not running here; planning
-	// must at least not wedge or panic).
+	// happens via the transport, which is not running here; building
+	// frames must at least not wedge or panic).
 	for i := 0; i < 100; i++ {
 		for _, ln := range h.s.lanes {
-			if plan := ln.planRingSend(); plan.ok {
-				ln.commitRingSend(plan)
+			if ln.hasWork() {
+				ln.nextFrame()
 			}
 		}
 	}
@@ -226,53 +227,52 @@ func TestStormWithCrashes(t *testing.T) {
 		t.Fatalf("alive count = %d, want 1", ln.view.AliveCount())
 	}
 	for i := 0; i < 100; i++ {
-		if plan := ln.planRingSend(); plan.ok {
-			ln.commitRingSend(plan)
+		if ln.hasWork() {
+			ln.nextFrame()
 		}
 	}
 }
 
-// TestPlanCommitConsistency verifies the queue handler's plan/commit
-// split: a plan computed from a given state always commits cleanly (the
-// planned messages are present to pop, in order), across random queue
-// contents, every lane, and both the classic and the train planner.
-func TestPlanCommitConsistency(t *testing.T) {
-	for _, train := range []int{1, 4, 8} {
-		h := newStormHarness(t, 99, func(c *Config) {
-			c.WriteLanes = 4
-			c.TrainLength = train
-		})
-		for i := 0; i < 5000; i++ {
-			h.step(i, 8)
-			ln := h.s.lanes[i%len(h.s.lanes)]
-			plan := ln.planRingSend()
-			if !plan.ok {
-				continue
-			}
-			if got := plan.frame.EnvelopeCount(); got != len(plan.items) {
-				t.Fatalf("train=%d step %d: frame carries %d envelopes, plan has %d items",
-					train, i, got, len(plan.items))
-			}
-			if len(plan.items) > train+1 || (train > 1 && len(plan.items) > train) {
-				t.Fatalf("train=%d step %d: plan of %d items exceeds budget", train, i, len(plan.items))
-			}
-			before := ln.fq.len()
-			ln.commitRingSend(plan)
-			after := ln.fq.len()
-			popped := 0
-			for _, it := range plan.items {
-				if !it.initiate {
-					popped++
+// TestNextFrameConsistency checks the queue handler's frame rules
+// across random queue contents and every lane: a frame stays within its
+// budget, every envelope it carries was popped from the forward queue or
+// the write queue, and it carries the lane's own byte — for the classic
+// pair, the trains, and both ablations.
+func TestNextFrameConsistency(t *testing.T) {
+	rows := []struct {
+		name   string
+		mod    func(*Config)
+		budget int
+	}{
+		{"train1", func(c *Config) { c.TrainLength = 1 }, 2},
+		{"train4", func(c *Config) { c.TrainLength = 4 }, 4},
+		{"train8", func(c *Config) { c.TrainLength = 8 }, 8},
+		{"no_fairness", func(c *Config) { c.DisableFairness = true }, 1},
+		{"no_piggyback", func(c *Config) { c.DisablePiggyback = true }, 1},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			h := newStormHarness(t, 99, func(c *Config) { c.WriteLanes = 4 }, r.mod)
+			for i := 0; i < 5000; i++ {
+				h.step(i, 8)
+				ln := h.s.lanes[i%len(h.s.lanes)]
+				if !ln.hasWork() {
+					continue
+				}
+				fq, wq := ln.fq.len(), len(ln.writeQueue)
+				of := ln.nextFrame()
+				n := of.f.EnvelopeCount()
+				if n < 1 || n > r.budget {
+					t.Fatalf("step %d: frame of %d envelopes, budget %d", i, n, r.budget)
+				}
+				if shrink := fq - ln.fq.len() + wq - len(ln.writeQueue); shrink != n {
+					t.Fatalf("step %d: frame carries %d envelopes, queues shrank by %d", i, n, shrink)
+				}
+				if of.f.Lane != uint8(ln.idx) {
+					t.Fatalf("step %d: frame carries lane %d, want %d", i, of.f.Lane, ln.idx)
 				}
 			}
-			if before-after != popped {
-				t.Fatalf("train=%d step %d: queue shrank by %d, plan popped %d",
-					train, i, before-after, popped)
-			}
-			if plan.frame.Lane != uint8(ln.idx) {
-				t.Fatalf("planned frame carries lane %d, want %d", plan.frame.Lane, ln.idx)
-			}
-		}
+		})
 	}
 }
 
@@ -307,12 +307,8 @@ func TestRecoveryRetransmitsPendingAndValue(t *testing.T) {
 		}
 		// Forward everything, so every forward queue starts out empty.
 		for _, ln := range h.s.lanes {
-			for {
-				plan := ln.planRingSend()
-				if !plan.ok {
-					break
-				}
-				ln.commitRingSend(plan)
+			for ln.hasWork() {
+				ln.nextFrame()
 			}
 		}
 		for obj := wire.ObjectID(0); obj < objects; obj++ {
@@ -362,6 +358,36 @@ func TestRecoveryRetransmitsPendingAndValue(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCrashPiggybackDropped: route hands every frame whose primary is a
+// crash notice to the control plane, so a crash envelope can reach a lane
+// only piggybacked on a ring frame, which no server sends. The lane
+// retires it like any unexpected kind: no lane's view and not the
+// control plane's changes, and nothing is handed to the control inbox,
+// while the frame's pre-write is handled as usual.
+func TestCrashPiggybackDropped(t *testing.T) {
+	h := newStormHarness(t, 0, func(c *Config) { c.WriteLanes = 4 })
+	ln := h.lane(5)
+	pw := tag.Tag{TS: 1, ID: 3}
+	f := wire.NewLaneFrame(wire.Envelope{Kind: wire.KindPreWrite, Object: 5, Tag: pw, Origin: 3, Value: []byte("p")}, uint8(ln.idx))
+	f.Piggyback = &wire.Envelope{Kind: wire.KindCrash, Origin: 2, Epoch: 1}
+	ln.handleInbound(transport.Inbound{From: 3, Frame: f})
+
+	if o := ln.lookup(5); o == nil || o.maxPending() != pw {
+		t.Fatal("the frame's pre-write was not handled")
+	}
+	for _, l := range h.s.lanes {
+		if l.view.AliveCount() != 3 || !l.view.Alive(2) {
+			t.Fatalf("lane %d view changed: alive %d", l.idx, l.view.AliveCount())
+		}
+	}
+	if !h.s.view.Alive(2) {
+		t.Fatal("control-plane view changed")
+	}
+	if n := len(h.s.ctrlc); n != 0 {
+		t.Fatalf("piggybacked crash handed to the control plane (%d queued)", n)
 	}
 }
 

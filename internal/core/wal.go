@@ -47,9 +47,6 @@ func (s *Server) openWAL() error {
 		return fmt.Errorf("compact: %w", err)
 	}
 	s.requeueReplayedState()
-	for _, ln := range s.lanes {
-		ln.gatec = make(chan uint64, 1)
-	}
 	return nil
 }
 
@@ -221,7 +218,6 @@ func (s *Server) requeueReplayedState() {
 			}
 		}
 		ln.replayVals = nil
-		ln.noteStateChange()
 	}
 }
 
