@@ -65,7 +65,7 @@ type Config struct {
 	// WriteLanes is the number of independent ring lanes the write path
 	// is sharded over: each object belongs to lane hash(ObjectID) mod
 	// WriteLanes, and each lane runs its own event loop, forward queue,
-	// and plan/commit cycle, so independent objects' ring traffic
+	// and send slot, so independent objects' ring traffic
 	// pipelines in parallel. Every server of a cluster must use the
 	// same value (like Members). Zero means DefaultWriteLanes; negative
 	// means 1 (the single-loop pre-lane behavior); at most MaxWriteLanes.

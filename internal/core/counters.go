@@ -35,10 +35,11 @@ type CounterSnapshot struct {
 	AckFastPath uint64
 	AckQueued   uint64
 	AckLanes    uint64
-	// RingFrames and RingEnvelopes: committed outbound ring frames and
-	// the envelopes they carried. RingEnvelopes/RingFrames is the
-	// achieved train length — 1.0 means framing never amortized
-	// anything, TrainLength is the ceiling.
+	// RingFrames and RingEnvelopes: outbound ring frames the lanes built
+	// (each built only when its lane's sender was free, and sent once
+	// its WAL sync covers it) and the envelopes they carried.
+	// RingEnvelopes/RingFrames is the achieved train length — 1.0 means
+	// framing never amortized anything, TrainLength is the ceiling.
 	RingFrames    uint64
 	RingEnvelopes uint64
 }

@@ -12,7 +12,7 @@ import (
 //
 // Each origin's FIFO is indexed by message kind ("buckets"), so peeking
 // or popping the first envelope of a given kind is O(1) instead of a
-// linear scan — the train planner applies the fairness rule up to
+// linear scan — the queue handler applies the fairness rule up to
 // TrainLength times per frame, and with the old scan each application
 // cost O(queue). Entries carry a queue-global sequence number so the
 // original arrival order can be reconstructed across buckets (kind-any

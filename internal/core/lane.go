@@ -419,10 +419,10 @@ func (ln *lane) onPreWrite(env *wire.Envelope) {
 	}
 
 	// Paper line 71 records a forwarded pre-write in the pending set on
-	// forward; recording it here, at receive, leaves the commit nothing
-	// to do for a forward and publishes the raised barrier before the
-	// forward is even queued. Atomicity is preserved (reads park
-	// earlier, never later), and the buffer ownership rule is
+	// forward; recording it here, at receive, leaves the queue handler
+	// nothing to do for a forward and publishes the raised barrier
+	// before the forward is even queued. Atomicity is preserved (reads
+	// park earlier, never later), and the buffer ownership rule is
 	// untouched: the entry retires only when a write for its exact tag
 	// arrives, which cannot happen before this lane's forward has been
 	// encoded (DESIGN.md §10).

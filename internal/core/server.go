@@ -140,7 +140,7 @@ type Server struct {
 	// WAL mid-run; the ring keeps serving (availability wins), undurable.
 	walFailOnce sync.Once
 
-	// ringFrames/ringEnvs count committed outbound ring frames and the
+	// ringFrames/ringEnvs count the ring frames nextFrame built and the
 	// envelopes they carried: ringEnvs/ringFrames is the achieved train
 	// length (the benchmark's core.envelopes_per_frame).
 	ringFrames, ringEnvs atomic.Uint64
@@ -151,11 +151,11 @@ type Server struct {
 }
 
 // laneInboxCapacity buffers each lane's demuxed inbox and caps how many
-// events one loop iteration drains before it offers a ring send, so a
-// burst of arrivals forms one train without starving the send; the
+// events one loop iteration drains before it waits for the send slot,
+// so a burst of arrivals forms one train without starving the send; the
 // buffer absorbs scheduling jitter between the delivering goroutines
 // and the lane. It is not backpressure: the lane selects on its inbox
-// together with the ring send, so it never stops reading, and arrivals
+// together with the send slot, so it never stops reading, and arrivals
 // wait in the unbounded forward queue instead. That is deliberate — a
 // cycle of blocking bounded queues around a ring can deadlock.
 const laneInboxCapacity = 64

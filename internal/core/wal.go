@@ -14,8 +14,8 @@ import (
 //
 // Staging sites mirror the state transitions of the §3 algorithm:
 //
-//   - RecInit at ring-commit of a local initiation (the pre-write's
-//     tag, client, and value);
+//   - RecInit when the queue handler initiates a local write (the
+//     pre-write's tag, client, and value);
 //   - RecPreWrite when a forwarded pre-write enters the pending set;
 //   - RecWrite when a write-phase message applies (value elided when a
 //     covering RecInit/RecPreWrite already carries it, mirroring wire
@@ -223,7 +223,7 @@ func (s *Server) requeueReplayedState() {
 
 // walStage stages one record in the lane's WAL buffer, tracking
 // the highest staged sequence for the sender gate. Called only from
-// the lane's event-loop goroutine (handlers and ring commit), so
+// the lane's event-loop goroutine (handlers and nextFrame), so
 // walSeq needs no synchronization. No-op without a WAL.
 func (ln *lane) walStage(r *wal.Record) {
 	if w := ln.srv.wal; w != nil {

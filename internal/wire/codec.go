@@ -48,9 +48,9 @@ const MaxValueSize = 16 << 20
 // first two envelopes may carry MaxValueSize each, so a legal frame
 // never exceeds MaxFrameSize — which is what keeps the reader's
 // pre-allocation guard near two values instead of growing
-// MaxFrameEnvelopes-fold. Train planners must respect it; in practice
-// train tails are small (elided writes and typical values), and a
-// planner that hits the cap just closes the train early.
+// MaxFrameEnvelopes-fold. A queue handler filling a train must respect
+// it; in practice train tails are small (elided writes and typical
+// values), and a train that would pass the cap is just closed early.
 const MaxTrainValueBytes = 4 << 20
 
 // MaxFrameSize is the largest frame the codec will encode or decode.
