@@ -82,7 +82,6 @@ func clientHello(id ServerID, members []ServerID) wire.Hello {
 	return wire.Hello{
 		Version:        wire.HelloVersion,
 		From:           id,
-		Link:           wire.LinkGeneral,
 		MembershipHash: wire.MembershipHash(members),
 	}
 }
@@ -103,8 +102,8 @@ type Cluster struct {
 
 // StartCluster starts an in-process ring of n servers (ids 1..n) and
 // returns the running cluster. Servers communicate over an in-memory
-// network with session validation and per-lane links, mirroring the
-// TCP deployment's structure without sockets.
+// network with session validation, mirroring the TCP deployment's
+// structure without sockets.
 func StartCluster(n int, opts ...Option) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("atomicstore: cluster size %d", n)

@@ -1,9 +1,9 @@
 // Command atomicstore-server runs one storage server of the ring over
 // real TCP. Every server must be started with the same -servers list (the
-// ring order); each serves clients on its own address and holds session
-// connections to its ring successor (one per write lane). Peers whose
-// wire version, lane fanout, or membership disagree are rejected at
-// handshake time.
+// ring order); each serves clients on its own address and holds one
+// session connection to its ring successor, shared by every write lane.
+// Peers whose wire version, lane fanout, or membership disagree are
+// rejected at handshake time.
 //
 // Example — a three-server ring on one machine:
 //

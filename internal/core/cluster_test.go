@@ -65,8 +65,8 @@ func newCluster(t *testing.T, n int, mods ...configMod) *cluster {
 		for _, mod := range mods {
 			mod(&cfg)
 		}
-		// Session endpoints, as real deployments use: servers negotiate
-		// per-lane links among themselves.
+		// Session endpoints, as real deployments use: servers validate
+		// each other's HELLO before a frame flows.
 		ep, err := c.net.RegisterSession(cfg.SessionHello())
 		if err != nil {
 			t.Fatalf("register server %d: %v", id, err)
@@ -109,7 +109,6 @@ func (c *cluster) clientHello(id wire.ProcessID) wire.Hello {
 	return wire.Hello{
 		Version:        wire.HelloVersion,
 		From:           id,
-		Link:           wire.LinkGeneral,
 		MembershipHash: wire.MembershipHash(c.members),
 	}
 }

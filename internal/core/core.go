@@ -74,8 +74,9 @@ type Config struct {
 	// frame may carry ("frame trains", DESIGN.md §9): the lane's queue
 	// handler drains up to TrainLength fairness-selected messages into
 	// one frame, amortizing the per-frame costs of a saturated ring.
-	// Every wire-v4 peer decodes trains. Zero means DefaultTrainLength;
-	// 1 (or negative) keeps the classic framing — one fairness-selected
+	// Every peer that passes the handshake decodes trains (part of the
+	// wire format since v4). Zero means DefaultTrainLength; 1 (or
+	// negative) keeps the classic framing — one fairness-selected
 	// primary plus at most one opposite-phase piggyback; at most
 	// wire.MaxFrameEnvelopes.
 	TrainLength int
@@ -158,17 +159,15 @@ func (c *Config) validate() error {
 
 // SessionHello returns the HELLO this server asserts when opening or
 // accepting session connections: its wire version, resolved lane
-// fanout, ring-membership hash, and capabilities. Endpoints built from
-// it reject peers with a different WriteLanes or membership at
-// handshake time instead of misrouting ring frames at runtime.
+// fanout and ring-membership hash. Endpoints built from it reject peers
+// with a different WriteLanes or membership at handshake time instead
+// of misrouting ring frames at runtime.
 func (c *Config) SessionHello() wire.Hello {
 	return wire.Hello{
 		Version:        wire.HelloVersion,
 		From:           c.ID,
 		Lanes:          uint16(c.writeLanes()),
-		Link:           wire.LinkGeneral,
 		MembershipHash: wire.MembershipHash(c.Members),
-		Capabilities:   wire.CapLaneLinks,
 	}
 }
 

@@ -11,8 +11,9 @@ package core
 // servers, where the distinction vanishes.
 type CounterSnapshot struct {
 	// LaneDrops counts inbound ring frames dropped for naming a lane
-	// outside this server's fanout (a WriteLanes mismatch on a link no
-	// handshake validated — raw endpoints). Healthy clusters read 0.
+	// outside this server's fanout in their header (a raw endpoint no
+	// handshake validated, or a peer whose header lies about its lane).
+	// Healthy clusters read 0.
 	LaneDrops uint64
 	// AckSendFailures counts client acks whose transport send failed and
 	// was dropped. Happy-path clusters read 0; full-membership restarts

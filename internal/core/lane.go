@@ -192,10 +192,9 @@ func (ln *lane) loop() {
 	}
 }
 
-// senderLoop drains the lane's outbound channel onto the transport,
-// using the lane's dedicated link when the endpoint maintains per-lane
-// links (transport.LaneSender) so lanes never head-of-line-block each
-// other on one shared successor connection, and returns the send slot
+// senderLoop drains the lane's outbound channel onto the transport —
+// every lane's frames share the one link to the successor, which routes
+// them by the lane byte in their header — and returns the send slot
 // after each frame. A send failure is logged and dropped: the failure
 // detector will report the peer and recovery retransmits whatever
 // mattered.
@@ -208,16 +207,15 @@ func (ln *lane) loop() {
 // next frame is built from everything that arrived meanwhile.
 //
 // The transport's zero-copy egress (DESIGN.md §14) encodes frames at
-// enqueue time — inside SendLane/Send, on this goroutine. That keeps
-// the gate sound by construction: the gate runs strictly before the
-// SendLane call, so a train is encoded and queued for the wire only
-// after the fdatasync covering its records has completed. No encoded
-// byte of a gated train exists anywhere (pool, queue, iovec, kernel)
-// before its durability is settled — acks still imply durability.
+// enqueue time — inside Send, on this goroutine. That keeps the gate
+// sound by construction: the gate runs strictly before the Send call,
+// so a train is encoded and queued for the wire only after the
+// fdatasync covering its records has completed. No encoded byte of a
+// gated train exists anywhere (pool, queue, iovec, kernel) before its
+// durability is settled — acks still imply durability.
 func (ln *lane) senderLoop() {
 	s := ln.srv
 	defer s.wg.Done()
-	ls, _ := s.ep.(transport.LaneSender)
 	for {
 		select {
 		case of := <-ln.ringOut:
@@ -233,13 +231,7 @@ func (ln *lane) senderLoop() {
 					})
 				}
 			}
-			var err error
-			if ls != nil {
-				err = ls.SendLane(of.to, ln.idx, of.f)
-			} else {
-				err = s.ep.Send(of.to, of.f)
-			}
-			if err != nil {
+			if err := s.ep.Send(of.to, of.f); err != nil {
 				ln.log.Debug("ring send failed", "to", of.to, "err", err)
 			}
 			ln.slot <- struct{}{}

@@ -238,24 +238,19 @@ func (s *Server) laneFor(obj wire.ObjectID) int {
 }
 
 // route maps an inbound frame to its inbox index: ring data frames go
-// to the lane their link was pinned to at handshake time (the
-// negotiated lane map) — only frames from unpinned links (raw
-// endpoints) fall back to the lane byte in the frame header — crash
-// notices go to the
+// to the lane byte in their frame header, crash notices go to the
 // control plane (index len(lanes)), and client requests — whose senders
 // do not know the lane fanout — are routed by object hash. A ring frame
 // naming a lane this server does not have is counted and dropped
-// (transport.RouteDrop): it can only come from a peer running a
-// different WriteLanes, and misrouting it to an arbitrary lane would
+// (transport.RouteDrop): the handshake already refused peers with a
+// different WriteLanes, so it can only come from a raw endpoint or a
+// peer whose header lies, and misrouting it to an arbitrary lane would
 // corrupt that lane's protocol state. All envelopes of a piggybacked or
 // train frame share a lane, so routing by the primary is exact.
 func (s *Server) route(in *transport.Inbound) int {
 	switch in.Frame.Env.Kind {
 	case wire.KindPreWrite, wire.KindWrite:
-		lane, pinned := in.NegotiatedLane()
-		if !pinned {
-			lane = int(in.Frame.Lane)
-		}
+		lane := int(in.Frame.Lane)
 		if lane >= len(s.lanes) {
 			if s.laneDrops.Add(1) == 1 {
 				s.log.Warn("dropping ring frame for unknown lane (peer WriteLanes mismatch?)",

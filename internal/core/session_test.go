@@ -16,7 +16,8 @@ import (
 
 // newSessionTCPCluster is newTCPCluster with every endpoint in session
 // mode: servers assert their Config.SessionHello, so connections are
-// validated and ring traffic runs over per-lane links. mods tweak each
+// validated and every lane's ring traffic shares the one link to the
+// successor. mods tweak each
 // server's config after ID/Members/WriteLanes are set.
 func newSessionTCPCluster(t *testing.T, n, lanes int, mods ...configMod) (*tcpCluster, []*core.Server) {
 	t.Helper()
@@ -93,7 +94,6 @@ func (c *tcpCluster) sessionClient(opts client.Options) *client.Client {
 	hello := wire.Hello{
 		Version:        wire.HelloVersion,
 		From:           id,
-		Link:           wire.LinkGeneral,
 		MembershipHash: wire.MembershipHash(c.members),
 	}
 	ep := tcpnet.NewClient(id, c.book, tcpnet.Options{Hello: &hello})
@@ -112,7 +112,8 @@ func (c *tcpCluster) sessionClient(opts client.Options) *client.Client {
 }
 
 // TestSessionTCPCluster runs the full algorithm over session endpoints:
-// validated connections, per-lane ring links, and crash recovery.
+// validated connections, one shared ring link per peer, and crash
+// recovery.
 func TestSessionTCPCluster(t *testing.T) {
 	c, _ := newSessionTCPCluster(t, 3, 4)
 	cl := c.newSessionClient(time.Second)
@@ -246,66 +247,100 @@ func TestSessionWriteLanesMismatch(t *testing.T) {
 	})
 }
 
-// TestStrayLaneByteDropped covers the diagnostic for links no handshake
-// validated (a server on a raw endpoint): a ring frame whose lane byte
-// names a lane this server does not have is logged and dropped, not
-// routed to lane 0, and the server keeps serving.
+// TestStrayLaneByteDropped covers the guard on the frame header's lane
+// byte, the only routing input for ring frames: a ring frame naming a
+// lane this server does not have is counted and dropped, not routed to
+// lane 0, and the server keeps serving. Both kinds of sender are
+// covered: a raw endpoint no handshake validated, and a session peer
+// that passed the handshake with a matching WriteLanes yet writes a
+// stray lane byte.
 func TestStrayLaneByteDropped(t *testing.T) {
-	net := transport.NewMemNetwork(transport.MemNetworkOptions{})
 	members := []wire.ProcessID{1}
-	cfg := core.Config{ID: 1, Members: members, WriteLanes: 2}
-	ep, err := net.Register(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ep.Close() }()
-	srv, err := core.NewServer(cfg, ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Start()
-	defer srv.Stop()
+	for _, tc := range []struct {
+		name string
+		// start runs a one-server, two-lane ring and returns it, the
+		// rogue endpoint (id 9) and a client of the ring.
+		start func(t *testing.T) (*core.Server, transport.Endpoint, *client.Client)
+	}{
+		{"raw memnet", func(t *testing.T) (*core.Server, transport.Endpoint, *client.Client) {
+			net := transport.NewMemNetwork(transport.MemNetworkOptions{})
+			ep, err := net.Register(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = ep.Close() })
+			srv, err := core.NewServer(core.Config{ID: 1, Members: members, WriteLanes: 2}, ep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Start()
+			t.Cleanup(srv.Stop)
+			rogue, err := net.Register(9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = rogue.Close() })
+			clEP, err := net.Register(100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := client.New(clEP, client.Options{Servers: members, AttemptTimeout: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = cl.Close(); _ = clEP.Close() })
+			return srv, rogue, cl
+		}},
+		{"session tcp", func(t *testing.T) (*core.Server, transport.Endpoint, *client.Client) {
+			c, servers := newSessionTCPCluster(t, 1, 2)
+			rogue := tcpnet.NewClient(9, c.book, tcpnet.Options{Hello: &wire.Hello{
+				Version:        wire.HelloVersion,
+				From:           9,
+				Lanes:          2,
+				MembershipHash: wire.MembershipHash(c.members),
+			}})
+			t.Cleanup(func() { _ = rogue.Close() })
+			if err := rogue.Handshake(1); err != nil {
+				t.Fatalf("matched peer failed the handshake: %v", err)
+			}
+			return servers[0], rogue, c.newSessionClient(5 * time.Second)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, rogue, cl := tc.start(t)
+			// The frame header names lane 5 of a 2-lane server.
+			stray := wire.NewLaneFrame(wire.Envelope{
+				Kind: wire.KindPreWrite, Object: 3, Origin: 9,
+				Tag: tag.Tag{TS: 1, ID: 9}, Value: []byte("stray"),
+			}, 5)
+			if err := rogue.Send(1, stray); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for srv.CounterSnapshot().LaneDrops == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("stray-lane frame was never counted as dropped")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// Delivered to a lane, the pre-write would be forwarded
+			// around the ring; dropped, it leaves no ring frame behind.
+			time.Sleep(20 * time.Millisecond)
+			if snap := srv.CounterSnapshot(); snap.LaneDrops != 1 || snap.RingFrames != 0 {
+				t.Fatalf("after the stray frame: LaneDrops %d, RingFrames %d; want 1 and 0",
+					snap.LaneDrops, snap.RingFrames)
+			}
 
-	// A raw endpoint posing as a mismatched peer: its frame header names
-	// lane 5 of a 2-lane server.
-	rogue, err := net.Register(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = rogue.Close() }()
-	stray := wire.NewLaneFrame(wire.Envelope{
-		Kind: wire.KindPreWrite, Object: 3, Origin: 9,
-		Tag: tag.Tag{TS: 1, ID: 9}, Value: []byte("stray"),
-	}, 5)
-	if err := rogue.Send(1, stray); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.CounterSnapshot().LaneDrops == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("stray-lane frame was never counted as dropped")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// The server is unharmed: a real client round trip still works.
-	clEP, err := net.Register(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := client.New(clEP, client.Options{Servers: members, AttemptTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = cl.Close(); _ = clEP.Close() }()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := cl.Write(ctx, 3, []byte("healthy")); err != nil {
-		t.Fatalf("write after stray frame: %v", err)
-	}
-	v, _, err := cl.Read(ctx, 3)
-	if err != nil || string(v) != "healthy" {
-		t.Fatalf("read %q (%v), want healthy", v, err)
+			// The server is unharmed: a real client round trip still works.
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if _, err := cl.Write(ctx, 3, []byte("healthy")); err != nil {
+				t.Fatalf("write after stray frame: %v", err)
+			}
+			v, _, err := cl.Read(ctx, 3)
+			if err != nil || string(v) != "healthy" {
+				t.Fatalf("read %q (%v), want healthy", v, err)
+			}
+		})
 	}
 }

@@ -392,10 +392,9 @@ func TestCrashPiggybackDropped(t *testing.T) {
 }
 
 // TestLaneRouting pins the demux contract: ring frames land on the lane
-// named in their header (or, preferentially, the lane their link was
-// pinned to at handshake time), client requests land on the object's
-// lane, crash notices land on the control inbox, and ring frames naming
-// a lane outside the local fanout are dropped, not misrouted.
+// named in their header, client requests land on the object's lane,
+// crash notices land on the control inbox, and ring frames naming a
+// lane outside the local fanout are dropped, not misrouted.
 func TestLaneRouting(t *testing.T) {
 	h := newStormHarness(t, 0, func(c *Config) { c.WriteLanes = 4 })
 	s := h.s
@@ -410,21 +409,13 @@ func TestLaneRouting(t *testing.T) {
 			t.Fatalf("ring frame for lane %d routed to %d", want, got)
 		}
 	}
-	// A lane-pinned link overrides the frame header.
-	pinned := transport.Inbound{
-		Frame:    wire.NewLaneFrame(wire.Envelope{Kind: wire.KindPreWrite, Object: 1, Tag: tag.Tag{TS: 1, ID: 2}, Origin: 2}, 0),
-		LinkLane: 3,
-	}
-	if got := s.route(&pinned); got != 2 {
-		t.Fatalf("lane-pinned frame routed to %d, want negotiated lane 2", got)
-	}
 	cin := transport.Inbound{Frame: wire.NewFrame(wire.Envelope{Kind: wire.KindCrash, Origin: 2, Epoch: 1})}
 	if got := s.route(&cin); got != len(s.lanes) {
 		t.Fatalf("crash notice routed to %d, want control index %d", got, len(s.lanes))
 	}
-	// A lane byte beyond the local fanout (a WriteLanes-mismatched peer
-	// on an unvalidated link) is dropped and counted, never wrapped onto
-	// an arbitrary lane.
+	// A lane byte beyond the local fanout (a raw peer, or one whose
+	// header lies about its lane) is dropped and counted, never wrapped
+	// onto an arbitrary lane.
 	stray := transport.Inbound{Frame: wire.NewLaneFrame(wire.Envelope{Kind: wire.KindPreWrite, Object: 1, Tag: tag.Tag{TS: 2, ID: 2}, Origin: 2}, 7)}
 	if got := s.route(&stray); got != transport.RouteDrop {
 		t.Fatalf("stray-lane frame routed to %d, want RouteDrop", got)

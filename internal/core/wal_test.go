@@ -80,8 +80,8 @@ func TestAckedWriteDurableAfterKill(t *testing.T) {
 // TestAckedWriteDurableAfterKillEncodedEgress re-runs the durability
 // contract over the egress that ships (DESIGN.md §14): session endpoints
 // on loopback TCP, every frame encoded at enqueue time into pooled
-// refcounted buffers. The WAL send gate runs strictly before SendLane,
-// so no encoded byte of a gated train may exist before its covering
+// refcounted buffers. The WAL send gate runs strictly before Send, so
+// no encoded byte of a gated train may exist before its covering
 // fdatasync; killing every server mid-stream must neither lose an acked
 // write nor strand a pooled encode buffer.
 func TestAckedWriteDurableAfterKillEncodedEgress(t *testing.T) {

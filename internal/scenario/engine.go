@@ -43,7 +43,7 @@ func newEngine(seed int64, members []wire.ProcessID) *engine {
 }
 
 // Verdict implements transport.FaultInjector.
-func (e *engine) Verdict(from, to wire.ProcessID, lane int, f *wire.Frame) transport.FaultVerdict {
+func (e *engine) Verdict(from, to wire.ProcessID, f *wire.Frame) transport.FaultVerdict {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if len(e.group) > 0 && e.members[from] && e.members[to] {
@@ -57,13 +57,13 @@ func (e *engine) Verdict(from, to wire.ProcessID, lane int, f *wire.Frame) trans
 		if !r.link.matches(from, to, e.isMember) {
 			continue
 		}
-		if r.pct > 0 && int(e.frameHash(r.id, from, to, lane, f)%100) < r.pct {
+		if r.pct > 0 && int(e.frameHash(r.id, from, to, f)%100) < r.pct {
 			return transport.FaultVerdict{Drop: true}
 		}
 		if r.delay > 0 {
 			d := r.delay
 			if r.jitter > 0 {
-				d += time.Duration(e.frameHash(^r.id, from, to, lane, f) % uint64(r.jitter))
+				d += time.Duration(e.frameHash(^r.id, from, to, f) % uint64(r.jitter))
 			}
 			return transport.FaultVerdict{Delay: d}
 		}
@@ -75,17 +75,17 @@ func (e *engine) Verdict(from, to wire.ProcessID, lane int, f *wire.Frame) trans
 func (e *engine) isMember(id wire.ProcessID) bool { return e.members[id] }
 
 // frameHash mixes the seed, a per-rule salt, the link, and the frame's
-// identity (kind, object, tag, origin, request id, lane) into a
+// identity (kind, object, tag, origin, request id) into a
 // uniform 64-bit value. Retries of a timed-out request carry a fresh
 // ReqID, so they re-roll the dice; re-deliveries of the same frame do
 // not.
-func (e *engine) frameHash(salt uint64, from, to wire.ProcessID, lane int, f *wire.Frame) uint64 {
+func (e *engine) frameHash(salt uint64, from, to wire.ProcessID, f *wire.Frame) uint64 {
 	env := &f.Env
 	h := uint64(e.seed) ^ (salt * 0x9E3779B97F4A7C15)
 	h = mix64(h ^ uint64(from)<<32 ^ uint64(to))
 	h = mix64(h ^ uint64(env.Kind)<<56 ^ uint64(env.Object)<<24 ^ uint64(env.Origin))
 	h = mix64(h ^ env.Tag.TS ^ uint64(env.Tag.ID)<<32)
-	h = mix64(h ^ env.ReqID ^ uint64(lane+1)<<48)
+	h = mix64(h ^ env.ReqID)
 	return h
 }
 

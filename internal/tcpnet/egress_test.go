@@ -49,7 +49,7 @@ func TestEgressShortWritePartialWrites(t *testing.T) {
 	e := newEndpoint(1, nil, Options{VectoredCutoffBytes: 128})
 	t.Cleanup(func() { _ = e.Close() })
 	near, far := net.Pipe()
-	p := e.adoptConn(linkKey{id: 2, lane: laneGeneral}, shortWriteConn{Conn: near})
+	p := e.adoptConn(2, shortWriteConn{Conn: near})
 
 	const total = 40
 	small := []byte("tiny")

@@ -1,7 +1,9 @@
 package tcpnet
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -15,9 +17,7 @@ func sessionHello(id wire.ProcessID, lanes uint16, members []wire.ProcessID) *wi
 		Version:        wire.HelloVersion,
 		From:           id,
 		Lanes:          lanes,
-		Link:           wire.LinkGeneral,
 		MembershipHash: wire.MembershipHash(members),
-		Capabilities:   wire.CapLaneLinks,
 	}
 }
 
@@ -58,7 +58,7 @@ func TestTCPSessionMismatch(t *testing.T) {
 		"membership": sessionHello(2, 4, []wire.ProcessID{1, 2, 3}),
 		"version": func() *wire.Hello {
 			h := sessionHello(2, 4, members)
-			h.Version = 3 // the last build that negotiated trains per peer
+			h.Version = 4 // the last build with per-lane links
 			return h
 		}(),
 	} {
@@ -71,7 +71,7 @@ func TestTCPSessionMismatch(t *testing.T) {
 				t.Fatalf("Handshake: got %v, want *wire.HandshakeError", err)
 			}
 			if name == "version" && herr.Field != "wire version" {
-				t.Fatalf("v3 peer refused on %q, want wire version", herr.Field)
+				t.Fatalf("v4 peer refused on %q, want wire version", herr.Field)
 			}
 			if err := a.Send(2, wire.NewFrame(wire.Envelope{Kind: wire.KindReadRequest, ReqID: 1})); !errors.As(err, &herr) {
 				t.Fatalf("Send: got %v, want *wire.HandshakeError", err)
@@ -85,10 +85,11 @@ func TestTCPSessionMismatch(t *testing.T) {
 	}
 }
 
-// TestTCPSessionLaneLinks verifies that matched session endpoints open
-// one connection per lane and that inbound frames carry the link's
-// negotiated lane, overriding the frame header for demultiplexing.
-func TestTCPSessionLaneLinks(t *testing.T) {
+// TestTCPSessionOneLinkPerPeer verifies that matched session endpoints
+// share one connection per peer: every lane's ring frames and a crash
+// notice travel the same cached link, in send order, each arriving with
+// the lane its header names (the receiver's only routing input).
+func TestTCPSessionOneLinkPerPeer(t *testing.T) {
 	members := []wire.ProcessID{1, 2}
 	a, b := listenPair(t,
 		Options{Hello: sessionHello(1, 4, members)},
@@ -98,27 +99,31 @@ func TestTCPSessionLaneLinks(t *testing.T) {
 	}
 	env := wire.Envelope{Kind: wire.KindPreWrite, Origin: 1, Tag: tag.Tag{TS: 1, ID: 1}}
 	for lane := 0; lane < 4; lane++ {
-		if err := a.SendLane(2, lane, wire.NewLaneFrame(env, uint8(lane))); err != nil {
-			t.Fatalf("SendLane(%d): %v", lane, err)
-		}
-		in := recvOne(t, b)
-		if got, ok := in.NegotiatedLane(); !ok || got != lane {
-			t.Fatalf("lane %d delivered with negotiated lane (%d,%v)", lane, got, ok)
+		env.ReqID = uint64(lane)
+		if err := a.Send(2, wire.NewLaneFrame(env, uint8(lane))); err != nil {
+			t.Fatalf("Send(lane %d): %v", lane, err)
 		}
 	}
-	// The general link stays unpinned.
 	if err := a.Send(2, wire.NewFrame(wire.Envelope{Kind: wire.KindCrash, Origin: 9, Epoch: 1})); err != nil {
 		t.Fatal(err)
 	}
-	if in := recvOne(t, b); in.LinkLane != 0 {
-		t.Fatalf("general-link frame delivered lane-pinned (%d)", in.LinkLane)
+	for lane := 0; lane < 4; lane++ {
+		in := recvOne(t, b)
+		if in.From != 1 || in.Frame.Env.ReqID != uint64(lane) || int(in.Frame.Lane) != lane {
+			t.Fatalf("frame %d arrived as req %d on header lane %d from %d",
+				lane, in.Frame.Env.ReqID, in.Frame.Lane, in.From)
+		}
 	}
-	// Five distinct connections were opened: 4 lanes + general.
-	a.mu.Lock()
-	links := len(a.peers)
-	a.mu.Unlock()
-	if links != 5 {
-		t.Fatalf("%d cached links to peer, want 5 (4 lanes + general)", links)
+	if in := recvOne(t, b); in.Frame.Env.Kind != wire.KindCrash {
+		t.Fatalf("crash notice arrived as %+v", in.Frame.Env)
+	}
+	for name, ep := range map[string]*Endpoint{"dialer": a, "acceptor": b} {
+		ep.mu.Lock()
+		links, extras := len(ep.peers), len(ep.extras)
+		ep.mu.Unlock()
+		if links != 1 || extras != 0 {
+			t.Fatalf("%s holds %d cached links and %d duplicates, want 1 and 0", name, links, extras)
+		}
 	}
 }
 
@@ -153,35 +158,6 @@ func TestTCPSessionPeerIdentity(t *testing.T) {
 	}
 }
 
-// TestTCPLaneUnawarePinRejected verifies the acceptor bounds a pinned
-// link by its own fanout: a peer that declares Lanes=0 (dodging the
-// lane-count check) cannot pin a link to a real lane's demux slot.
-func TestTCPLaneUnawarePinRejected(t *testing.T) {
-	members := []wire.ProcessID{1, 2}
-	rogue := sessionHello(2, 0, members) // lane-unaware, yet...
-	rogue.Capabilities = wire.CapLaneLinks
-	a, b := listenPair(t,
-		Options{Hello: sessionHello(1, 4, members)},
-		Options{Hello: rogue})
-	// ...SendLane makes b dial a link pinned to lane 2.
-	err := b.SendLane(1, 2, wire.NewFrame(wire.Envelope{Kind: wire.KindReadRequest, ReqID: 1}))
-	if err == nil {
-		t.Fatal("lane-pinned link from a Lanes=0 peer was accepted")
-	}
-	select {
-	case in := <-a.Inbox():
-		t.Fatalf("frame leaked over a rejected pin: %+v", in)
-	case <-time.After(50 * time.Millisecond):
-	}
-	// The general link is unaffected.
-	if err := b.Send(1, wire.NewFrame(wire.Envelope{Kind: wire.KindReadRequest, ReqID: 2})); err != nil {
-		t.Fatalf("general link after rejected pin: %v", err)
-	}
-	if in := recvOne(t, a); in.LinkLane != 0 {
-		t.Fatalf("general-link frame arrived pinned: %+v", in)
-	}
-}
-
 // TestTCPLegacyPeer verifies that a session endpoint refuses a raw peer
 // (bare preamble, no HELLO) with the typed wire-version error, and that
 // no frame of such a peer is ever delivered.
@@ -212,4 +188,44 @@ func TestTCPLegacyPeer(t *testing.T) {
 			t.Fatalf("acceptHandshake(raw preamble): got %v, want *wire.HandshakeError on wire version", err)
 		}
 	})
+}
+
+// TestTCPHelloV4Refused verifies that a session endpoint refuses a v4
+// HELLO — the 22-byte body that still carried a link pin and a
+// capability bitmap — with the typed wire-version error, and answers
+// with a failure status and its own HELLO so the dialer can tell why.
+func TestTCPHelloV4Refused(t *testing.T) {
+	members := []wire.ProcessID{1, 2}
+	a := NewClient(1, nil, Options{Hello: sessionHello(1, 4, members)})
+	defer func() { _ = a.Close() }()
+
+	// version 4, from 2, lanes 4, link 0xFFFF, membership, capabilities 1
+	v4 := []byte{0, 4, 0, 0, 0, 2, 0, 4, 0xFF, 0xFF}
+	v4 = binary.BigEndian.AppendUint64(v4, wire.MembershipHash(members))
+	v4 = binary.BigEndian.AppendUint32(v4, 1)
+	if len(v4) != 22 {
+		t.Fatalf("v4 body is %d bytes, want 22", len(v4))
+	}
+	near, far := net.Pipe()
+	defer func() { _ = near.Close(); _ = far.Close() }()
+	reply := make(chan []byte, 1)
+	go func() {
+		_, _ = far.Write(append([]byte(magicSession+"\x16"), v4...))
+		buf := make([]byte, 2+wire.HelloWireSize())
+		_, _ = io.ReadFull(far, buf)
+		reply <- buf
+	}()
+	var herr *wire.HandshakeError
+	if _, err := a.acceptHandshake(near); !errors.As(err, &herr) || herr.Field != "wire version" ||
+		herr.Local != uint64(wire.HelloVersion) || herr.Remote != 4 {
+		t.Fatalf("acceptHandshake(v4 hello): got %v, want *wire.HandshakeError on wire version 5 vs 4", err)
+	}
+	buf := <-reply
+	if buf[0] == 0 || int(buf[1]) != wire.HelloWireSize() {
+		t.Fatalf("reply status %d, length %d: want a refusal carrying a %d-byte hello",
+			buf[0], buf[1], wire.HelloWireSize())
+	}
+	if h, err := wire.DecodeHello(buf[2:]); err != nil || h.Version != wire.HelloVersion || h.From != 1 {
+		t.Fatalf("reply hello %+v (err %v), want v%d from 1", h, err, wire.HelloVersion)
+	}
 }

@@ -6,23 +6,21 @@
 //
 // Connections open with a session handshake (DESIGN.md §8): endpoints
 // configured with a wire.Hello exchange versioned HELLOs carrying the
-// wire version, lane fanout, ring-membership hash, and capabilities,
-// and reject incompatible peers at connect time with a typed
-// *wire.HandshakeError. When both ends negotiate wire.CapLaneLinks,
-// each ring lane gets its own dedicated connection to the successor
-// (transport.LaneSender), pinned to its lane at handshake time, so
-// lanes stop head-of-line-blocking each other on one shared socket and
-// the receiver demultiplexes by negotiated lane instead of trusting the
-// frame header. Endpoints without a Hello are raw: they open with a bare
-// preamble (magic + process id, nothing validated) and talk only to
-// each other — a session endpoint refuses the bare preamble, and a raw
-// endpoint cannot answer a HELLO.
+// wire version, lane fanout and ring-membership hash, and reject
+// incompatible peers at connect time with a typed *wire.HandshakeError.
+// Endpoints without a Hello are raw: they open with a bare preamble
+// (magic + process id, nothing validated) and talk only to each other —
+// a session endpoint refuses the bare preamble, and a raw endpoint
+// cannot answer a HELLO.
 //
-// Connections are created lazily on first send and cached. Each
-// connection has one reader and one writer goroutine; the bounded
-// outbound queue gives senders the same backpressure semantics as the
-// in-memory transport. Acks to clients travel back on the connection the
-// client opened, so clients need no listener.
+// An endpoint holds one connection per peer, created lazily on first
+// send and cached. Every ring lane's frames share it, as in the paper's
+// one FIFO channel per successor; the receiver routes each ring frame
+// by the lane byte in its header. Each connection has one reader and
+// one writer goroutine; the bounded outbound queue gives senders the
+// same backpressure semantics as the in-memory transport. Acks to
+// clients travel back on the connection the client opened, so clients
+// need no listener.
 //
 // Outbound frames are encoded at enqueue time, on the goroutine that
 // produced them, into pooled refcounted wire.EncodedFrame buffers; the
@@ -73,19 +71,13 @@ const (
 // bytes.
 const handshakeTimeout = 5 * time.Second
 
-// laneGeneral is the link lane of connections not pinned to a ring
-// lane: client connections, control traffic, and every connection of a
-// raw or lane-unaware peer.
-const laneGeneral = -1
-
 // Options configure a TCP endpoint.
 type Options struct {
 	// Hello, when set, switches the endpoint to session mode: every
-	// dialed connection opens with this HELLO (its Link field rewritten
-	// per connection), accepted connections must present a compatible
-	// one, and mismatches fail with a typed *wire.HandshakeError. Nil
-	// makes a raw endpoint: bare preamble, no validation, no per-lane
-	// links, reachable only from other raw endpoints.
+	// dialed connection opens with this HELLO, accepted connections
+	// must present a compatible one, and mismatches fail with a typed
+	// *wire.HandshakeError. Nil makes a raw endpoint: bare preamble, no
+	// validation, reachable only from other raw endpoints.
 	Hello *wire.Hello
 	// SendQueueCapacity bounds the per-peer outbound queue. Zero means 64.
 	SendQueueCapacity int
@@ -165,13 +157,6 @@ func (o Options) withDefaults() Options {
 // themselves opened.
 type AddressBook map[wire.ProcessID]string
 
-// linkKey identifies one logical link: a peer process and the ring lane
-// the connection is pinned to (laneGeneral when unpinned).
-type linkKey struct {
-	id   wire.ProcessID
-	lane int
-}
-
 // Endpoint is a TCP-backed transport endpoint.
 type Endpoint struct {
 	id    wire.ProcessID
@@ -189,14 +174,9 @@ type Endpoint struct {
 	demux atomic.Pointer[transport.DemuxTable]
 
 	mu     sync.Mutex
-	peers  map[linkKey]*peer
+	peers  map[wire.ProcessID]*peer
 	extras []*peer // duplicate conns from simultaneous dials: read-only
 	failed map[wire.ProcessID]bool
-	// caps records each peer's capability bitmap as learned from its
-	// HELLO (either direction); a present entry with zero caps is a raw
-	// or capability-less peer. SendLane consults it to decide between
-	// the lane link and the general link.
-	caps map[wire.ProcessID]uint32
 
 	wg sync.WaitGroup
 }
@@ -204,7 +184,6 @@ type Endpoint struct {
 var (
 	_ transport.Endpoint   = (*Endpoint)(nil)
 	_ transport.Demuxer    = (*Endpoint)(nil)
-	_ transport.LaneSender = (*Endpoint)(nil)
 	_ transport.Handshaker = (*Endpoint)(nil)
 	_ transport.TrySender  = (*Endpoint)(nil)
 )
@@ -248,7 +227,7 @@ func NewClient(id wire.ProcessID, book AddressBook, opts Options) *Endpoint {
 func newEndpoint(id wire.ProcessID, book AddressBook, opts Options) *Endpoint {
 	opts = opts.withDefaults()
 	if opts.Hello != nil {
-		h := *opts.Hello // private copy; Link is rewritten per connection
+		h := *opts.Hello // private copy
 		h.From = id
 		opts.Hello = &h
 	}
@@ -263,9 +242,8 @@ func newEndpoint(id wire.ProcessID, book AddressBook, opts Options) *Endpoint {
 		inbox:  make(chan transport.Inbound, opts.InboxCapacity),
 		fails:  make(chan wire.ProcessID, 64),
 		down:   make(chan struct{}),
-		peers:  make(map[linkKey]*peer),
+		peers:  make(map[wire.ProcessID]*peer),
 		failed: make(map[wire.ProcessID]bool),
-		caps:   make(map[wire.ProcessID]uint32),
 	}
 }
 
@@ -305,7 +283,7 @@ func (e *Endpoint) Close() error {
 		peers = append(peers, p)
 	}
 	peers = append(peers, e.extras...)
-	e.peers = make(map[linkKey]*peer)
+	e.peers = make(map[wire.ProcessID]*peer)
 	e.extras = nil
 	e.mu.Unlock()
 	for _, p := range peers {
@@ -315,52 +293,24 @@ func (e *Endpoint) Close() error {
 	return nil
 }
 
-// Send implements transport.Endpoint: the frame travels the general
-// (unpinned) link to the peer.
+// Send implements transport.Endpoint: the frame travels the peer's
+// link, dialing it first if none is cached.
 func (e *Endpoint) Send(to wire.ProcessID, f wire.Frame) error {
-	return e.send(to, laneGeneral, f)
-}
-
-// SendLane implements transport.LaneSender: the frame travels the
-// dedicated connection of the given ring lane when the session with the
-// peer negotiated wire.CapLaneLinks, and the general link otherwise
-// (raw peers, lane-unaware peers). The first SendLane to a peer may
-// open the general link just to learn the peer's capabilities; in
-// steady state an established lane link costs one lock acquisition,
-// the same as a plain Send.
-func (e *Endpoint) SendLane(to wire.ProcessID, lane int, f wire.Frame) error {
-	if lane < 0 || e.opts.Hello == nil || e.opts.Hello.Capabilities&wire.CapLaneLinks == 0 {
-		return e.send(to, laneGeneral, f)
-	}
 	select {
 	case <-e.down:
 		return transport.ErrClosed
 	default:
 	}
-	// Fast path: an established lane link proves the capability was
-	// negotiated, so skip the caps lookup.
-	e.mu.Lock()
-	p, live := e.peers[linkKey{id: to, lane: lane}]
-	caps, known := e.caps[to]
-	e.mu.Unlock()
-	if live {
-		return e.enqueue(p, to, f)
+	p, err := e.peerFor(to)
+	if err != nil {
+		return err
 	}
-	if !known {
-		if _, err := e.peerFor(to, laneGeneral); err != nil {
-			return err
-		}
-		caps = e.peerCaps(to)
-	}
-	if caps&wire.CapLaneLinks == 0 {
-		lane = laneGeneral
-	}
-	return e.send(to, lane, f)
+	return e.enqueue(p, to, f)
 }
 
 // TrySend implements transport.TrySender: the frame is encoded on this
 // goroutine (the ack fast path's whole point is that the producing
-// goroutine does the work) and pushed onto the general link's outbound
+// goroutine does the work) and pushed onto the peer link's outbound
 // queue only if the link is already established and its queue has room
 // right now. It never dials — connection setup can block for seconds —
 // and never waits for queue space, so it is safe on goroutines that
@@ -372,7 +322,7 @@ func (e *Endpoint) TrySend(to wire.ProcessID, f wire.Frame) bool {
 	default:
 	}
 	e.mu.Lock()
-	p := e.peers[linkKey{id: to, lane: laneGeneral}]
+	p := e.peers[to]
 	e.mu.Unlock()
 	if p == nil {
 		return false
@@ -397,7 +347,7 @@ func (e *Endpoint) TrySend(to wire.ProcessID, f wire.Frame) bool {
 }
 
 // Handshake implements transport.Handshaker: it eagerly opens (or
-// reuses) the general link to the peer, returning a typed
+// reuses) the link to the peer, returning a typed
 // *wire.HandshakeError when the peer's HELLO is incompatible.
 func (e *Endpoint) Handshake(to wire.ProcessID) error {
 	select {
@@ -405,22 +355,8 @@ func (e *Endpoint) Handshake(to wire.ProcessID) error {
 		return transport.ErrClosed
 	default:
 	}
-	_, err := e.peerFor(to, laneGeneral)
+	_, err := e.peerFor(to)
 	return err
-}
-
-// send queues the frame on the link's outbound queue.
-func (e *Endpoint) send(to wire.ProcessID, lane int, f wire.Frame) error {
-	select {
-	case <-e.down:
-		return transport.ErrClosed
-	default:
-	}
-	p, err := e.peerFor(to, lane)
-	if err != nil {
-		return err
-	}
-	return e.enqueue(p, to, f)
 }
 
 // enqueue encodes the frame on the calling goroutine and hands the
@@ -471,27 +407,11 @@ func reclaimIfClosed(p *peer) bool {
 	}
 }
 
-// peerCaps returns the peer's capability bitmap; zero until a handshake
-// with it has completed in either direction.
-func (e *Endpoint) peerCaps(to wire.ProcessID) uint32 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.caps[to]
-}
-
-// recordCaps remembers the peer's capability bitmap.
-func (e *Endpoint) recordCaps(id wire.ProcessID, caps uint32) {
-	e.mu.Lock()
-	e.caps[id] = caps
-	e.mu.Unlock()
-}
-
-// peerFor returns the cached connection for the link, dialing and
+// peerFor returns the cached connection to the peer, dialing and
 // handshaking if necessary.
-func (e *Endpoint) peerFor(to wire.ProcessID, lane int) (*peer, error) {
-	key := linkKey{id: to, lane: lane}
+func (e *Endpoint) peerFor(to wire.ProcessID) (*peer, error) {
 	e.mu.Lock()
-	if p, ok := e.peers[key]; ok {
+	if p, ok := e.peers[to]; ok {
 		e.mu.Unlock()
 		return p, nil
 	}
@@ -509,11 +429,11 @@ func (e *Endpoint) peerFor(to wire.ProcessID, lane int) (*peer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: dial %d at %s: %w", to, addr, err)
 	}
-	if err := e.dialHandshake(conn, to, lane); err != nil {
+	if err := e.dialHandshake(conn, to); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("tcpnet: handshake with %d: %w", to, err)
 	}
-	return e.adoptConn(key, conn), nil
+	return e.adoptConn(to, conn), nil
 }
 
 // dial attempts to connect with bounded retries.
@@ -536,26 +456,26 @@ func (e *Endpoint) dial(addr string) (net.Conn, error) {
 	return nil, lastErr
 }
 
-// adoptConn registers a live connection for the link and starts its
-// reader and writer goroutines. If a connection for the link already
+// adoptConn registers a live connection to the peer and starts its
+// reader and writer goroutines. If a connection to the peer already
 // exists (simultaneous dials), the new one is still served for reading
 // but the cached one keeps handling sends.
-func (e *Endpoint) adoptConn(key linkKey, conn net.Conn) *peer {
+func (e *Endpoint) adoptConn(id wire.ProcessID, conn net.Conn) *peer {
 	p := &peer{
-		key:    key,
+		id:     id,
 		conn:   conn,
 		out:    make(chan *wire.EncodedFrame, e.opts.SendQueueCapacity),
 		closed: make(chan struct{}),
 	}
 	e.mu.Lock()
-	if existing, ok := e.peers[key]; ok {
+	if existing, ok := e.peers[id]; ok {
 		e.extras = append(e.extras, p)
 		e.mu.Unlock()
 		e.wg.Add(1)
 		go e.readLoop(p) // serve inbound on the duplicate, never write
 		return existing
 	}
-	e.peers[key] = p
+	e.peers[id] = p
 	e.mu.Unlock()
 	e.wg.Add(2)
 	go e.readLoop(p)
@@ -565,38 +485,25 @@ func (e *Endpoint) adoptConn(key linkKey, conn net.Conn) *peer {
 
 // dropPeer removes the link from the cache and reports the peer's
 // failure once. In this model any broken connection means the peer
-// crashed, so the first broken link carries the news; the peer's other
-// links die on their own as their reads and writes fail.
+// crashed, so the first broken connection carries the news; a duplicate
+// from a simultaneous dial dies on its own as its reads fail.
 func (e *Endpoint) dropPeer(p *peer) {
 	p.shutdown()
 	e.mu.Lock()
 	first := false
-	cached := e.peers[p.key] == p
+	cached := e.peers[p.id] == p
 	if cached {
-		delete(e.peers, p.key)
-	}
-	// Drop the learned capabilities with the peer's last link, so the
-	// caps map never outgrows the live peer set (client churn would
-	// otherwise accumulate one entry per client ever connected).
-	lastLink := true
-	for k := range e.peers {
-		if k.id == p.key.id {
-			lastLink = false
-			break
-		}
-	}
-	if lastLink {
-		delete(e.caps, p.key.id)
+		delete(e.peers, p.id)
 	}
 	// failed exists to stop peerFor redialing a crashed server, and
 	// peerFor only dials ids in the address book; recording anyone else
 	// would grow the map by one entry per client that ever disconnected.
 	// A client's only link is the one it dialed, so its departure is
 	// reported by whichever of that link's two loops uncaches it.
-	if _, dialable := e.book[p.key.id]; !dialable {
+	if _, dialable := e.book[p.id]; !dialable {
 		first = cached
-	} else if !e.failed[p.key.id] {
-		e.failed[p.key.id] = true
+	} else if !e.failed[p.id] {
+		e.failed[p.id] = true
 		first = true
 	}
 	e.mu.Unlock()
@@ -607,14 +514,14 @@ func (e *Endpoint) dropPeer(p *peer) {
 	}
 	if first {
 		select {
-		case e.fails <- p.key.id:
+		case e.fails <- p.id:
 		case <-e.down:
 		}
 	}
 }
 
 // acceptLoop accepts inbound connections and registers them after the
-// handshake identifies the peer and the link's lane.
+// handshake identifies the peer.
 func (e *Endpoint) acceptLoop() {
 	defer e.wg.Done()
 	for {
@@ -630,12 +537,12 @@ func (e *Endpoint) acceptLoop() {
 			}
 			continue
 		}
-		key, err := e.acceptHandshake(conn)
+		id, err := e.acceptHandshake(conn)
 		if err != nil {
 			_ = conn.Close()
 			continue
 		}
-		e.adoptConn(key, conn)
+		e.adoptConn(id, conn)
 	}
 }
 
@@ -665,7 +572,7 @@ func (e *Endpoint) readLoop(p *peer) {
 			e.dropPeer(p)
 			return
 		}
-		inb := transport.Inbound{From: p.key.id, Frame: f, LinkLane: p.key.lane + 1}
+		inb := transport.Inbound{From: p.id, Frame: f}
 		ch := e.inboxFor(&inb)
 		if ch == nil {
 			// Routed to RouteDrop: discard, returning pooled buffers.
@@ -743,7 +650,7 @@ func (e *Endpoint) writeBatch(p *peer, w *egressWriter, first *wire.EncodedFrame
 // peer is one live TCP connection with its outbound queue of encoded
 // frames.
 type peer struct {
-	key    linkKey
+	id     wire.ProcessID
 	conn   net.Conn
 	out    chan *wire.EncodedFrame
 	once   sync.Once
@@ -760,11 +667,10 @@ func (p *peer) shutdown() {
 
 // dialHandshake opens the dialer's side of the handshake on a fresh
 // connection. Raw endpoints (no Hello) send the bare preamble and
-// expect no reply. Session
-// endpoints send their HELLO — pinned to the link's lane — then read
-// the acceptor's status and HELLO; an incompatible peer yields a typed
+// expect no reply. Session endpoints send their HELLO, then read the
+// acceptor's status and HELLO; an incompatible peer yields a typed
 // *wire.HandshakeError.
-func (e *Endpoint) dialHandshake(conn net.Conn, to wire.ProcessID, lane int) error {
+func (e *Endpoint) dialHandshake(conn net.Conn, to wire.ProcessID) error {
 	if e.opts.Hello == nil {
 		var buf [8]byte
 		copy(buf[:4], magicRaw)
@@ -772,18 +678,13 @@ func (e *Endpoint) dialHandshake(conn net.Conn, to wire.ProcessID, lane int) err
 		_, err := conn.Write(buf[:])
 		return err
 	}
-	h := *e.opts.Hello
-	h.Link = wire.LinkGeneral
-	if lane >= 0 {
-		h.Link = uint16(lane)
-	}
 	// Assemble magic + length + HELLO in one pooled buffer and one
 	// write: the whole preamble leaves in a single segment instead of
 	// trickling out (and allocating) per field.
 	buf := wire.GetBuffer()
 	b := append((*buf)[:0], magicSession...)
 	b = append(b, byte(wire.HelloWireSize()))
-	b = wire.AppendHello(b, &h)
+	b = wire.AppendHello(b, e.opts.Hello)
 	*buf = b
 	_, err := conn.Write(b)
 	wire.PutBuffer(buf)
@@ -819,71 +720,57 @@ func (e *Endpoint) dialHandshake(conn net.Conn, to wire.ProcessID, lane int) err
 	if remote.From != to {
 		return fmt.Errorf("tcpnet: dialed %d but peer identifies as %d", to, remote.From)
 	}
-	e.recordCaps(to, remote.Capabilities)
 	return nil
 }
 
 // acceptHandshake runs the acceptor's side of the handshake, returning
-// the link key the connection serves. Both preambles are recognized,
-// and each is admitted only by its own kind of endpoint: the bare
-// preamble by a raw endpoint (a session endpoint refuses it with the
-// same typed wire-version error any other version skew gets), the
-// HELLO by a session endpoint, which validates it and answers with a
-// status byte plus its own HELLO, so the dialer learns the local
+// the id of the peer the connection serves. Both preambles are
+// recognized, and each is admitted only by its own kind of endpoint:
+// the bare preamble by a raw endpoint (a session endpoint refuses it
+// with the same typed wire-version error any other version skew gets),
+// the HELLO by a session endpoint, which validates it and answers with
+// a status byte plus its own HELLO, so the dialer learns the local
 // configuration either way.
-func (e *Endpoint) acceptHandshake(conn net.Conn) (linkKey, error) {
+func (e *Endpoint) acceptHandshake(conn net.Conn) (wire.ProcessID, error) {
 	if err := conn.SetReadDeadline(time.Now().Add(handshakeTimeout)); err != nil {
-		return linkKey{}, err
+		return wire.NoProcess, err
 	}
 	var magic [4]byte
 	if _, err := io.ReadFull(conn, magic[:]); err != nil {
-		return linkKey{}, err
+		return wire.NoProcess, err
 	}
 	switch string(magic[:]) {
 	case magicRaw:
 		if e.opts.Hello != nil {
 			// The bare preamble carries no version; report it as 0.
-			return linkKey{}, &wire.HandshakeError{Field: "wire version", Local: uint64(e.opts.Hello.Version)}
+			return wire.NoProcess, &wire.HandshakeError{Field: "wire version", Local: uint64(e.opts.Hello.Version)}
 		}
 		var buf [4]byte
 		if _, err := io.ReadFull(conn, buf[:]); err != nil {
-			return linkKey{}, err
+			return wire.NoProcess, err
 		}
 		if err := conn.SetReadDeadline(time.Time{}); err != nil {
-			return linkKey{}, err
+			return wire.NoProcess, err
 		}
 		id := wire.ProcessID(binary.BigEndian.Uint32(buf[:]))
 		if id == wire.NoProcess {
-			return linkKey{}, errors.New("tcpnet: handshake with zero process id")
+			return wire.NoProcess, errors.New("tcpnet: handshake with zero process id")
 		}
-		e.recordCaps(id, 0)
-		return linkKey{id: id, lane: laneGeneral}, nil
+		return id, nil
 	case magicSession:
 		if e.opts.Hello == nil {
 			// A raw endpoint cannot answer a session handshake; the
 			// dialer sees the close and reports the failure.
-			return linkKey{}, errors.New("tcpnet: session handshake on raw endpoint")
+			return wire.NoProcess, errors.New("tcpnet: session handshake on raw endpoint")
 		}
 		remote, err := readHelloBody(conn)
 		if err != nil {
-			return linkKey{}, err
+			return wire.NoProcess, err
 		}
 		if err := conn.SetReadDeadline(time.Time{}); err != nil {
-			return linkKey{}, err
+			return wire.NoProcess, err
 		}
 		cerr := e.opts.Hello.CheckCompatible(&remote)
-		// A pinned link must name a lane this endpoint actually has.
-		// After a passed compatibility check this only catches peers
-		// that dodge the lane check by declaring Lanes=0 yet pin a
-		// link anyway — honoring the pin would hand them an arbitrary
-		// real lane's demux slot.
-		if cerr == nil && remote.Link != wire.LinkGeneral &&
-			(remote.Lanes == 0 || e.opts.Hello.Lanes == 0 || remote.Link >= e.opts.Hello.Lanes) {
-			cerr = fmt.Errorf("tcpnet: link pinned to lane %d outside local fanout %d",
-				remote.Link, e.opts.Hello.Lanes)
-		}
-		reply := *e.opts.Hello
-		reply.Link = remote.Link // confirm the lane the dialer asked for
 		status := byte(0)
 		if cerr != nil {
 			status = 1
@@ -892,24 +779,19 @@ func (e *Endpoint) acceptHandshake(conn net.Conn) (linkKey, error) {
 		// write — the dialer's single read deadline covers one segment.
 		buf := wire.GetBuffer()
 		b := append((*buf)[:0], status, byte(wire.HelloWireSize()))
-		b = wire.AppendHello(b, &reply)
+		b = wire.AppendHello(b, e.opts.Hello)
 		*buf = b
 		_, werr := conn.Write(b)
 		wire.PutBuffer(buf)
 		if werr != nil {
-			return linkKey{}, werr
+			return wire.NoProcess, werr
 		}
 		if cerr != nil {
-			return linkKey{}, cerr
+			return wire.NoProcess, cerr
 		}
-		lane := laneGeneral
-		if remote.Link != wire.LinkGeneral {
-			lane = int(remote.Link)
-		}
-		e.recordCaps(remote.From, remote.Capabilities)
-		return linkKey{id: remote.From, lane: lane}, nil
+		return remote.From, nil
 	default:
-		return linkKey{}, fmt.Errorf("tcpnet: bad handshake magic %q", magic[:])
+		return wire.NoProcess, fmt.Errorf("tcpnet: bad handshake magic %q", magic[:])
 	}
 }
 

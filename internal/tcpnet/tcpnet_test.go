@@ -192,13 +192,13 @@ func TestClientChurnKeepsFailureBookBounded(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	srv.mu.Lock()
-	remembered, live := len(srv.failed), len(srv.peers)+len(srv.caps)
+	remembered, live := len(srv.failed), len(srv.peers)
 	srv.mu.Unlock()
 	if remembered > len(book) {
 		t.Fatalf("failed map holds %d ids after %d client departures, book has %d", remembered, clients, len(book))
 	}
 	if live != 0 {
-		t.Fatalf("%d link/capability entries outlive their peers", live)
+		t.Fatalf("%d link entries outlive their peers", live)
 	}
 }
 

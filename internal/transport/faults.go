@@ -34,11 +34,10 @@ type FaultVerdict struct {
 // FaultInjector decides the fate of frames crossing a MemNetwork.
 // Verdict is called on the delivering goroutine for every frame — ring
 // traffic, client requests, and acks alike — with the sending and
-// receiving process, the ring lane of the link (-1 for the general,
-// unpinned link), and the frame itself. Implementations must be safe
+// receiving process and the frame itself. Implementations must be safe
 // for concurrent use and must not retain f past the call.
 type FaultInjector interface {
-	Verdict(from, to wire.ProcessID, lane int, f *wire.Frame) FaultVerdict
+	Verdict(from, to wire.ProcessID, f *wire.Frame) FaultVerdict
 }
 
 // injectorBox wraps the injector interface for atomic publication.
@@ -56,9 +55,9 @@ func (n *MemNetwork) SetFaultInjector(fi FaultInjector) {
 }
 
 // verdict consults the installed injector, if any.
-func (n *MemNetwork) verdict(from, to wire.ProcessID, lane int, f *wire.Frame) FaultVerdict {
+func (n *MemNetwork) verdict(from, to wire.ProcessID, f *wire.Frame) FaultVerdict {
 	if b := n.faults.Load(); b != nil {
-		return b.fi.Verdict(from, to, lane, f)
+		return b.fi.Verdict(from, to, f)
 	}
 	return FaultVerdict{}
 }
@@ -77,7 +76,6 @@ type delayedFrame struct {
 	seq  uint64 // FIFO tie-break for equal deadlines
 	from wire.ProcessID
 	to   wire.ProcessID
-	lane int // ring lane of the link, laneGeneral for the unpinned link
 	f    wire.Frame
 }
 
@@ -97,7 +95,7 @@ type delayLine struct {
 }
 
 // push parks a frame for delivery after d.
-func (l *delayLine) push(from, to wire.ProcessID, lane int, f wire.Frame, d time.Duration) {
+func (l *delayLine) push(from, to wire.ProcessID, f wire.Frame, d time.Duration) {
 	l.mu.Lock()
 	if l.stopped {
 		l.mu.Unlock()
@@ -113,7 +111,7 @@ func (l *delayLine) push(from, to wire.ProcessID, lane int, f wire.Frame, d time
 	l.seq++
 	heap.Push(&l.h, delayedFrame{
 		due: time.Now().Add(d), seq: l.seq,
-		from: from, to: to, lane: lane, f: f,
+		from: from, to: to, f: f,
 	})
 	l.mu.Unlock()
 	select {
@@ -194,7 +192,7 @@ func (l *delayLine) deliver(d delayedFrame) {
 		d.f.Retire()
 		return
 	}
-	inb := Inbound{From: d.from, Frame: d.f, LinkLane: d.lane + 1}
+	inb := Inbound{From: d.from, Frame: d.f}
 	ch := dst.inboxFor(&inb)
 	if ch == nil {
 		inb.Frame.Retire() // routed to RouteDrop

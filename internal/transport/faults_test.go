@@ -8,10 +8,10 @@ import (
 )
 
 // verdictFunc adapts a function to the FaultInjector interface.
-type verdictFunc func(from, to wire.ProcessID, lane int, f *wire.Frame) FaultVerdict
+type verdictFunc func(from, to wire.ProcessID, f *wire.Frame) FaultVerdict
 
-func (fn verdictFunc) Verdict(from, to wire.ProcessID, lane int, f *wire.Frame) FaultVerdict {
-	return fn(from, to, lane, f)
+func (fn verdictFunc) Verdict(from, to wire.ProcessID, f *wire.Frame) FaultVerdict {
+	return fn(from, to, f)
 }
 
 func TestFaultDropIsSilent(t *testing.T) {
@@ -19,7 +19,7 @@ func TestFaultDropIsSilent(t *testing.T) {
 	defer n.Close()
 	a, _ := n.Register(1)
 	b, _ := n.Register(2)
-	n.SetFaultInjector(verdictFunc(func(from, to wire.ProcessID, _ int, _ *wire.Frame) FaultVerdict {
+	n.SetFaultInjector(verdictFunc(func(from, to wire.ProcessID, _ *wire.Frame) FaultVerdict {
 		return FaultVerdict{Drop: from == 1 && to == 2}
 	}))
 	// The drop is directed: 1->2 dies, 2->1 flows.
@@ -53,7 +53,7 @@ func TestFaultDelayReorders(t *testing.T) {
 	defer n.Close()
 	a, _ := n.Register(1)
 	b, _ := n.Register(2)
-	n.SetFaultInjector(verdictFunc(func(_, _ wire.ProcessID, _ int, f *wire.Frame) FaultVerdict {
+	n.SetFaultInjector(verdictFunc(func(_, _ wire.ProcessID, f *wire.Frame) FaultVerdict {
 		if f.Env.ReqID == 1 {
 			return FaultVerdict{Delay: 60 * time.Millisecond}
 		}
@@ -73,7 +73,7 @@ func TestFaultDelayReorders(t *testing.T) {
 	if second.Frame.Env.ReqID != 1 {
 		t.Fatalf("delayed frame lost: got req %d", second.Frame.Env.ReqID)
 	}
-	if second.From != 1 || second.LinkLane != laneGeneral+1 {
+	if second.From != 1 {
 		t.Fatalf("delayed delivery metadata wrong: %+v", second)
 	}
 }
@@ -83,7 +83,7 @@ func TestFaultDelayOrderPreservedAtEqualDelay(t *testing.T) {
 	defer n.Close()
 	a, _ := n.Register(1)
 	b, _ := n.Register(2)
-	n.SetFaultInjector(verdictFunc(func(_, _ wire.ProcessID, _ int, _ *wire.Frame) FaultVerdict {
+	n.SetFaultInjector(verdictFunc(func(_, _ wire.ProcessID, _ *wire.Frame) FaultVerdict {
 		return FaultVerdict{Delay: 10 * time.Millisecond}
 	}))
 	for i := uint64(1); i <= 8; i++ {
@@ -104,7 +104,7 @@ func TestFaultDelayToCrashedPeerIsDropped(t *testing.T) {
 	defer n.Close()
 	a, _ := n.Register(1)
 	_, _ = n.Register(2)
-	n.SetFaultInjector(verdictFunc(func(_, _ wire.ProcessID, _ int, _ *wire.Frame) FaultVerdict {
+	n.SetFaultInjector(verdictFunc(func(_, _ wire.ProcessID, _ *wire.Frame) FaultVerdict {
 		return FaultVerdict{Delay: 30 * time.Millisecond}
 	}))
 	if err := a.Send(2, newFrame(1)); err != nil {
@@ -121,7 +121,7 @@ func TestFaultTrySendHonorsVerdicts(t *testing.T) {
 	defer n.Close()
 	a, _ := n.Register(1)
 	b, _ := n.Register(2)
-	n.SetFaultInjector(verdictFunc(func(_, _ wire.ProcessID, _ int, f *wire.Frame) FaultVerdict {
+	n.SetFaultInjector(verdictFunc(func(_, _ wire.ProcessID, f *wire.Frame) FaultVerdict {
 		switch f.Env.ReqID {
 		case 1:
 			return FaultVerdict{Drop: true}
@@ -151,7 +151,7 @@ func TestNetworkCloseRetiresParkedFrames(t *testing.T) {
 	n := NewMemNetwork(MemNetworkOptions{})
 	a, _ := n.Register(1)
 	_, _ = n.Register(2)
-	n.SetFaultInjector(verdictFunc(func(_, _ wire.ProcessID, _ int, _ *wire.Frame) FaultVerdict {
+	n.SetFaultInjector(verdictFunc(func(_, _ wire.ProcessID, _ *wire.Frame) FaultVerdict {
 		return FaultVerdict{Delay: time.Hour}
 	}))
 	if err := a.Send(2, newFrame(1)); err != nil {

@@ -143,10 +143,6 @@ func (n *MemNetwork) remove(id wire.ProcessID) {
 	delete(n.endpoints, id)
 }
 
-// laneGeneral is the link lane of the unpinned link, which carries
-// client and control traffic.
-const laneGeneral = -1
-
 // MemEndpoint is an in-memory Endpoint.
 type MemEndpoint struct {
 	net      *MemNetwork
@@ -166,7 +162,6 @@ type MemEndpoint struct {
 var (
 	_ Endpoint   = (*MemEndpoint)(nil)
 	_ Demuxer    = (*MemEndpoint)(nil)
-	_ LaneSender = (*MemEndpoint)(nil)
 	_ Handshaker = (*MemEndpoint)(nil)
 	_ TrySender  = (*MemEndpoint)(nil)
 )
@@ -205,22 +200,6 @@ func (e *MemEndpoint) Done() <-chan struct{} { return e.down }
 // by the HELLO compatibility check; an incompatible peer fails with a
 // *wire.HandshakeError.
 func (e *MemEndpoint) Send(to wire.ProcessID, f wire.Frame) error {
-	return e.sendLane(to, laneGeneral, f)
-}
-
-// SendLane implements LaneSender: the frame travels the dedicated link
-// of the given ring lane, delivered with the lane as the link's
-// negotiated lane so the receiver demultiplexes by session state rather
-// than the frame header. Peers that did not negotiate wire.CapLaneLinks
-// are reached over the general link instead.
-func (e *MemEndpoint) SendLane(to wire.ProcessID, lane int, f wire.Frame) error {
-	if lane < 0 {
-		lane = laneGeneral
-	}
-	return e.sendLane(to, lane, f)
-}
-
-func (e *MemEndpoint) sendLane(to wire.ProcessID, lane int, f wire.Frame) error {
 	select {
 	case <-e.down:
 		return ErrClosed
@@ -233,21 +212,18 @@ func (e *MemEndpoint) sendLane(to wire.ProcessID, lane int, f wire.Frame) error 
 	if err := e.checkSession(to, dst); err != nil {
 		return err
 	}
-	if !e.laneLinksWith(dst) {
-		lane = laneGeneral
-	}
 	// The injected-fault verdict sits at the network edge, after the
 	// frame was accepted: a dropped frame is a successful Send whose
 	// bytes died on the wire, a delayed one parks on the delay line.
-	switch v := e.net.verdict(e.id, to, lane, &f); {
+	switch v := e.net.verdict(e.id, to, &f); {
 	case v.Drop:
 		f.Retire()
 		return nil
 	case v.Delay > 0:
-		e.net.dline.push(e.id, to, lane, f, v.Delay)
+		e.net.dline.push(e.id, to, f, v.Delay)
 		return nil
 	}
-	inb := Inbound{From: e.id, Frame: f, LinkLane: lane + 1}
+	inb := Inbound{From: e.id, Frame: f}
 	ch := dst.inboxFor(&inb)
 	if ch == nil {
 		// Routed to RouteDrop: discarded by design. Retire any pooled
@@ -266,8 +242,8 @@ func (e *MemEndpoint) sendLane(to wire.ProcessID, lane int, f wire.Frame) error 
 	}
 }
 
-// TrySend implements TrySender: the frame travels the general link only
-// if the destination inbox can accept it without blocking. False
+// TrySend implements TrySender: the frame is delivered only if the
+// destination inbox can accept it without blocking. False
 // (unknown peer, incompatible session, full inbox) commits to nothing;
 // the caller falls back to Send on another goroutine.
 func (e *MemEndpoint) TrySend(to wire.ProcessID, f wire.Frame) bool {
@@ -283,17 +259,17 @@ func (e *MemEndpoint) TrySend(to wire.ProcessID, f wire.Frame) bool {
 	if e.checkSession(to, dst) != nil {
 		return false
 	}
-	// Same fault seam as sendLane: a Drop or Delay verdict counts as an
+	// Same fault seam as Send: a Drop or Delay verdict counts as an
 	// accepted send (the frame left this process without blocking).
-	switch v := e.net.verdict(e.id, to, laneGeneral, &f); {
+	switch v := e.net.verdict(e.id, to, &f); {
 	case v.Drop:
 		f.Retire()
 		return true
 	case v.Delay > 0:
-		e.net.dline.push(e.id, to, laneGeneral, f, v.Delay)
+		e.net.dline.push(e.id, to, f, v.Delay)
 		return true
 	}
-	inb := Inbound{From: e.id, Frame: f, LinkLane: laneGeneral + 1}
+	inb := Inbound{From: e.id, Frame: f}
 	ch := dst.inboxFor(&inb)
 	if ch == nil {
 		inb.Frame.Retire() // routed to RouteDrop: discarded by design
@@ -343,12 +319,6 @@ func (e *MemEndpoint) checkSession(to wire.ProcessID, dst *MemEndpoint) error {
 		return fmt.Errorf("transport: handshake with %d: %w", to, err)
 	}
 	return nil
-}
-
-// laneLinksWith reports whether both ends negotiated per-lane links.
-func (e *MemEndpoint) laneLinksWith(dst *MemEndpoint) bool {
-	return e.hello != nil && dst.hello != nil &&
-		e.hello.Capabilities&dst.hello.Capabilities&wire.CapLaneLinks != 0
 }
 
 // Close implements Endpoint: it detaches silently (no failure notices).

@@ -12,9 +12,7 @@ func serverHello(id wire.ProcessID, lanes uint16, members []wire.ProcessID) wire
 		Version:        wire.HelloVersion,
 		From:           id,
 		Lanes:          lanes,
-		Link:           wire.LinkGeneral,
 		MembershipHash: wire.MembershipHash(members),
-		Capabilities:   wire.CapLaneLinks,
 	}
 }
 
@@ -63,9 +61,6 @@ func TestMemSessionMismatch(t *testing.T) {
 			if err := a.Send(2, newFrame(1)); !errors.As(err, &herr) {
 				t.Fatalf("Send: got %v, want *wire.HandshakeError", err)
 			}
-			if err := a.SendLane(2, 1, newFrame(2)); !errors.As(err, &herr) {
-				t.Fatalf("SendLane: got %v, want *wire.HandshakeError", err)
-			}
 			select {
 			case in := <-b.Inbox():
 				t.Fatalf("frame leaked through an incompatible session: %+v", in)
@@ -93,7 +88,7 @@ func TestMemSessionCompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl, err := net.RegisterSession(wire.Hello{
-		Version: wire.HelloVersion, From: 100, Link: wire.LinkGeneral,
+		Version: wire.HelloVersion, From: 100,
 		MembershipHash: wire.MembershipHash(members),
 	})
 	if err != nil {
@@ -113,55 +108,4 @@ func TestMemSessionCompatible(t *testing.T) {
 	if in := <-b.Inbox(); in.From != 1 {
 		t.Fatalf("frame from %d, want 1", in.From)
 	}
-}
-
-// TestMemSendLaneTagsLink verifies per-lane links: SendLane delivers
-// the frame with the lane as the link's negotiated lane, Send leaves
-// the frame unpinned, and a peer without CapLaneLinks degrades to the
-// general link.
-func TestMemSendLaneTagsLink(t *testing.T) {
-	members := []wire.ProcessID{1, 2}
-	net := NewMemNetwork(MemNetworkOptions{})
-	a, err := net.RegisterSession(serverHello(1, 4, members))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := net.RegisterSession(serverHello(2, 4, members))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := a.SendLane(2, 3, newFrame(1)); err != nil {
-		t.Fatal(err)
-	}
-	in := <-b.Inbox()
-	if lane, ok := in.NegotiatedLane(); !ok || lane != 3 {
-		t.Fatalf("negotiated lane (%d,%v), want (3,true)", lane, ok)
-	}
-	if err := a.Send(2, newFrame(2)); err != nil {
-		t.Fatal(err)
-	}
-	in = <-b.Inbox()
-	if _, ok := in.NegotiatedLane(); ok {
-		t.Fatal("plain Send delivered lane-pinned")
-	}
-
-	// A peer without the capability gets general-link delivery even
-	// through SendLane.
-	noCaps := serverHello(3, 4, members)
-	noCaps.Capabilities = 0
-	c, err := net.RegisterSession(noCaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SendLane(3, 2, newFrame(3)); err != nil {
-		t.Fatal(err)
-	}
-	in = <-c.Inbox()
-	if _, ok := in.NegotiatedLane(); ok {
-		t.Fatal("lane link negotiated without CapLaneLinks")
-	}
-	_ = a.Close()
-	_ = b.Close()
-	_ = c.Close()
 }

@@ -22,29 +22,12 @@ var (
 	ErrUnknownPeer = errors.New("transport: unknown peer")
 )
 
-// Inbound is a received frame together with its sender and the identity
-// of the link that delivered it.
+// Inbound is a received frame together with its sender.
 type Inbound struct {
 	// From is the process that sent the frame.
 	From wire.ProcessID
 	// Frame is the received frame.
 	Frame wire.Frame
-	// LinkLane records the ring lane the delivering link was pinned to
-	// at handshake time, offset by one: a frame that arrived on lane
-	// k's dedicated link carries k+1, and zero means the link was not
-	// lane-pinned (raw links, client links, plain sends). Routing
-	// trusts this negotiated value over the frame header when present.
-	// Use NegotiatedLane to read it.
-	LinkLane int
-}
-
-// NegotiatedLane returns the ring lane negotiated for the delivering
-// link at handshake time, if the link was lane-pinned.
-func (in *Inbound) NegotiatedLane() (int, bool) {
-	if in.LinkLane > 0 {
-		return in.LinkLane - 1, true
-	}
-	return 0, false
 }
 
 // RouteFunc maps an inbound frame to the index of the per-lane inbox
@@ -114,17 +97,6 @@ type Endpoint interface {
 	// Close detaches the endpoint without signalling a failure to
 	// other processes (used for orderly test teardown).
 	Close() error
-}
-
-// LaneSender is implemented by session endpoints that maintain one
-// logical link per ring lane toward each peer: SendLane routes the
-// frame over lane's dedicated link (falling back to the general link
-// when the peer did not negotiate wire.CapLaneLinks), so lanes stop
-// head-of-line-blocking each other on one shared connection. The frame
-// must belong to the given lane; the receiver demultiplexes it by the
-// link's negotiated lane, not the frame header.
-type LaneSender interface {
-	SendLane(to wire.ProcessID, lane int, f wire.Frame) error
 }
 
 // TrySender is implemented by endpoints that can attempt a send which

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/tag"
@@ -130,21 +131,22 @@ func FuzzDecodeHello(f *testing.F) {
 		f.Add(AppendHello(nil, &h))
 	}
 	// The accept paths.
-	seed(Hello{Version: HelloVersion, From: 1, Lanes: 4, Link: 0,
-		MembershipHash: MembershipHash([]ProcessID{1, 2, 3}), Capabilities: CapLaneLinks})
-	seed(Hello{Version: HelloVersion, From: 2, Lanes: 4, Link: LinkGeneral,
-		MembershipHash: MembershipHash([]ProcessID{1, 2, 3}), Capabilities: CapLaneLinks})
-	seed(Hello{Version: HelloVersion, From: 100, Link: LinkGeneral}) // lane-unaware client
+	seed(Hello{Version: HelloVersion, From: 1, Lanes: 4, MembershipHash: MembershipHash([]ProcessID{1, 2, 3})})
+	seed(Hello{Version: HelloVersion, From: 2, Lanes: 4, MembershipHash: MembershipHash([]ProcessID{1, 2, 3})})
+	seed(Hello{Version: HelloVersion, From: 100}) // lane-unaware client
 	// The reject paths: wrong wire version, wrong lane count, wrong
 	// membership hash — all decode fine (rejection happens in
 	// CheckCompatible) — plus structurally corrupt bodies.
-	seed(Hello{Version: HelloVersion + 1, From: 1, Lanes: 4, Link: LinkGeneral, MembershipHash: 7})
-	seed(Hello{Version: HelloVersion, From: 1, Lanes: 8, Link: LinkGeneral, MembershipHash: 7})
-	seed(Hello{Version: HelloVersion, From: 1, Lanes: 4, Link: LinkGeneral, MembershipHash: 8})
+	seed(Hello{Version: HelloVersion + 1, From: 1, Lanes: 4, MembershipHash: 7})
+	seed(Hello{Version: HelloVersion, From: 1, Lanes: 8, MembershipHash: 7})
+	seed(Hello{Version: HelloVersion, From: 1, Lanes: 4, MembershipHash: 8})
 	f.Add([]byte{})                      // truncated
 	f.Add(make([]byte, HelloWireSize())) // zero process id
-	bad := AppendHello(nil, &Hello{Version: HelloVersion, From: 1, Lanes: 2, Link: 3})
-	f.Add(bad) // link outside fanout
+	// A 22-byte v4 body (version, id, lanes, link, hash, capabilities):
+	// it decodes, and CheckCompatible refuses it by version.
+	v4 := []byte{0, 4, 0, 0, 0, 1, 0, 4, 0xFF, 0xFF}
+	v4 = binary.BigEndian.AppendUint64(v4, MembershipHash([]ProcessID{1, 2, 3}))
+	f.Add(binary.BigEndian.AppendUint32(v4, 1))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		h, err := DecodeHello(body)

@@ -8,43 +8,24 @@ import (
 
 // The session handshake (DESIGN.md §8): every connection between two
 // processes opens with a HELLO carrying the sender's wire version, lane
-// fanout, ring-membership hash, and a capabilities bitmap. Peers whose
-// HELLOs are incompatible are rejected at connect time with a typed
-// *HandshakeError instead of misrouting frames at runtime (a WriteLanes
-// mismatch used to silently collapse ring traffic onto the wrong lane).
+// fanout and ring-membership hash. Peers whose HELLOs are incompatible
+// are rejected at connect time with a typed *HandshakeError instead of
+// misrouting frames at runtime (a WriteLanes mismatch used to silently
+// collapse ring traffic onto the wrong lane).
 
 // HelloVersion is the wire protocol version this build speaks. History:
 // v1 was the seed codec, v2 added the lane byte to the frame header,
 // v3 added the session handshake, v4 made frame trains (up to
 // MaxFrameEnvelopes envelopes per frame, DESIGN.md §9) part of the
-// format every peer decodes. Peers must match exactly: any other
-// version is refused with a *HandshakeError naming "wire version".
-const HelloVersion uint16 = 4
-
-// Capability bits advertised in Hello.Capabilities. The negotiated
-// capability set of a session is the intersection of both HELLOs;
-// unknown bits are ignored, so future builds can extend the bitmap
-// without a version bump.
-const (
-	// CapLaneLinks: the sender opens one dedicated connection (or
-	// queue) per ring lane toward its successor instead of multiplexing
-	// every lane over a single link. A lane link's HELLO pins the link
-	// to its lane (Hello.Link), and the receiver demultiplexes inbound
-	// ring frames by that negotiated lane rather than trusting the
-	// frame header.
-	CapLaneLinks uint32 = 1 << iota
-	// Bit 1 is reserved: wire v3 used it to negotiate frame trains,
-	// which v4 made unconditional.
-	_
-)
-
-// LinkGeneral is the Hello.Link value of a connection that is not
-// pinned to a ring lane: client connections, crash-gossip/control
-// traffic, and every connection of a peer without CapLaneLinks.
-const LinkGeneral uint16 = 0xFFFF
+// format every peer decodes, v5 dropped the HELLO's link pin and
+// capability bitmap (one connection per peer carries every lane). Peers
+// must match exactly: any other version is refused with a
+// *HandshakeError naming "wire version", so a new feature arrives with
+// a version bump, not a negotiated bit.
+const HelloVersion uint16 = 5
 
 // helloSize is the encoded size of a Hello body.
-const helloSize = 2 + 4 + 2 + 2 + 8 + 4
+const helloSize = 2 + 4 + 2 + 8
 
 // Hello is the session-opening handshake message.
 type Hello struct {
@@ -56,15 +37,10 @@ type Hello struct {
 	// means lane-unaware — clients, which never originate ring frames —
 	// and exempts the sender from the lane-count check.
 	Lanes uint16
-	// Link pins this connection to one ring lane (ring data of exactly
-	// that lane travels on it), or LinkGeneral for unpinned connections.
-	Link uint16
 	// MembershipHash commits to the ring membership, in ring order
 	// (MembershipHash). Zero means unknown and exempts the sender from
 	// the membership check.
 	MembershipHash uint64
-	// Capabilities is the sender's capability bitmap (CapLaneLinks...).
-	Capabilities uint32
 }
 
 // MembershipHash hashes a ring membership, in ring order, for the HELLO
@@ -85,9 +61,7 @@ func AppendHello(buf []byte, h *Hello) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, h.Version)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(h.From))
 	buf = binary.BigEndian.AppendUint16(buf, h.Lanes)
-	buf = binary.BigEndian.AppendUint16(buf, h.Link)
 	buf = binary.BigEndian.AppendUint64(buf, h.MembershipHash)
-	buf = binary.BigEndian.AppendUint32(buf, h.Capabilities)
 	return buf
 }
 
@@ -107,16 +81,10 @@ func DecodeHello(data []byte) (Hello, error) {
 		Version:        binary.BigEndian.Uint16(data[0:2]),
 		From:           ProcessID(binary.BigEndian.Uint32(data[2:6])),
 		Lanes:          binary.BigEndian.Uint16(data[6:8]),
-		Link:           binary.BigEndian.Uint16(data[8:10]),
-		MembershipHash: binary.BigEndian.Uint64(data[10:18]),
-		Capabilities:   binary.BigEndian.Uint32(data[18:22]),
+		MembershipHash: binary.BigEndian.Uint64(data[8:16]),
 	}
 	if h.From == NoProcess {
 		return Hello{}, fmt.Errorf("%w: hello with zero process id", ErrCorruptFrame)
-	}
-	if h.Link != LinkGeneral && h.Lanes != 0 && h.Link >= h.Lanes {
-		return Hello{}, fmt.Errorf("%w: hello link %d outside lane fanout %d",
-			ErrCorruptFrame, h.Link, h.Lanes)
 	}
 	return h, nil
 }

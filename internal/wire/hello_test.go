@@ -10,9 +10,7 @@ func validHello() Hello {
 		Version:        HelloVersion,
 		From:           7,
 		Lanes:          4,
-		Link:           2,
 		MembershipHash: MembershipHash([]ProcessID{1, 2, 3}),
-		Capabilities:   CapLaneLinks,
 	}
 }
 
@@ -51,10 +49,7 @@ func TestHelloDecodeRejects(t *testing.T) {
 	for name, body := range map[string][]byte{
 		"empty":     nil,
 		"truncated": short[:HelloWireSize()-1],
-		"zero id":   AppendHello(nil, &Hello{Version: HelloVersion, From: NoProcess, Link: LinkGeneral}),
-		"link outside fanout": AppendHello(nil, &Hello{
-			Version: HelloVersion, From: 1, Lanes: 4, Link: 4,
-		}),
+		"zero id":   AppendHello(nil, &Hello{Version: HelloVersion, From: NoProcess}),
 	} {
 		if _, err := DecodeHello(body); err == nil {
 			t.Errorf("%s: decode accepted", name)
@@ -112,18 +107,11 @@ func TestCheckCompatible(t *testing.T) {
 	}
 
 	// Zero Lanes / MembershipHash opt out of their checks (clients).
-	client := Hello{Version: HelloVersion, From: 100, Link: LinkGeneral}
+	client := Hello{Version: HelloVersion, From: 100}
 	if err := base.CheckCompatible(&client); err != nil {
 		t.Fatalf("lane-unaware client rejected: %v", err)
 	}
 	if err := client.CheckCompatible(&base); err != nil {
 		t.Fatalf("client rejects server: %v", err)
-	}
-
-	// Capability bits never make peers incompatible.
-	caps := validHello()
-	caps.Capabilities = 0xFFFF_FFFF
-	if err := base.CheckCompatible(&caps); err != nil {
-		t.Fatalf("capability mismatch rejected: %v", err)
 	}
 }
