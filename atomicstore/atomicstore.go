@@ -85,10 +85,11 @@ func buildConfig(base config, opts []Option) config {
 
 // WithWriteLanes sets the ring lane fanout: the write path is sharded
 // over n independent ring lanes (lane = hash(object) mod n), each with
-// its own event loop and — between session peers — its own successor
-// connection. Every server of a cluster must use the same value; the
-// handshake enforces it. Zero means the default (4); negative means a
-// single lane.
+// its own event loop and send slot; every lane shares the one
+// connection to the successor. Every server of a cluster must use the
+// same value; the handshake enforces it. Zero means the default (one
+// lane, the paper's single queue handler); negative means a single
+// lane.
 func WithWriteLanes(n int) Option { return func(c *config) { c.lanes = n } }
 
 // WithTrainLength sets the maximum number of ring messages one frame

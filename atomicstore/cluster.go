@@ -296,7 +296,7 @@ func (c *Cluster) Close() error {
 		_ = eps[id].Close()
 	}
 	// Stop the network's delay line (if a fault injector ever parked
-	// frames on it) and retire anything still undelivered.
+	// frames on it) and drop anything still undelivered.
 	c.net.Close()
 	return nil
 }

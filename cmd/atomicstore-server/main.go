@@ -27,6 +27,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"time"
 
@@ -52,7 +53,7 @@ func run() error {
 		noPiggy     = flag.Bool("no-piggyback", false, "disable write/pre-write piggybacking (ablation)")
 		noElide     = flag.Bool("no-elision", false, "ship full values in write-phase messages (ablation)")
 		noFair      = flag.Bool("no-fairness", false, "FIFO forwarding instead of the nb_msg rule (ablation)")
-		lanes       = flag.Int("lanes", 0, "ring write lanes (hash(object) mod lanes; validated against peers at handshake; 0 = default, negative = 1)")
+		lanes       = flag.Int("lanes", 0, "ring write lanes (hash(object) mod lanes; validated against peers at handshake; 0 = default 1, the paper's single queue handler; negative = 1)")
 		train       = flag.Int("train", 0, "max ring messages per frame (frame trains; 0 = default 8, 1 = classic piggyback)")
 		walDir      = flag.String("wal-dir", "", "write-ahead-log directory; empty runs without durability")
 		walAudit    = flag.Bool("wal-audit", false, "append a chained Merkle batch-root record per WAL sync (tamper evidence; check with -wal-verify)")
@@ -136,18 +137,29 @@ func run() error {
 	// a handshake rejection means the cluster is misconfigured (wrong
 	// -lanes or -servers on some host) and this process should die
 	// loudly rather than retry forever; mere unreachability is normal
-	// while the other hosts boot.
+	// while the other hosts boot. Once shutdown begins the check stays
+	// silent: closing the server fails an attempt still in flight, and
+	// nothing may be logged after "shutting down".
 	checkc := make(chan error, 1)
+	var checkMu sync.Mutex
+	stopping := false
 	go func() {
 		for attempt := 1; ; attempt++ {
 			err := srv.CheckRing()
+			checkMu.Lock()
+			if stopping {
+				checkMu.Unlock()
+				return
+			}
 			var herr *wire.HandshakeError
 			if errors.As(err, &herr) {
+				checkMu.Unlock()
 				checkc <- err
 				return
 			}
 			if err == nil {
 				logger.Info("ring session validated with successor")
+				checkMu.Unlock()
 				return
 			}
 			// Not the typed rejection, but persistent failure still
@@ -161,6 +173,7 @@ func run() error {
 			} else {
 				logger.Debug("successor not ready", "err", err)
 			}
+			checkMu.Unlock()
 			time.Sleep(time.Second)
 		}
 	}()
@@ -172,6 +185,9 @@ func run() error {
 		return fmt.Errorf("ring misconfigured: %w", err)
 	case <-sigc:
 	}
+	checkMu.Lock()
+	stopping = true
+	checkMu.Unlock()
 	fmt.Println("shutting down")
 	if *walDir != "" {
 		// Close flushes and syncs the WAL (no torn tail at next start);

@@ -3,10 +3,8 @@
 // history is validated by the linearizability checker and per-object
 // throughput is printed. This is the scenario the paper's pre-write
 // barrier exists for — without it, two reads could return new-then-old
-// values while a write is in flight (read inversion) — and, since the
-// server's write path is sharded into per-object ring lanes, the
-// per-object rates make lane scaling visible: objects on different
-// lanes make progress independently.
+// values while a write is in flight (read inversion) — and the
+// per-object rates show how the ring's throughput is shared.
 package main
 
 import (

@@ -84,10 +84,9 @@ func run() error {
 	}
 	fmt.Printf("read %q at tag %s over TCP\n", v, t)
 
-	// A short measured load burst per object: each ring lane owns its
-	// own successor connection, so objects on different lanes complete
-	// writes independently — visible as per-object rates that do not
-	// collapse as objects are added.
+	// A short measured load burst per object: the ring packs every
+	// object's messages into shared frame trains, so per-object rates
+	// show how the ring's throughput is shared as objects are added.
 	const loadObjects = 4
 	fmt.Printf("load burst: %d objects, 1 writer + 1 reader each, 1s\n", loadObjects)
 	var (

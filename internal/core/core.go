@@ -65,10 +65,9 @@ type Config struct {
 	// WriteLanes is the number of independent ring lanes the write path
 	// is sharded over: each object belongs to lane hash(ObjectID) mod
 	// WriteLanes, and each lane runs its own event loop, forward queue,
-	// and send slot, so independent objects' ring traffic
-	// pipelines in parallel. Every server of a cluster must use the
-	// same value (like Members). Zero means DefaultWriteLanes; negative
-	// means 1 (the single-loop pre-lane behavior); at most MaxWriteLanes.
+	// and send slot. Every server of a cluster must use the same value
+	// (like Members). Zero means DefaultWriteLanes (1); negative means
+	// 1; at most MaxWriteLanes.
 	WriteLanes int
 	// TrainLength is the maximum number of ring envelopes one outbound
 	// frame may carry ("frame trains", DESIGN.md §9): the lane's queue
@@ -96,9 +95,12 @@ type Config struct {
 }
 
 // DefaultWriteLanes is the lane fanout used when Config.WriteLanes is
-// zero. Lanes buy pipelining (in-flight ring frames), not just CPU
-// parallelism, so the default does not scale down with GOMAXPROCS.
-const DefaultWriteLanes = 4
+// zero: one lane, the paper's single queue handler. Over TCP, more
+// lanes split each server's forward queue, so trains carry fewer
+// envelopes and, with the WAL on, every smaller frame pays its own
+// sync; one lane halved the durable write p50 and cut CPU per op on
+// every workload measured (DESIGN.md §7, EXPERIMENTS.md).
+const DefaultWriteLanes = 1
 
 // MaxWriteLanes bounds the lane fanout: the lane index travels in one
 // byte of the frame header.

@@ -19,12 +19,10 @@ type CounterSnapshot struct {
 	// was dropped. Happy-path clusters read 0; full-membership restarts
 	// may legitimately re-ack clients that already moved on.
 	AckSendFailures uint64
-	// RecoveryBufferLeaks counts crash-recovery re-queued envelopes that
-	// still claimed pool ownership at the requeue choke point. The choke
-	// point strips the claim (no buffer is recycled under a live alias),
-	// but non-zero means a recovery path failed to strike the buffer from
-	// the pool-ownership books first. Always 0 on a correct server,
-	// faulted or not.
+	// RecoveryBufferLeaks always reads 0. It counted recovery-requeued
+	// values that still claimed a pooled buffer; inbound values are no
+	// longer pooled, so there is nothing left to count. Kept because the
+	// benchmark reports it.
 	RecoveryBufferLeaks uint64
 	// WALTornTails counts torn or corrupt WAL segment tails truncated at
 	// startup. 0 without a WAL; non-zero is expected after a kill and
@@ -58,12 +56,11 @@ func (c CounterSnapshot) AckFastPathShare() float64 {
 // CounterSnapshot samples every robustness counter at once.
 func (s *Server) CounterSnapshot() CounterSnapshot {
 	snap := CounterSnapshot{
-		LaneDrops:           s.laneDrops.Load(),
-		AckSendFailures:     s.ackFails.Load(),
-		RecoveryBufferLeaks: s.recoveryLeaks.Load(),
-		WALTornTails:        s.WALTornTails(),
-		RingFrames:          s.ringFrames.Load(),
-		RingEnvelopes:       s.ringEnvs.Load(),
+		LaneDrops:       s.laneDrops.Load(),
+		AckSendFailures: s.ackFails.Load(),
+		WALTornTails:    s.WALTornTails(),
+		RingFrames:      s.ringFrames.Load(),
+		RingEnvelopes:   s.ringEnvs.Load(),
 	}
 	snap.AckFastPath, snap.AckQueued, snap.AckLanes = s.acks.Stats()
 	return snap

@@ -285,9 +285,8 @@ func TestCrashDuringMultiObjectLoadPreservesAtomicity(t *testing.T) {
 			t.Fatalf("object %d holds %q, want %q", obj, got, want)
 		}
 	}
-	// Recovery re-queued envelopes on the survivors; every one must have
-	// been struck from the pool-ownership books before reaching the
-	// forward queue (the requeue choke point counts violations).
+	// Recovery re-queued envelopes on the survivors; every robustness
+	// counter must still read clean.
 	for id, srv := range c.servers {
 		assertCleanCounters(t, id, srv)
 	}

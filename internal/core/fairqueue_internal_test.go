@@ -235,9 +235,9 @@ func TestObjectStateApplyAndPrune(t *testing.T) {
 		t.Fatalf("value = %q", o.value)
 	}
 
-	o.pending.add(tag.Tag{TS: 1, ID: 1}, nil, false)
-	o.pending.add(tag.Tag{TS: 2, ID: 5}, nil, false)
-	o.pending.add(tag.Tag{TS: 9, ID: 1}, nil, false)
+	o.pending.add(tag.Tag{TS: 1, ID: 1}, nil)
+	o.pending.add(tag.Tag{TS: 2, ID: 5}, nil)
+	o.pending.add(tag.Tag{TS: 9, ID: 1}, nil)
 	o.prune(tag.Tag{TS: 2, ID: 5})
 	if o.pending.size() != 1 {
 		t.Fatalf("pending size = %d, want only [9/1]", o.pending.size())
@@ -252,7 +252,7 @@ func TestObjectStateReadableNow(t *testing.T) {
 	if !o.readableNow() {
 		t.Fatal("empty pending must be readable")
 	}
-	o.pending.add(tag.Tag{TS: 5, ID: 1}, nil, false)
+	o.pending.add(tag.Tag{TS: 5, ID: 1}, nil)
 	if o.readableNow() {
 		t.Fatal("pending above stored tag must block reads")
 	}
@@ -277,14 +277,14 @@ func TestObjectStateParkAndRelease(t *testing.T) {
 	o := newObjectState()
 	o.park(100, 1, tag.Tag{TS: 3, ID: 1})
 	o.park(101, 2, tag.Tag{TS: 5, ID: 1})
-	s.applyAndRelease(7, o, tag.Tag{TS: 3, ID: 1}, []byte("x"), false)
+	s.applyAndRelease(7, o, tag.Tag{TS: 3, ID: 1}, []byte("x"))
 	if len(q) != 1 || q[0].to != 100 {
 		t.Fatalf("acks after first apply = %+v", q)
 	}
 	if len(o.parked) != 1 || o.parked[0].client != 101 {
 		t.Fatalf("parked = %+v", o.parked)
 	}
-	s.applyAndRelease(7, o, tag.Tag{TS: 7, ID: 2}, []byte("y"), false)
+	s.applyAndRelease(7, o, tag.Tag{TS: 7, ID: 2}, []byte("y"))
 	if len(q) != 2 || q[1].to != 101 {
 		t.Fatalf("acks after second apply = %+v", q)
 	}
@@ -301,8 +301,8 @@ func TestMaxPending(t *testing.T) {
 	if !o.maxPending().IsZero() {
 		t.Fatal("empty pending must have zero max")
 	}
-	o.pending.add(tag.Tag{TS: 2, ID: 3}, nil, false)
-	o.pending.add(tag.Tag{TS: 2, ID: 1}, nil, false)
+	o.pending.add(tag.Tag{TS: 2, ID: 3}, nil)
+	o.pending.add(tag.Tag{TS: 2, ID: 1}, nil)
 	if got := o.maxPending(); got != (tag.Tag{TS: 2, ID: 3}) {
 		t.Fatalf("maxPending = %s", got)
 	}

@@ -167,9 +167,7 @@ func (ln *lane) fifoFrame(envs []wire.Envelope) []wire.Envelope {
 // initiate starts writeQueue[0] (paper lines 21-26): it tags the write
 // above everything this lane has seen of the object, so several
 // initiations of one object in one train get increasing tags, records
-// the pre-write in the pending set, and returns it. The pending entry
-// inherits ownership of a pooled client copy and is retired when the
-// completed write prunes it. nextFrame publishes the object's snapshot
+// the pre-write in the pending set, and returns it. nextFrame publishes the object's snapshot
 // once the frame is built; the caller charges the local server.
 func (ln *lane) initiate() wire.Envelope {
 	s := ln.srv
@@ -177,7 +175,7 @@ func (ln *lane) initiate() wire.Envelope {
 	ln.writeQueue = ln.writeQueue[1:]
 	o := ln.obj(w.object)
 	t := o.tag.Max(o.maxPending()).Next(uint32(s.cfg.ID))
-	o.addPending(t, w.value, w.pooled)
+	o.addPending(t, w.value)
 	ln.initiated = append(ln.initiated, o)
 	ln.myWrites[writeKey{object: w.object, tag: t}] = ownWrite{
 		client: w.client,

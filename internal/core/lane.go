@@ -18,7 +18,10 @@ import (
 // the same lane on every server, each lane is exactly the paper's
 // single-loop protocol running over a sub-ring of lane event loops, and
 // the §3.1 read barrier, §3.2 fairness, and §3.4 orphan-adoption
-// arguments apply per lane unchanged (DESIGN.md §7).
+// arguments apply per lane unchanged (DESIGN.md §7). A server runs one
+// lane by default — the paper's single queue handler. Over TCP, more
+// lanes split the forward queue into shorter trains and, with the WAL
+// on, more syncs, so they are a tuning option (WriteLanes), not a gain.
 //
 // All lane fields are confined to the lane's event-loop goroutine, and
 // so are the per-object states in its object table: the lane is the
@@ -55,8 +58,8 @@ type lane struct {
 	// token once the frame is on the transport. So a frame is built only
 	// when the link is free, as in the paper's queue handler, at most one
 	// frame of this lane is in flight locally, and ringOut (capacity 1)
-	// never blocks. Lanes pipeline the ring independently — that is the
-	// point.
+	// never blocks. With several lanes, each lane's frames pipeline
+	// independently.
 	slot    chan struct{}
 	ringOut chan outFrame
 	// walSeq is the highest WAL sequence this lane has staged; event-
@@ -260,7 +263,6 @@ func (ln *lane) handleInbound(in transport.Inbound) {
 // handleEnvelope dispatches one received envelope.
 func (ln *lane) handleEnvelope(from wire.ProcessID, env *wire.Envelope) {
 	if err := env.Validate(); err != nil {
-		env.RetireValue()
 		ln.log.Debug("dropping invalid envelope", "err", err)
 		return
 	}
@@ -274,7 +276,6 @@ func (ln *lane) handleEnvelope(from wire.ProcessID, env *wire.Envelope) {
 	case wire.KindWrite:
 		ln.onWrite(env)
 	default:
-		env.RetireValue()
 		ln.log.Debug("dropping unexpected kind", "kind", env.Kind)
 	}
 }
@@ -287,7 +288,6 @@ func (ln *lane) onWriteRequest(from wire.ProcessID, env *wire.Envelope) {
 		reqID:  env.ReqID,
 		object: env.Object,
 		value:  env.Value,
-		pooled: env.ValuePooled(),
 	})
 }
 
@@ -297,14 +297,11 @@ func (ln *lane) onWriteRequest(from wire.ProcessID, env *wire.Envelope) {
 //
 // Most servable reads never get here — the demux serves them from the
 // published snapshot on the delivering goroutine (Server.route). The
-// lane sees the rest (cold objects, outstanding barriers, pooled
-// values, pre-demux or non-demux deliveries) plus snapshot races, so it
-// retries the snapshot once, then serves or parks. The decision runs on
-// the owning lane, so no apply can interleave with it. Serving a pooled
-// value dissolves its pool ownership (ackRead) and the republished
-// snapshot moves every later read of it back to the snapshot path. The
-// ack goes through the non-blocking ack sender, so the lane never waits
-// on a client.
+// lane sees the rest (cold objects, outstanding barriers, pre-demux or
+// non-demux deliveries) plus snapshot races, so it retries the snapshot
+// once, then serves or parks. The decision runs on the owning lane, so
+// no apply can interleave with it. The ack goes through the
+// non-blocking ack sender, so the lane never waits on a client.
 func (ln *lane) onReadRequest(from wire.ProcessID, env *wire.Envelope) {
 	s := ln.srv
 	if s.serveReadFromSnapshot(from, env) {
@@ -331,8 +328,7 @@ func (ln *lane) onPreWrite(env *wire.Envelope) {
 		// lines 33-38).
 		w, ok := ln.myWrites[key]
 		if !ok || w.phase != phasePreWrite {
-			env.RetireValue() // duplicate from recovery retransmission
-			return
+			return // duplicate from recovery retransmission
 		}
 		w.phase = phaseWrite
 		ln.myWrites[key] = w
@@ -343,23 +339,13 @@ func (ln *lane) onPreWrite(env *wire.Envelope) {
 			Origin: s.cfg.ID,
 		}
 		if s.cfg.DisableValueElision {
-			// The write phase re-ships the value: it aliases the ring
-			// copy, so the buffer can never be recycled.
 			wenv.Value = env.Value
-			s.applyAndRelease(env.Object, o, env.Tag, env.Value, false)
 		} else {
 			// Every server holds the value in its pending set from
-			// the pre-write phase; ship only the tag. The ring copy is
-			// the sole holder of its buffer: recycle it when it is
-			// superseded (next apply) or was stale on arrival.
+			// the pre-write phase; ship only the tag.
 			wenv.Flags = wire.FlagValueElided
-			if !s.applyAndRelease(env.Object, o, env.Tag, env.Value, env.ValuePooled()) {
-				env.RetireValue()
-			}
 		}
-		// Pruning the pending entry retires the original client copy
-		// (its outbound pre_write was encoded before the ring traversal
-		// could complete, so the entry is its last reference).
+		s.applyAndRelease(env.Object, o, env.Tag, env.Value)
 		o.prune(env.Tag)
 		o.publish()
 		// Value elided like the wire message: replay resolves it from
@@ -379,13 +365,8 @@ func (ln *lane) onPreWrite(env *wire.Envelope) {
 		// predecessor of its ring position: the pre_write has, by
 		// construction, traversed every other alive server, so turn it
 		// around into its write phase on the originator's behalf
-		// (DESIGN.md §3.4). The turned-around write re-ships the value,
-		// aliasing it, so its buffer is never recycled; and because the
-		// write is created here rather than received after a full ring
-		// traversal, any pending entry for the tag loses its
-		// pool-ownership mark instead of being retired.
-		o.clearPooled(env.Tag)
-		s.applyAndRelease(env.Object, o, env.Tag, env.Value, false)
+		// (DESIGN.md §3.4).
+		s.applyAndRelease(env.Object, o, env.Tag, env.Value)
 		o.prune(env.Tag)
 		o.publish()
 		// The adopted write carries its value: the originator's log died
@@ -400,7 +381,7 @@ func (ln *lane) onPreWrite(env *wire.Envelope) {
 			Flags:  wal.FlagHasValue,
 			Value:  env.Value,
 		})
-		ln.requeue(wire.Envelope{
+		ln.fq.push(wire.Envelope{
 			Kind:   wire.KindWrite,
 			Object: env.Object,
 			Tag:    env.Tag,
@@ -414,11 +395,8 @@ func (ln *lane) onPreWrite(env *wire.Envelope) {
 	// forward; recording it here, at receive, leaves the queue handler
 	// nothing to do for a forward and publishes the raised barrier
 	// before the forward is even queued. Atomicity is preserved (reads
-	// park earlier, never later), and the buffer ownership rule is
-	// untouched: the entry retires only when a write for its exact tag
-	// arrives, which cannot happen before this lane's forward has been
-	// encoded (DESIGN.md §10).
-	added := o.addPending(env.Tag, env.Value, env.ValuePooled())
+	// park earlier, never later).
+	added := o.addPending(env.Tag, env.Value)
 	o.publish()
 	if added {
 		// Staged before the forward leaves (the train gate waits on it),
@@ -446,8 +424,7 @@ func (ln *lane) onWrite(env *wire.Envelope) {
 		// (paper lines 49-51). Only the lane's write bookkeeping is
 		// touched, not the object's state. Recovery can
 		// re-deliver writes whose bookkeeping is gone; those are
-		// absorbed silently. Either way any carried value (recovery
-		// writes ship one) ends here.
+		// absorbed silently.
 		key := writeKey{object: env.Object, tag: env.Tag}
 		w, ok := ln.myWrites[key]
 		if ok && w.phase == phaseWrite {
@@ -470,7 +447,6 @@ func (ln *lane) onWrite(env *wire.Envelope) {
 				ReqID:  w.reqID,
 			}))
 		}
-		env.RetireValue()
 		return
 	}
 
@@ -479,19 +455,7 @@ func (ln *lane) onWrite(env *wire.Envelope) {
 	elided := env.Flags&wire.FlagValueElided != 0
 	applied := false
 	if v, ok := s.resolveWriteValue(o, env); ok {
-		// The buffer may be recycled on replacement only when nothing
-		// else aliases it: an elided write installs the pending copy
-		// (sole holder once pruned), an absorbed full write installs
-		// the ring copy (not forwarded); a forwarded full write's copy
-		// is aliased by the forward queue.
-		pooled := false
-		switch {
-		case elided:
-			pooled = o.pendingPooled(env.Tag)
-		case absorb:
-			pooled = env.ValuePooled()
-		}
-		applied = s.applyAndRelease(env.Object, o, env.Tag, v, pooled)
+		applied = s.applyAndRelease(env.Object, o, env.Tag, v)
 	}
 	o.prune(env.Tag)
 	o.publish()
@@ -511,12 +475,7 @@ func (ln *lane) onWrite(env *wire.Envelope) {
 		ln.walStage(&rec)
 	}
 	if absorb {
-		// Absorb: the originator is gone, the ring is covered. A stale
-		// full value that was not installed ends here.
-		if !elided && !applied {
-			env.RetireValue()
-		}
-		return
+		return // the originator is gone and the ring is covered
 	}
 	ln.fq.push(*env)
 }

@@ -32,13 +32,6 @@ type objectState struct {
 	// with a tag at least as large as the highest pending pre-write).
 	parked []parkedRead
 
-	// valuePooled marks value's buffer as recyclable on replacement:
-	// pool-owned and aliased by nothing else. Handing the value to any
-	// read ack clears it (the ack's encoding happens at an unobservable
-	// later time on the transport's writer), so only never-read values
-	// circulate through the pool; read values fall to the GC.
-	valuePooled bool
-
 	// snap is the immutable read snapshot the read fast path serves.
 	// Stored only by the owning lane, at the end of a handler, and
 	// loaded by any goroutine, so a loaded snapshot is always the
@@ -60,12 +53,6 @@ type readSnapshot struct {
 	// readable caches the §3.1 admission check: nothing pending, or the
 	// stored tag already dominates every pending pre-write.
 	readable bool
-	// pooled marks value's buffer as still pool-owned. The fast path
-	// must not serve it: handing it to an ack requires dissolving the
-	// ownership on the owning lane first (the slow path does, and
-	// republishes with pooled=false, so at most one read per installed
-	// value pays the hop to the lane).
-	pooled bool
 }
 
 // parkedRead is a client read waiting out the read-inversion barrier.
@@ -80,12 +67,6 @@ func newObjectState() *objectState {
 	return &objectState{}
 }
 
-// sameSlice reports whether two slices share a backing array (both
-// starting at element 0, which is how all value slices are formed).
-func sameSlice(a, b []byte) bool {
-	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
-}
-
 // publish stores a fresh read snapshot of the current state. The owning
 // lane calls this once per handler that changed the state, before the
 // handler returns.
@@ -95,7 +76,6 @@ func (o *objectState) publish() {
 		tag:      o.tag,
 		barrier:  o.pending.max(),
 		readable: o.readableNow(),
-		pooled:   o.valuePooled,
 	})
 }
 
@@ -108,41 +88,18 @@ func (o *objectState) maxPending() tag.Tag {
 
 // addPending records a pre-write in the pending set, reporting whether
 // the entry was actually inserted. The first copy of a tag wins: a
-// recovery-retransmitted duplicate must not replace the entry (its
-// buffer would then be aliased by the duplicate's queued forward,
-// breaking the sole-reference rule above); the duplicate's identical
-// bytes simply fall to the GC. Entries at or below the stored tag are
-// skipped outright — their write already circulated, the stored value's
-// retransmission prefix-covers them (DESIGN.md §3.3), and skipping
-// keeps a straggling duplicate from resurrecting a pruned entry whose
-// buffer could then be recycled under the duplicate's in-flight
-// forward. The WAL stages a pre-write record only on true — a refused
-// duplicate logged again would replay into a ghost entry.
-func (o *objectState) addPending(t tag.Tag, v []byte, pooled bool) bool {
+// recovery-retransmitted duplicate carries identical bytes and is
+// refused. Entries at or below the stored tag are skipped outright —
+// their write already circulated, the stored value's retransmission
+// prefix-covers them (DESIGN.md §3.3), and skipping keeps a straggling
+// duplicate from resurrecting a pruned entry as a ghost barrier. The
+// WAL stages a pre-write record only on true — a refused duplicate
+// logged again would replay into a ghost entry.
+func (o *objectState) addPending(t tag.Tag, v []byte) bool {
 	if t.LessEq(o.tag) {
 		return false
 	}
-	return o.pending.add(t, v, pooled)
-}
-
-// pendingPooled reports whether the pending entry for t owns a pooled
-// buffer.
-func (o *objectState) pendingPooled(t tag.Tag) bool {
-	return o.pending.pooled(t)
-}
-
-// dropPending removes a pending entry without retiring its buffer (used
-// when the value was handed elsewhere, e.g. an adopted orphan's
-// turned-around write).
-func (o *objectState) dropPending(t tag.Tag) {
-	o.pending.drop(t)
-}
-
-// clearPooled drops the pool-ownership mark of a pending entry, leaking
-// its buffer to the GC (used when recovery re-queues the value, creating
-// a second reference).
-func (o *objectState) clearPooled(t tag.Tag) {
-	o.pending.clearPooled(t)
+	return o.pending.add(t, v)
 }
 
 // apply installs (t, v) if it is newer than the stored value and reports
@@ -163,24 +120,9 @@ func (o *objectState) apply(t tag.Tag, v []byte) bool {
 // blocking readers forever when a crash swallowed an in-flight write
 // message (DESIGN.md §3.3). With the sorted pending set the prefix is
 // literal: one scan of the leading entries and one compaction copy.
-//
-// Buffer retirement: only the exact-tag entry may return its pooled
-// buffer — a write for t proves the pre-write for t circled the whole
-// ring, past this server's encoded forward, so the entry holds the last
-// reference (unless the write just installed that very slice, in which
-// case it lives on as the stored value). Prefix-pruned entries below t
-// carry no such proof (their forwards may still be in flight) and leak
-// to the GC.
+// Pruned values fall to the GC.
 func (o *objectState) prune(t tag.Tag) {
-	n := o.pending.prefixLen(t)
-	if n == 0 {
-		return
-	}
-	e := &o.pending.entries[n-1]
-	if e.tag == t && e.pooled && !sameSlice(e.value, o.value) {
-		wire.PutValue(e.value)
-	}
-	o.pending.dropPrefix(n)
+	o.pending.dropPrefix(o.pending.prefixLen(t))
 }
 
 // readableNow reports whether a read can be served immediately: nothing

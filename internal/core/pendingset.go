@@ -4,14 +4,10 @@ import (
 	"repro/internal/tag"
 )
 
-// pendingEntry is one pre-written-but-not-yet-written value. The pooled
-// mark rides in the entry (it used to live in a second map): true means
-// the value buffer is pool-owned AND solely referenced by this entry,
-// so pruning the exact tag may recycle it (DESIGN.md §7, §10).
+// pendingEntry is one pre-written-but-not-yet-written value.
 type pendingEntry struct {
-	tag    tag.Tag
-	value  []byte
-	pooled bool
+	tag   tag.Tag
+	value []byte
 }
 
 // pendingSet is the paper's pending_write_set as a small slice sorted
@@ -64,23 +60,15 @@ func (p *pendingSet) get(t tag.Tag) ([]byte, bool) {
 	return nil, false
 }
 
-// pooled reports whether the entry for t owns a pooled buffer.
-func (p *pendingSet) pooled(t tag.Tag) bool {
-	if i := p.search(t); i < len(p.entries) && p.entries[i].tag == t {
-		return p.entries[i].pooled
-	}
-	return false
-}
-
-// add inserts (t, v, pooled) keeping the slice sorted and reports
+// add inserts (t, v) keeping the slice sorted and reports
 // whether the entry was inserted: the first copy of a tag wins, a
 // duplicate is refused (the caller owns the consequence — typically the
 // duplicate's bytes fall to the GC). The common case — a tag above
 // everything pending — is a plain append.
-func (p *pendingSet) add(t tag.Tag, v []byte, pooled bool) bool {
+func (p *pendingSet) add(t tag.Tag, v []byte) bool {
 	n := len(p.entries)
 	if n == 0 || p.entries[n-1].tag.Less(t) {
-		p.entries = append(p.entries, pendingEntry{tag: t, value: v, pooled: pooled})
+		p.entries = append(p.entries, pendingEntry{tag: t, value: v})
 		return true
 	}
 	i := p.search(t)
@@ -89,11 +77,11 @@ func (p *pendingSet) add(t tag.Tag, v []byte, pooled bool) bool {
 	}
 	p.entries = append(p.entries, pendingEntry{})
 	copy(p.entries[i+1:], p.entries[i:])
-	p.entries[i] = pendingEntry{tag: t, value: v, pooled: pooled}
+	p.entries[i] = pendingEntry{tag: t, value: v}
 	return true
 }
 
-// drop removes the entry for t (if present) without touching its buffer.
+// drop removes the entry for t (if present).
 func (p *pendingSet) drop(t tag.Tag) {
 	i := p.search(t)
 	if i >= len(p.entries) || p.entries[i].tag != t {
@@ -103,15 +91,6 @@ func (p *pendingSet) drop(t tag.Tag) {
 	last := len(p.entries) - 1
 	p.entries[last] = pendingEntry{} // release the value reference
 	p.entries = p.entries[:last]
-}
-
-// clearPooled drops the pool-ownership mark of the entry for t, leaking
-// its buffer to the GC (used when a second reference is created, e.g. a
-// recovery requeue).
-func (p *pendingSet) clearPooled(t tag.Tag) {
-	if i := p.search(t); i < len(p.entries) && p.entries[i].tag == t {
-		p.entries[i].pooled = false
-	}
 }
 
 // prefixLen returns how many leading entries have tag <= t.

@@ -5,19 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/tag"
-	"repro/internal/wire"
 )
-
-// pendingModelEntry mirrors one pendingSet entry in the reference model.
-type pendingModelEntry struct {
-	value  []byte
-	pooled bool
-}
 
 // checkAgainstModel asserts the sorted pending set agrees with the map
 // reference model on every observable: size, max, membership, values,
-// pooled marks, ordering.
-func checkAgainstModel(t *testing.T, p *pendingSet, model map[tag.Tag]pendingModelEntry) {
+// ordering.
+func checkAgainstModel(t *testing.T, p *pendingSet, model map[tag.Tag][]byte) {
 	t.Helper()
 	if p.size() != len(model) {
 		t.Fatalf("size = %d, model has %d", p.size(), len(model))
@@ -36,19 +29,15 @@ func checkAgainstModel(t *testing.T, p *pendingSet, model map[tag.Tag]pendingMod
 			t.Fatalf("entries not strictly sorted: %s then %s", prev, e.tag)
 		}
 		prev = e.tag
-		me, ok := model[e.tag]
+		mv, ok := model[e.tag]
 		if !ok {
 			t.Fatalf("entry %s not in model", e.tag)
 		}
-		if string(me.value) != string(e.value) || me.pooled != e.pooled {
-			t.Fatalf("entry %s = (%q, pooled=%v), model says (%q, pooled=%v)",
-				e.tag, e.value, e.pooled, me.value, me.pooled)
+		if string(mv) != string(e.value) {
+			t.Fatalf("entry %s = %q, model says %q", e.tag, e.value, mv)
 		}
-		if v, ok := p.get(e.tag); !ok || string(v) != string(me.value) {
+		if v, ok := p.get(e.tag); !ok || string(v) != string(mv) {
 			t.Fatalf("get(%s) = (%q, %v)", e.tag, v, ok)
-		}
-		if p.pooled(e.tag) != me.pooled {
-			t.Fatalf("pooled(%s) = %v, model says %v", e.tag, p.pooled(e.tag), me.pooled)
 		}
 	}
 	// Absent tags stay absent.
@@ -58,43 +47,35 @@ func checkAgainstModel(t *testing.T, p *pendingSet, model map[tag.Tag]pendingMod
 }
 
 // TestPendingSetAgainstMapModel drives random add / duplicate-add / drop
-// / clearPooled / prefix-prune sequences against a map reference model
+// / prefix-prune sequences against a map reference model
 // (the structure the sorted slice replaced) and checks the observables
 // after every operation.
 func TestPendingSetAgainstMapModel(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var p pendingSet
-		model := make(map[tag.Tag]pendingModelEntry)
+		model := make(map[tag.Tag][]byte)
 		randTag := func() tag.Tag {
 			return tag.Tag{TS: uint64(1 + rng.Intn(12)), ID: uint32(1 + rng.Intn(3))}
 		}
 		for op := 0; op < 600; op++ {
-			switch rng.Intn(5) {
+			switch rng.Intn(4) {
 			case 0, 1: // add (duplicates: first copy must win)
 				tg := randTag()
 				val := []byte{byte(op), byte(op >> 8)}
-				pooled := rng.Intn(2) == 0
-				inserted := p.add(tg, val, pooled)
+				inserted := p.add(tg, val)
 				if _, exists := model[tg]; exists == inserted {
 					t.Fatalf("seed %d op %d: add(%s) inserted=%v but model exists=%v",
 						seed, op, tg, inserted, exists)
 				}
 				if inserted {
-					model[tg] = pendingModelEntry{value: val, pooled: pooled}
+					model[tg] = val
 				}
 			case 2: // drop exact
 				tg := randTag()
 				p.drop(tg)
 				delete(model, tg)
-			case 3: // clearPooled
-				tg := randTag()
-				p.clearPooled(tg)
-				if me, ok := model[tg]; ok {
-					me.pooled = false
-					model[tg] = me
-				}
-			case 4: // prefix prune (no retirement — that is objectState.prune's job)
+			case 3: // prefix prune
 				tg := randTag()
 				n := p.prefixLen(tg)
 				for mt := range model {
@@ -123,13 +104,13 @@ func TestPendingSetSteadyStateNoAlloc(t *testing.T) {
 	// Warm the backing array to depth 8.
 	for i := 0; i < 8; i++ {
 		ts++
-		p.add(tag.Tag{TS: ts, ID: 1}, val, false)
+		p.add(tag.Tag{TS: ts, ID: 1}, val)
 	}
 	p.dropPrefix(p.size())
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 8; i++ {
 			ts++
-			p.add(tag.Tag{TS: ts, ID: 1}, val, false)
+			p.add(tag.Tag{TS: ts, ID: 1}, val)
 		}
 		p.dropPrefix(p.prefixLen(tag.Tag{TS: ts, ID: 1}))
 	})
@@ -143,91 +124,29 @@ func TestPendingSetSteadyStateNoAlloc(t *testing.T) {
 func TestPendingSetPruneZeroesVacatedSlots(t *testing.T) {
 	var p pendingSet
 	for i := 1; i <= 4; i++ {
-		p.add(tag.Tag{TS: uint64(i), ID: 1}, []byte{byte(i)}, true)
+		p.add(tag.Tag{TS: uint64(i), ID: 1}, []byte{byte(i)})
 	}
 	p.dropPrefix(p.prefixLen(tag.Tag{TS: 3, ID: 1}))
 	tail := p.entries[len(p.entries):cap(p.entries)]
 	for i := range tail {
-		if tail[i].value != nil || tail[i].pooled || !tail[i].tag.IsZero() {
+		if tail[i].value != nil || !tail[i].tag.IsZero() {
 			t.Fatalf("vacated slot %d not zeroed: %+v", i, tail[i])
 		}
 	}
 }
 
-// TestObjectStatePooledRetirement verifies the ownership rule the sorted
-// set must preserve (DESIGN.md §7/§10): pruning the exact tag of a
-// pooled entry returns its buffer to the pool — observable as the next
-// GetBuffer handing back the same backing array on this goroutine —
-// while prefix-pruned entries below the written tag leak to the GC, and
-// an entry whose slice became the stored value is never retired.
-func TestObjectStatePooledRetirement(t *testing.T) {
-	newPooled := func(b byte) []byte {
-		buf := wire.GetBuffer()
-		*buf = append((*buf)[:0], b)
-		return *buf
-	}
-	samePool := func(v []byte) bool {
-		got := wire.GetBuffer()
-		same := sameSlice((*got)[:1:1], v[:1:1])
-		wire.PutBuffer(got)
-		return same
-	}
-
-	o := newObjectState()
-	low := newPooled('a')
-	exact := newPooled('b')
-	o.addPending(tag.Tag{TS: 1, ID: 2}, low, true)
-	o.addPending(tag.Tag{TS: 2, ID: 2}, exact, true)
-	o.apply(tag.Tag{TS: 2, ID: 2}, []byte("other"))
-	o.prune(tag.Tag{TS: 2, ID: 2})
-	if o.pending.size() != 0 {
-		t.Fatalf("pending size = %d after prune", o.pending.size())
-	}
-	// The exact-tag entry was retired last: the pool's per-P slot holds
-	// its buffer, not the prefix-pruned one (which must leak to the GC).
-	// Under the race detector sync.Pool drops puts at random, so the
-	// positive identity check only holds in normal builds.
-	if !raceEnabled && !samePool(exact) {
-		t.Fatal("exact-tag pooled entry was not retired to the pool")
-	}
-
-	// An entry whose slice was installed as the stored value must NOT
-	// be retired, even at its exact tag.
-	o2 := newObjectState()
-	installed := newPooled('c')
-	o2.addPending(tag.Tag{TS: 1, ID: 3}, installed, true)
-	o2.apply(tag.Tag{TS: 1, ID: 3}, installed)
-	o2.prune(tag.Tag{TS: 1, ID: 3})
-	if samePool(installed) {
-		t.Fatal("installed value's buffer was retired while still stored")
-	}
-
-	// A duplicate add must not replace the first copy: the duplicate's
-	// pooled mark is discarded with it.
-	o3 := newObjectState()
-	first := newPooled('d')
-	o3.addPending(tag.Tag{TS: 1, ID: 2}, first, false)
-	o3.addPending(tag.Tag{TS: 1, ID: 2}, newPooled('e'), true)
-	if o3.pendingPooled(tag.Tag{TS: 1, ID: 2}) {
-		t.Fatal("duplicate add replaced the first entry's pooled mark")
-	}
-	if v, _ := o3.pending.get(tag.Tag{TS: 1, ID: 2}); !sameSlice(v, first) {
-		t.Fatal("duplicate add replaced the first entry's value")
-	}
-}
-
 // TestObjectStateAddPendingSkipsStaleTags pins the stale-duplicate
 // guard: entries at or below the stored tag never enter the pending set
-// (they could resurrect a pruned entry whose buffer is in flight).
+// (they could resurrect a pruned entry as a ghost barrier).
 func TestObjectStateAddPendingSkipsStaleTags(t *testing.T) {
 	o := newObjectState()
 	o.apply(tag.Tag{TS: 5, ID: 1}, []byte("v"))
-	o.addPending(tag.Tag{TS: 5, ID: 1}, []byte("dup"), false)
-	o.addPending(tag.Tag{TS: 4, ID: 9}, []byte("old"), false)
+	o.addPending(tag.Tag{TS: 5, ID: 1}, []byte("dup"))
+	o.addPending(tag.Tag{TS: 4, ID: 9}, []byte("old"))
 	if o.pending.size() != 0 {
 		t.Fatalf("stale tags entered the pending set: size=%d", o.pending.size())
 	}
-	o.addPending(tag.Tag{TS: 5, ID: 2}, []byte("new"), false)
+	o.addPending(tag.Tag{TS: 5, ID: 2}, []byte("new"))
 	if o.pending.size() != 1 {
 		t.Fatal("newer tag refused")
 	}

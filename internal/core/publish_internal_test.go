@@ -107,9 +107,9 @@ func TestForwardedEnvelopeSingleLock(t *testing.T) {
 
 // TestReadServeTakesNoLock asserts the read-side contract through
 // loadSnapshot's verdict: a warm object's reads are served from the
-// published snapshot by any goroutine; only a cold object, a read that
-// must park, and the first read of a pool-owned value need the owning
-// lane. The serve decision must not allocate.
+// published snapshot by any goroutine; only a cold object and a read
+// that must park need the owning lane. The serve decision must not
+// allocate.
 func TestReadServeTakesNoLock(t *testing.T) {
 	h := newStormHarness(t, 0, func(c *Config) { c.WriteLanes = 1 })
 	ln := h.s.lanes[0]
@@ -164,23 +164,13 @@ func TestReadServeTakesNoLock(t *testing.T) {
 		t.Fatal("blocked read did not park")
 	}
 
-	// A pool-owned value (a forwarded pre-write's inbound buffer,
-	// installed by its elided write) is not servable from the snapshot:
-	// the first read goes to the lane, which dissolves the ownership and
-	// republishes, and every later read of the value is servable.
-	buf := wire.GetBuffer()
-	*buf = append((*buf)[:0], 'p')
+	// A value installed from a forwarded pre-write by its elided write
+	// is servable from the snapshot at once: its first read needs no
+	// hop to the lane.
 	pw := tag.Tag{TS: 1, ID: 2}
-	ln.onPreWrite(&wire.Envelope{Kind: wire.KindPreWrite, Flags: wire.FlagPooledValue, Object: 1, Tag: pw, Origin: 2, Value: *buf})
+	ln.onPreWrite(&wire.Envelope{Kind: wire.KindPreWrite, Object: 1, Tag: pw, Origin: 2, Value: []byte("p")})
 	ln.onWrite(&wire.Envelope{Kind: wire.KindWrite, Flags: wire.FlagValueElided, Object: 1, Tag: pw, Origin: 2})
-	if sn := ln.lookup(1).snap.Load(); !sn.readable || !sn.pooled {
-		t.Fatalf("setup: snapshot readable=%v pooled=%v, want a readable pool-owned value", sn.readable, sn.pooled)
-	}
-	if servable(1) {
-		t.Fatal("pool-owned value servable before its first read")
-	}
-	ln.onReadRequest(500, &wire.Envelope{Kind: wire.KindReadRequest, Object: 1, ReqID: 60})
-	if o := ln.lookup(1); o.valuePooled || !servable(1) {
-		t.Fatal("first read did not dissolve pool ownership and republish")
+	if sn, ok := h.s.loadSnapshot(1); !ok || string(sn.value) != "p" {
+		t.Fatal("installed value not servable before its first read")
 	}
 }

@@ -39,24 +39,6 @@ func (ln *lane) handleCrash(crashed wire.ProcessID) {
 	ln.adoptOrphans()
 }
 
-// requeue pushes a recovery- or adoption-created envelope onto the
-// lane's forward queue. Every such envelope's value has (or is about to
-// gain) a second reference — the installed value, a pending entry, or
-// an in-flight duplicate — so it must never claim pool ownership: the
-// callers strike the object-side marks (clearPooled, valuePooled) and
-// this helper is the single place that enforces the envelope side,
-// counting any violation in Server.RecoveryBufferLeaks. The counter
-// reading 0 is the invariant; a non-zero reading means a re-queued
-// envelope arrived still claiming a pooled buffer (a double-recycle
-// waiting to happen) and was defused here.
-func (ln *lane) requeue(env wire.Envelope) {
-	if env.ValuePooled() {
-		ln.srv.recoveryLeaks.Add(1)
-		env.Flags &^= wire.FlagPooledValue
-	}
-	ln.fq.push(env)
-}
-
 // retransmitAfterSuccessorCrash implements the paper's recovery rule for
 // this lane's objects: send the current value as a write message and
 // re-send every pending pre-write to the new successor. Each
@@ -65,14 +47,11 @@ func (ln *lane) requeue(env wire.Envelope) {
 // (or at the originator's adopter), exactly like a first transmission.
 // Combined with prefix pruning of the pending set, this guarantees every
 // server either receives each lost write or a newer one (see the
-// coverage argument in DESIGN.md §3.3-3.4). Every re-queued value gains
-// a second reference, so its buffer is struck from the pool-ownership
-// books (leaked to the GC) before the requeue.
+// coverage argument in DESIGN.md §3.3-3.4).
 func (ln *lane) retransmitAfterSuccessorCrash() {
 	ln.rangeObjects(func(objID wire.ObjectID, o *objectState) {
 		if !o.tag.IsZero() {
-			o.valuePooled = false
-			ln.requeue(wire.Envelope{
+			ln.fq.push(wire.Envelope{
 				Kind:   wire.KindWrite,
 				Object: objID,
 				Tag:    o.tag,
@@ -80,10 +59,8 @@ func (ln *lane) retransmitAfterSuccessorCrash() {
 				Value:  o.value,
 			})
 		}
-		for i := range o.pending.entries {
-			e := &o.pending.entries[i]
-			e.pooled = false
-			ln.requeue(wire.Envelope{
+		for _, e := range o.pending.entries {
+			ln.fq.push(wire.Envelope{
 				Kind:   wire.KindPreWrite,
 				Object: objID,
 				Tag:    e.tag,
@@ -91,7 +68,6 @@ func (ln *lane) retransmitAfterSuccessorCrash() {
 				Value:  e.value,
 			})
 		}
-		o.publish()
 	})
 }
 
@@ -110,16 +86,8 @@ func (ln *lane) adoptOrphans() {
 				continue // writes were applied on receipt; just absorb
 			}
 			o := ln.obj(env.Object)
-			// The turned-around write re-ships the value, aliasing it:
-			// neither the installed copy nor any pending entry for the
-			// tag may recycle its buffer — and unlike a write received
-			// after a full ring traversal, this one proves nothing
-			// about our own forwards being encoded, so the entry's
-			// pool-ownership mark is cleared before pruning.
-			o.clearPooled(env.Tag)
-			s.applyAndRelease(env.Object, o, env.Tag, env.Value, false)
+			s.applyAndRelease(env.Object, o, env.Tag, env.Value)
 			o.prune(env.Tag)
-			o.dropPending(env.Tag)
 			o.publish()
 			// Same rule as the receive-time adoption in onPreWrite: the
 			// turned-around write is logged with its value, because the
@@ -132,7 +100,7 @@ func (ln *lane) adoptOrphans() {
 				Flags:  wal.FlagHasValue,
 				Value:  env.Value,
 			})
-			ln.requeue(wire.Envelope{
+			ln.fq.push(wire.Envelope{
 				Kind:   wire.KindWrite,
 				Object: env.Object,
 				Tag:    env.Tag,

@@ -29,9 +29,6 @@ type writeIntent struct {
 	reqID  uint64
 	object wire.ObjectID
 	value  []byte
-	// pooled records that value is a pool-owned buffer (a TCP inbound
-	// copy); it is retired when the write's pending entry is pruned.
-	pooled bool
 }
 
 // writePhase tracks the progress of a write this server originated.
@@ -121,12 +118,6 @@ type Server struct {
 	// WriteLanes on a link no handshake validated (raw endpoints).
 	// Dropping beats silently misrouting them to lane 0.
 	laneDrops atomic.Uint64
-
-	// recoveryLeaks counts crash-recovery re-queued envelopes that still
-	// claimed pool ownership when they reached lane.requeue — an
-	// invariant violation (the single requeue choke point defuses it);
-	// healthy servers read 0.
-	recoveryLeaks atomic.Uint64
 
 	// trainLen is the resolved Config.TrainLength.
 	trainLen int
@@ -372,7 +363,6 @@ func (s *Server) routerLoop() {
 		case in := <-s.ep.Inbox():
 			i := s.route(&in)
 			if i == transport.RouteDrop {
-				in.Frame.Retire()
 				continue
 			}
 			select {
@@ -454,30 +444,23 @@ func (s *Server) noteCrash(crashed wire.ProcessID) {
 
 // loadSnapshot returns the object's published read snapshot when it is
 // servable from any goroutine: the admission check passed at publish
-// time and the value's buffer can no longer be recycled under the ack.
-// Everything else (park, pooled value, cold object) reports false and
-// falls to the owning lane.
+// time. Everything else (park, cold object) reports false and falls to
+// the owning lane.
 func (s *Server) loadSnapshot(id wire.ObjectID) (*readSnapshot, bool) {
 	o := s.lanes[s.laneFor(id)].lookup(id)
 	if o == nil {
 		return nil, false
 	}
 	sn := o.snap.Load()
-	if sn == nil || !sn.readable || sn.pooled {
+	if sn == nil || !sn.readable {
 		return nil, false
 	}
 	return sn, true
 }
 
-// ackRead queues a read_ack with the stored value. Handing the value to
-// an ack creates an alias whose lifetime the server cannot observe (the
-// ack sender and the transport encode at an unobservable later time),
-// so the buffer's pool ownership dissolves: a value that was ever read
-// is left to the GC when replaced, and only never-read values recycle
-// through the pool. Called on the object's lane; the enqueue never
-// blocks it.
+// ackRead queues a read_ack with the stored value. Called on the
+// object's lane; the enqueue never blocks it.
 func (s *Server) ackRead(to wire.ProcessID, reqID uint64, obj wire.ObjectID, o *objectState) {
-	o.valuePooled = false
 	s.enqueueAck(to, wire.NewFrame(wire.Envelope{
 		Kind:   wire.KindReadAck,
 		Object: obj,
@@ -489,24 +472,13 @@ func (s *Server) ackRead(to wire.ProcessID, reqID uint64, obj wire.ObjectID, o *
 
 // applyAndRelease installs (t, v) if newer and releases any parked reads
 // whose barrier is now satisfied, reporting whether the stored value
-// changed. pooled declares that v is a pool-owned buffer that no other
-// holder (a queued forward, a recovery retransmission) aliases, so the
-// NEXT apply may recycle it; the replaced value's buffer is recycled now
-// if its ownership survived — i.e. it was pooled and never handed to a
-// read ack (ackRead dissolves ownership, because ack encoding happens
-// at an unobservable later time on the transport's writer). Called on
-// the object's lane, which also makes every park-or-serve decision for
-// the object, so the two never interleave; the caller republishes the
-// read snapshot afterwards.
-func (s *Server) applyAndRelease(objID wire.ObjectID, o *objectState, t tag.Tag, v []byte, pooled bool) bool {
-	old, oldPooled := o.value, o.valuePooled
+// changed. Called on the object's lane, which also makes every
+// park-or-serve decision for the object, so the two never interleave;
+// the caller republishes the read snapshot afterwards.
+func (s *Server) applyAndRelease(objID wire.ObjectID, o *objectState, t tag.Tag, v []byte) bool {
 	if !o.apply(t, v) {
 		return false
 	}
-	if oldPooled && !sameSlice(old, v) {
-		wire.PutValue(old)
-	}
-	o.valuePooled = pooled
 	// Release satisfied parked reads in place: compact the survivors
 	// into the same backing array instead of building a fresh ready
 	// slice per wakeup.

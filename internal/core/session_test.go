@@ -149,9 +149,8 @@ func TestSessionTCPCluster(t *testing.T) {
 	if string(got) != "after" {
 		t.Fatalf("read %q, want after", got)
 	}
-	// TCP inbound values are pool-owned, and recovery just re-queued
-	// some of them on the survivors: the requeue choke point must have
-	// seen only already-unpooled copies.
+	// Recovery just re-queued values on the survivors; every robustness
+	// counter must still read clean.
 	for id, srv := range c.servers {
 		assertCleanCounters(t, id, srv)
 	}

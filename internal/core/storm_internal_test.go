@@ -364,7 +364,7 @@ func TestRecoveryRetransmitsPendingAndValue(t *testing.T) {
 // TestCrashPiggybackDropped: route hands every frame whose primary is a
 // crash notice to the control plane, so a crash envelope can reach a lane
 // only piggybacked on a ring frame, which no server sends. The lane
-// retires it like any unexpected kind: no lane's view and not the
+// drops it like any unexpected kind: no lane's view and not the
 // control plane's changes, and nothing is handed to the control inbox,
 // while the frame's pre-write is handled as usual.
 func TestCrashPiggybackDropped(t *testing.T) {

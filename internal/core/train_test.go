@@ -135,7 +135,7 @@ func TestTrainLengthsLinearizableMem(t *testing.T) {
 }
 
 // TestTrainLengthsLinearizableTCP is the same property over real TCP
-// (session endpoints, one shared ring link, pooled inbound values).
+// (session endpoints, one shared ring link, exact-size inbound values).
 func TestTrainLengthsLinearizableTCP(t *testing.T) {
 	for _, train := range []int{1, 8} {
 		t.Run(fmt.Sprintf("train=%d", train), func(t *testing.T) {

@@ -81,10 +81,10 @@ func (s *Server) replayRecord(r *wal.Record) error {
 				ln.replayVals = make(map[writeKey][]byte)
 			}
 			ln.replayVals[key] = r.Value
-			ln.obj(r.Object).addPending(r.Tag, r.Value, false)
+			ln.obj(r.Object).addPending(r.Tag, r.Value)
 		}
 	case wal.RecPreWrite:
-		ln.obj(r.Object).addPending(r.Tag, r.Value, false)
+		ln.obj(r.Object).addPending(r.Tag, r.Value)
 	case wal.RecWrite:
 		o := ln.obj(r.Object)
 		v, haveV := r.Value, r.Flags&wal.FlagHasValue != 0
@@ -180,6 +180,9 @@ func (s *Server) compactWAL() error {
 // AckSendFailures == 0).
 func (s *Server) requeueReplayedState() {
 	for _, ln := range s.lanes {
+		// Publish what replay rebuilt, so reads after a restart are
+		// served from snapshots from the first one on.
+		ln.rangeObjects(func(_ wire.ObjectID, o *objectState) { o.publish() })
 		ln.retransmitAfterSuccessorCrash()
 		for key, w := range ln.myWrites {
 			switch w.phase {
@@ -192,7 +195,7 @@ func (s *Server) requeueReplayedState() {
 				if !ok {
 					v, _ = ln.obj(key.object).pending.get(key.tag)
 				}
-				ln.requeue(wire.Envelope{
+				ln.fq.push(wire.Envelope{
 					Kind:   wire.KindPreWrite,
 					Object: key.object,
 					Tag:    key.tag,
@@ -208,7 +211,7 @@ func (s *Server) requeueReplayedState() {
 				// its pending set (the pre-write completed the full ring
 				// and only a write at or above this tag could have pruned
 				// it); everyone else absorbs the tag-only message.
-				ln.requeue(wire.Envelope{
+				ln.fq.push(wire.Envelope{
 					Kind:   wire.KindWrite,
 					Object: key.object,
 					Tag:    key.tag,

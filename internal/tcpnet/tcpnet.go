@@ -37,9 +37,11 @@
 // stragglers, so an idle connection flushes every frame immediately
 // (a flush wait cost 15–20 % at every batch size on loopback,
 // EXPERIMENTS.md "batch re-tune"). Encode buffers, the slab,
-// and inbound frame bodies come from the wire package's buffer pool,
-// keeping the per-message path allocation-free in steady state.
-// DESIGN.md §14 states the buffer-ownership rules end to end.
+// and inbound frame bodies come from the wire package's buffer pool.
+// Inbound values do not: each is copied out of the body into an
+// exact-size heap slice that the GC owns, because the algorithm keeps
+// values for as long as it likes. DESIGN.md §14 states the
+// buffer-ownership rules end to end.
 package tcpnet
 
 import (
@@ -361,10 +363,8 @@ func (e *Endpoint) Handshake(to wire.ProcessID) error {
 
 // enqueue encodes the frame on the calling goroutine and hands the
 // pooled encoded buffer to the link's writer. The encode snapshots the
-// frame's value bytes, so any pooled value the frame aliases is free
-// the moment enqueue returns — the §10 alias lifetime now ends at a
-// point the producer can see, instead of at some later encode on the
-// writer goroutine (DESIGN.md §14).
+// frame's value bytes, so the transport holds no alias of any value
+// once enqueue returns (DESIGN.md §14).
 func (e *Endpoint) enqueue(p *peer, to wire.ProcessID, f wire.Frame) error {
 	ef, err := wire.EncodeFrame(&f)
 	if err != nil {
@@ -549,24 +549,15 @@ func (e *Endpoint) acceptLoop() {
 // readLoop decodes frames from the connection into the inbox (or, when
 // a demux is installed, straight into the owning lane's inbox). The
 // Reader's body buffer comes from the shared pool and goes back when
-// the connection dies. A demuxed endpoint belongs to a lane server that
-// honors the pooled-value retire contract, so its frames copy values
-// into pooled owned buffers (the algorithm retains values indefinitely,
-// so they must outlive the body buffer) and the server returns each
-// buffer when it retires the value; endpoints without a demux (clients,
-// raw transport users) keep exact-size allocations, since their
-// consumers never retire and a pooled copy would just waste a
-// pool-sized buffer per message.
+// the connection dies; every decoded value is copied out of it into an
+// exact-size heap slice, because the algorithm retains values (pending
+// entries, stored registers, queued forwards) long past the next read.
+// The GC owns those slices, so nothing downstream has to give them back.
 func (e *Endpoint) readLoop(p *peer) {
 	defer e.wg.Done()
 	r := wire.NewReaderSize(p.conn, e.opts.ReadBufferBytes)
 	defer r.Close()
-	pooled := false
 	for {
-		if !pooled && e.demux.Load() != nil {
-			r.PoolValues()
-			pooled = true
-		}
 		f, err := r.ReadFrame()
 		if err != nil {
 			e.dropPeer(p)
@@ -575,9 +566,7 @@ func (e *Endpoint) readLoop(p *peer) {
 		inb := transport.Inbound{From: p.id, Frame: f}
 		ch := e.inboxFor(&inb)
 		if ch == nil {
-			// Routed to RouteDrop: discard, returning pooled buffers.
-			inb.Frame.Retire()
-			continue
+			continue // routed to RouteDrop: discard
 		}
 		select {
 		case ch <- inb:

@@ -223,6 +223,29 @@ func TestLargePayloadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDemuxedInboundValueExactSize pins the server-side inbound path: a
+// demuxed endpoint (what a lane server installs) delivers every value in
+// its own heap slice of exactly its length, not in a shared pool buffer
+// that a retained 128 B value would pin at 4 KiB.
+func TestDemuxedInboundValueExactSize(t *testing.T) {
+	eps, _ := newCluster(t, 2)
+	lane := make(chan transport.Inbound, 1)
+	eps[1].SetDemux(func(*transport.Inbound) int { return 0 }, []chan transport.Inbound{lane})
+	val := make([]byte, 128)
+	env := wire.Envelope{Kind: wire.KindPreWrite, Origin: 1, Tag: tagOf(1, 1), Value: val}
+	if err := eps[0].Send(2, wire.NewLaneFrame(env, 0)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case in := <-lane:
+		if v := in.Frame.Env.Value; len(v) != 128 || cap(v) != len(v) {
+			t.Fatalf("inbound value len %d cap %d, want len 128 and cap == len", len(v), cap(v))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the demuxed frame")
+	}
+}
+
 func TestPiggybackFrameOverTCP(t *testing.T) {
 	eps, _ := newCluster(t, 2)
 	pb := wire.Envelope{Kind: wire.KindWrite, Origin: 1, Tag: tagOf(3, 1), Value: []byte("old")}

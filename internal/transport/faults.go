@@ -99,7 +99,6 @@ func (l *delayLine) push(from, to wire.ProcessID, f wire.Frame, d time.Duration)
 	l.mu.Lock()
 	if l.stopped {
 		l.mu.Unlock()
-		f.Retire()
 		return
 	}
 	if !l.started {
@@ -120,7 +119,7 @@ func (l *delayLine) push(from, to wire.ProcessID, f wire.Frame, d time.Duration)
 	}
 }
 
-// stop terminates the loop and retires every parked frame.
+// stop terminates the loop and drops every parked frame.
 func (l *delayLine) stop() {
 	l.mu.Lock()
 	if l.stopped {
@@ -128,15 +127,11 @@ func (l *delayLine) stop() {
 		return
 	}
 	l.stopped = true
-	parked := l.h
 	l.h = nil
 	started := l.started
 	l.mu.Unlock()
 	if started {
 		close(l.stopc)
-	}
-	for _, d := range parked {
-		d.f.Retire()
 	}
 }
 
@@ -183,27 +178,23 @@ func (l *delayLine) loop() {
 	}
 }
 
-// deliver pushes one due frame into its destination, dropping it (with
-// buffer retirement) when the destination is gone — the same fate an
-// in-flight frame meets when its receiver crashes.
+// deliver pushes one due frame into its destination, dropping it when
+// the destination is gone — the same fate an in-flight frame meets when
+// its receiver crashes.
 func (l *delayLine) deliver(d delayedFrame) {
 	dst := l.net.lookup(d.to)
 	if dst == nil {
-		d.f.Retire()
 		return
 	}
 	inb := Inbound{From: d.from, Frame: d.f}
 	ch := dst.inboxFor(&inb)
 	if ch == nil {
-		inb.Frame.Retire() // routed to RouteDrop
-		return
+		return // routed to RouteDrop
 	}
 	select {
 	case ch <- inb:
 	case <-dst.down:
-		d.f.Retire()
 	case <-l.stopc:
-		d.f.Retire()
 	}
 }
 

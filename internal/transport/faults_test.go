@@ -159,7 +159,7 @@ func TestNetworkCloseRetiresParkedFrames(t *testing.T) {
 	}
 	n.Close()
 	n.Close() // idempotent
-	// A post-close delayed send is retired on the spot instead of
+	// A post-close delayed send is dropped on the spot instead of
 	// leaking onto a dead heap.
 	if err := a.Send(2, newFrame(2)); err != nil {
 		t.Fatal(err)

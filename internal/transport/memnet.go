@@ -217,7 +217,6 @@ func (e *MemEndpoint) Send(to wire.ProcessID, f wire.Frame) error {
 	// bytes died on the wire, a delayed one parks on the delay line.
 	switch v := e.net.verdict(e.id, to, &f); {
 	case v.Drop:
-		f.Retire()
 		return nil
 	case v.Delay > 0:
 		e.net.dline.push(e.id, to, f, v.Delay)
@@ -226,11 +225,7 @@ func (e *MemEndpoint) Send(to wire.ProcessID, f wire.Frame) error {
 	inb := Inbound{From: e.id, Frame: f}
 	ch := dst.inboxFor(&inb)
 	if ch == nil {
-		// Routed to RouteDrop: discarded by design. Retire any pooled
-		// buffers like the other drop sites (none arise over memnet
-		// today, but the ownership rule should not depend on that).
-		inb.Frame.Retire()
-		return nil
+		return nil // routed to RouteDrop: discarded by design
 	}
 	select {
 	case ch <- inb:
@@ -263,7 +258,6 @@ func (e *MemEndpoint) TrySend(to wire.ProcessID, f wire.Frame) bool {
 	// accepted send (the frame left this process without blocking).
 	switch v := e.net.verdict(e.id, to, &f); {
 	case v.Drop:
-		f.Retire()
 		return true
 	case v.Delay > 0:
 		e.net.dline.push(e.id, to, f, v.Delay)
@@ -272,8 +266,7 @@ func (e *MemEndpoint) TrySend(to wire.ProcessID, f wire.Frame) bool {
 	inb := Inbound{From: e.id, Frame: f}
 	ch := dst.inboxFor(&inb)
 	if ch == nil {
-		inb.Frame.Retire() // routed to RouteDrop: discarded by design
-		return true
+		return true // routed to RouteDrop: discarded by design
 	}
 	select {
 	case ch <- inb:

@@ -19,8 +19,7 @@ import (
 //	  uint8   lane
 //	per envelope:
 //	  uint8   kind
-//	  uint8   flags (FlagPooledValue is local-only: masked on encode,
-//	          cleared on decode)
+//	  uint8   flags
 //	  uint32  object
 //	  uint64  tag.ts
 //	  uint32  tag.id
@@ -66,10 +65,8 @@ var (
 )
 
 // AppendEnvelope encodes env onto buf and returns the extended slice.
-// FlagPooledValue is a process-local ownership mark and never reaches
-// the wire.
 func AppendEnvelope(buf []byte, env *Envelope) []byte {
-	buf = append(buf, byte(env.Kind), env.Flags&^FlagPooledValue)
+	buf = append(buf, byte(env.Kind), env.Flags)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(env.Object))
 	buf = binary.BigEndian.AppendUint64(buf, env.Tag.TS)
 	buf = binary.BigEndian.AppendUint32(buf, env.Tag.ID)
@@ -126,17 +123,13 @@ func (f *Frame) AppendTo(buf []byte) ([]byte, error) {
 type valueMode uint8
 
 const (
-	// valueCopy allocates a fresh slice per value: the frame owns its
-	// memory with no strings attached (the seed's behavior).
+	// valueCopy copies each value into a fresh heap slice of exactly
+	// its length (cap == len): the frame owns its memory with no strings
+	// attached, and a retained value pins nothing beyond its own bytes.
 	valueCopy valueMode = iota
 	// valueAlias keeps the Value aliasing the input buffer; the caller
 	// owns the lifetime contract.
 	valueAlias
-	// valuePooled copies the value into a buffer from the shared pool
-	// and marks the envelope FlagPooledValue: the receiver returns the
-	// buffer with PutValue (or Envelope.RetireValue) once the value is
-	// retired, making the steady-state inbound path allocation-free.
-	valuePooled
 )
 
 // decodeEnvelopeInto consumes one envelope from data into env according
@@ -146,10 +139,7 @@ func decodeEnvelopeInto(env *Envelope, data []byte, mode valueMode) ([]byte, err
 		return nil, fmt.Errorf("%w: truncated envelope header", ErrCorruptFrame)
 	}
 	env.Kind = Kind(data[0])
-	// FlagPooledValue is local-only: a frame carrying it on the wire is
-	// either corrupt or malicious, and honoring it would let a peer
-	// trick this process into recycling a buffer it never pooled.
-	env.Flags = data[1] &^ FlagPooledValue
+	env.Flags = data[1]
 	env.Object = ObjectID(binary.BigEndian.Uint32(data[2:6]))
 	env.Tag = tag.Tag{
 		TS: binary.BigEndian.Uint64(data[6:14]),
@@ -171,16 +161,11 @@ func decodeEnvelopeInto(env *Envelope, data []byte, mode valueMode) ([]byte, err
 	}
 	env.Value = nil
 	if vlen > 0 {
-		switch mode {
-		case valueAlias:
+		if mode == valueAlias {
 			env.Value = data[:vlen:vlen]
-		case valuePooled:
-			b := GetBuffer()
-			*b = append((*b)[:0], data[:vlen]...)
-			env.Value = *b
-			env.Flags |= FlagPooledValue
-		default:
-			env.Value = append([]byte(nil), data[:vlen]...)
+		} else {
+			env.Value = make([]byte, vlen)
+			copy(env.Value, data[:vlen])
 		}
 	}
 	return data[vlen:], nil
@@ -197,23 +182,11 @@ func decodeEnvelope(data []byte) (Envelope, []byte, error) {
 }
 
 // DecodeFrameBody decodes the body of a frame (everything after the
-// uint32 length prefix). Value slices are copied out of body, so the
-// returned frame owns its memory.
+// uint32 length prefix). Value slices are copied out of body into
+// exact-size heap slices, so the returned frame owns its memory.
 func DecodeFrameBody(body []byte) (Frame, error) {
 	var f Frame
 	if err := f.decodeFrom(body, valueCopy); err != nil {
-		return Frame{}, err
-	}
-	return f, nil
-}
-
-// DecodeFrameBodyPooled is DecodeFrameBody with the values copied into
-// buffers from the shared pool instead of fresh allocations; the decoded
-// envelopes carry FlagPooledValue and the receiver returns each buffer
-// with PutValue (or lets it fall to the GC) when the value is retired.
-func DecodeFrameBodyPooled(body []byte) (Frame, error) {
-	var f Frame
-	if err := f.decodeFrom(body, valuePooled); err != nil {
 		return Frame{}, err
 	}
 	return f, nil
@@ -309,9 +282,9 @@ func (f *Frame) clearExtra() {
 }
 
 // resetDecode zeroes the frame after a failed decode so no field — a
-// partially overwritten header, a Value still aliasing a possibly
-// recycled pooled buffer, or a previous decode's piggyback or train
-// tail — survives into error handling.
+// partially overwritten header, a Value still aliasing the input
+// buffer, or a previous decode's piggyback or train tail — survives
+// into error handling.
 func (f *Frame) resetDecode() {
 	f.Env = Envelope{}
 	f.Piggyback = nil
@@ -319,7 +292,9 @@ func (f *Frame) resetDecode() {
 	f.Lane = 0
 }
 
-// bufPool holds encode/decode scratch buffers shared by the transports.
+// bufPool holds the scratch buffers shared by the transports: encode
+// buffers, egress slabs, reader bodies and handshakes. Decoded values
+// never come from it.
 // Buffers start at 4 KiB — enough for a coalesced batch of typical
 // frames — and grow in place; oversized buffers (beyond 1 MiB) are not
 // returned to the pool so one huge value does not pin memory forever.
@@ -348,21 +323,6 @@ func PutBuffer(b *[]byte) {
 		return
 	}
 	bufPool.Put(b)
-}
-
-// PutValue returns a pool-owned value slice (a decoded envelope value
-// produced by the valuePooled mode) to the shared pool. The caller must
-// hold the only remaining reference: a buffer recycled while aliased
-// elsewhere corrupts whoever still reads it. Unlike the value-sized
-// allocation it replaces, the re-boxing here costs one slice header;
-// values that are never retired (installed register values, values
-// handed to applications) simply fall to the GC, which is always safe.
-func PutValue(v []byte) {
-	if cap(v) == 0 || cap(v) > maxPooledBuffer {
-		return
-	}
-	b := v[:0:cap(v)]
-	bufPool.Put(&b)
 }
 
 // Writer serializes frames onto an io.Writer with length-prefixed framing.
@@ -399,16 +359,9 @@ func (fw *Writer) WriteFrame(f *Frame) error {
 // from the shared pool; call Close when done with the Reader to return
 // it (decoded frames own their memory, so they outlive the Reader).
 type Reader struct {
-	r      *bufio.Reader
-	buf    *[]byte
-	pooled bool
+	r   *bufio.Reader
+	buf *[]byte
 }
-
-// PoolValues switches the Reader to hand decoded values out in pooled
-// owned buffers (DecodeFrameBodyPooled) instead of fresh allocations.
-// The frames' envelopes then carry FlagPooledValue; see PutValue for the
-// ownership contract.
-func (fr *Reader) PoolValues() { fr.pooled = true }
 
 // NewReader returns a Reader consuming frames from r.
 func NewReader(r io.Reader) *Reader {
@@ -453,9 +406,6 @@ func (fr *Reader) ReadFrame() (Frame, error) {
 	body := (*fr.buf)[:n]
 	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return Frame{}, fmt.Errorf("wire: read frame body: %w", err)
-	}
-	if fr.pooled {
-		return DecodeFrameBodyPooled(body)
 	}
 	return DecodeFrameBody(body)
 }

@@ -242,52 +242,48 @@ func TestLaneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPooledValueDecode pins the pooled inbound path: values come back
-// in marked pool-owned buffers, the mark never survives an encode, and a
-// wire frame claiming the flag cannot plant it.
-func TestPooledValueDecode(t *testing.T) {
-	f := NewFrame(Envelope{Kind: KindPreWrite, Origin: 1, Tag: tag.Tag{TS: 1, ID: 1}, Value: []byte("payload")})
+// TestDecodedValuesExactSize pins the owning decode paths (the one
+// the transports' readers use): every value comes back in its own heap
+// slice of exactly its length, so a retained value pins only its own
+// bytes and no shared buffer, and it does not alias the input.
+func TestDecodedValuesExactSize(t *testing.T) {
+	val := bytes.Repeat([]byte{'v'}, 128)
+	f := trainFrame(5, 0)
+	f.Env.Value = val
 	buf, err := AppendFrame(nil, &f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeFrameBodyPooled(buf[4:])
+	check := func(path string, got Frame) {
+		t.Helper()
+		if !bytes.Equal(got.Env.Value, val) {
+			t.Fatalf("%s: value = %q", path, got.Env.Value)
+		}
+		for i, env := range got.Envelopes() {
+			if cap(env.Value) != len(env.Value) {
+				t.Fatalf("%s: envelope %d value len %d cap %d, want cap == len",
+					path, i, len(env.Value), cap(env.Value))
+			}
+		}
+	}
+	body, err := DecodeFrameBody(buf[4:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Env.ValuePooled() {
-		t.Fatal("pooled decode did not mark the value")
+	check("DecodeFrameBody", body)
+	buf[frameHeaderSize+envelopeHeaderSize] ^= 0xff // first value byte
+	if body.Env.Value[0] != 'v' {
+		t.Fatal("decoded value aliases the input body")
 	}
-	if string(got.Env.Value) != "payload" {
-		t.Fatalf("value = %q", got.Env.Value)
-	}
-	// The mark must not reach the wire.
-	out, err := AppendFrame(nil, &got)
+	buf[frameHeaderSize+envelopeHeaderSize] ^= 0xff
+
+	r := NewReader(bytes.NewReader(buf))
+	defer r.Close()
+	read, err := r.ReadFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := DecodeFrameBody(out[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Env.Flags&FlagPooledValue != 0 {
-		t.Fatal("FlagPooledValue leaked onto the wire")
-	}
-	// A frame with the flag bit set in its encoded flags byte must
-	// decode without the mark (the decoder owns pooling decisions).
-	evil := append([]byte(nil), buf[4:]...)
-	evil[3] |= FlagPooledValue // flags byte of the first envelope
-	dec, err := DecodeFrameBody(evil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Env.Flags&FlagPooledValue != 0 {
-		t.Fatal("decoder honored a wire-supplied pooled flag")
-	}
-	got.Env.RetireValue()
-	if got.Env.Value != nil || got.Env.ValuePooled() {
-		t.Fatal("RetireValue left a dangling reference")
-	}
+	check("Reader", read)
 }
 
 func TestAppendToMatchesAppendFrame(t *testing.T) {
@@ -623,36 +619,6 @@ func TestTrainSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state train round trip allocates %.1f/op, want 0", allocs)
-	}
-}
-
-// TestTrainPooledDecode covers the pooled inbound path for trains:
-// every envelope's value comes back marked pool-owned and retires
-// cleanly.
-func TestTrainPooledDecode(t *testing.T) {
-	f := trainFrame(5, 0)
-	buf, err := AppendFrame(nil, &f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeFrameBodyPooled(buf[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	envs := got.Envelopes()
-	for i, env := range envs {
-		if len(env.Value) > 0 && !env.ValuePooled() {
-			t.Fatalf("envelope %d value not pooled", i)
-		}
-	}
-	got.Retire()
-	if got.Env.Value != nil {
-		t.Fatal("Retire left the primary value")
-	}
-	for i := range got.Extra {
-		if got.Extra[i].Value != nil {
-			t.Fatalf("Retire left extra value %d", i)
-		}
 	}
 }
 

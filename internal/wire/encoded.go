@@ -41,9 +41,7 @@ func EncodedFramesLive() int64 { return encodedLive.Load() }
 
 // EncodeFrame serializes f into a pooled buffer and returns it with a
 // reference count of one, owned by the caller. The frame value itself
-// is not retained: any pooled value buffers referenced by f still
-// follow the §10 retire contract and are unaffected by the encoded
-// copy's lifecycle.
+// is not retained: the encoded copy shares no memory with f's values.
 func EncodeFrame(f *Frame) (*EncodedFrame, error) {
 	buf := GetBuffer()
 	b, err := f.AppendTo((*buf)[:0])

@@ -82,15 +82,6 @@ const (
 	// from the pre-write phase, so re-shipping it would halve the ring's
 	// usable bandwidth. Recovery and adoption writes never elide.
 	FlagValueElided uint8 = 1 << iota
-	// FlagPooledValue marks an envelope whose Value is backed by a
-	// buffer from this process's shared pool (GetBuffer). It is a local
-	// ownership mark, never part of the wire format: the encoder masks
-	// it out and the decoder clears it, setting it only when it copied
-	// the value into a pooled buffer itself. Whoever drops the last
-	// reference to a pooled value should return it with PutValue;
-	// failing to do so is safe (the buffer falls to the GC), returning a
-	// buffer that is still referenced elsewhere is not.
-	FlagPooledValue
 )
 
 // Envelope is one protocol message. Not every field is meaningful for
@@ -140,30 +131,12 @@ func (e *Envelope) Validate() error {
 }
 
 // Clone returns a deep copy of the envelope (the Value slice is copied).
-// The copy is not pool-owned, whatever the original was.
 func (e *Envelope) Clone() Envelope {
 	c := *e
-	c.Flags &^= FlagPooledValue
 	if e.Value != nil {
 		c.Value = append([]byte(nil), e.Value...)
 	}
 	return c
-}
-
-// ValuePooled reports whether the envelope carries a pool-owned value.
-func (e *Envelope) ValuePooled() bool {
-	return e.Flags&FlagPooledValue != 0 && len(e.Value) > 0
-}
-
-// RetireValue returns the envelope's pool-owned value buffer (if any) to
-// the shared pool and drops the reference. Callers invoke it only when
-// the envelope's value was never handed to anyone else.
-func (e *Envelope) RetireValue() {
-	if e.ValuePooled() {
-		PutValue(e.Value)
-	}
-	e.Value = nil
-	e.Flags &^= FlagPooledValue
 }
 
 // IsRing reports whether the envelope travels server-to-server along the
@@ -219,18 +192,10 @@ func NewLaneFrame(env Envelope, lane uint8) Frame {
 	return Frame{Env: env, Lane: lane}
 }
 
-// Retire returns every pool-owned value buffer the frame carries to the
-// shared pool (see Envelope.RetireValue for the ownership contract).
-// For frames that are dropped without any envelope being processed.
-func (f *Frame) Retire() {
-	f.Env.RetireValue()
-	if f.Piggyback != nil {
-		f.Piggyback.RetireValue()
-	}
-	for i := range f.Extra {
-		f.Extra[i].RetireValue()
-	}
-}
+// Retire is a no-op. Decoded values are exact-size heap slices the GC
+// owns (DESIGN.md §14), so a dropped frame has nothing to give back; the
+// method stays for callers written when inbound values were pooled.
+func (f *Frame) Retire() {}
 
 // EnvelopeCount returns the number of envelopes the frame carries.
 func (f *Frame) EnvelopeCount() int {
