@@ -171,3 +171,42 @@ func TestJoinLaneMismatchFailsFast(t *testing.T) {
 		t.Fatalf("wrong field: %+v", herr)
 	}
 }
+
+// TestWriteCopiesCallerValue: the in-memory network hands frames over by
+// reference, so the client copies a written value before it sends it.
+// Changing the caller's buffer after Write returns must not change the
+// register.
+func TestWriteCopiesCallerValue(t *testing.T) {
+	c, err := atomicstore.StartCluster(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	cl, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cl.Close() }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	buf := []byte("original")
+	if _, err := cl.Write(ctx, 3, buf); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	copy(buf, "mutated!")
+	for _, id := range c.Members() {
+		p, err := c.Client(atomicstore.WithPinnedServer(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _, err := p.Read(ctx, 3)
+		_ = p.Close()
+		if err != nil {
+			t.Fatalf("read via %d: %v", id, err)
+		}
+		if string(v) != "original" {
+			t.Fatalf("server %d serves %q, want %q", id, v, "original")
+		}
+	}
+}

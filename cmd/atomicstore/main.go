@@ -129,6 +129,7 @@ func doRead(ctx context.Context, cl storeClient, args []string) error {
 }
 
 // doLoad generates closed-loop load and reports throughput and latency.
+// It fails when any operation failed.
 func doLoad(ctx context.Context, cl storeClient, args []string) error {
 	fs := flag.NewFlagSet("load", flag.ContinueOnError)
 	var (
@@ -160,7 +161,7 @@ func doLoad(ctx context.Context, cl storeClient, args []string) error {
 	fmt.Printf("writes: %8.0f ops/s  %7.2f Mbit/s  p50=%v p99=%v\n",
 		res.WriteOpsPerSec, res.WriteMbps, res.WriteLatency.P50, res.WriteLatency.P99)
 	if res.Errors > 0 {
-		fmt.Printf("errors: %d\n", res.Errors)
+		return fmt.Errorf("load: %d operations failed", res.Errors)
 	}
 	return nil
 }

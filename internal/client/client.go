@@ -6,6 +6,13 @@
 // when their request times out, they simply re-send it to another
 // server"). Any number of operations may be issued concurrently from one
 // Client; each is matched to its ack by a request id.
+//
+// A Client runs no goroutine of its own. New installs a route on the
+// endpoint (transport.Demuxer), so each ack is handed to its waiting
+// operation on the transport goroutine that delivered it — tcpnet's
+// read loop, or under memnet the sending server's goroutine — and then
+// dropped; nothing ever reaches the endpoint's Inbox. That saves one
+// goroutine hand-off per ack, and with it one scheduler wake-up.
 package client
 
 import (
@@ -87,7 +94,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// result is the outcome of one operation, delivered by the receiver loop.
+// result is the outcome of one operation, delivered by deliver on the
+// transport's goroutine.
 type result struct {
 	value []byte
 	tag   tag.Tag
@@ -104,20 +112,25 @@ type Client struct {
 	rng        *rand.Rand
 	inflight   map[uint64]chan result
 	failStreak int // consecutive failed attempts, spans operations
-	closed     bool
 
 	// sleep, when non-nil, replaces the real backoff wait (test hook).
 	sleep func(time.Duration)
 
 	stopOnce sync.Once
 	stopc    chan struct{}
-	wg       sync.WaitGroup
 }
 
-// New creates a client over the endpoint and starts its receiver loop.
+// New creates a client over the endpoint and installs its ack route
+// there. The endpoint must implement transport.Demuxer (both tcpnet and
+// memnet do), must serve no other Client, and must not have sent a
+// request yet, so no ack can be waiting in its Inbox.
 func New(ep transport.Endpoint, opts Options) (*Client, error) {
 	if len(opts.Servers) == 0 {
 		return nil, errors.New("client: no servers configured")
+	}
+	d, ok := ep.(transport.Demuxer)
+	if !ok {
+		return nil, fmt.Errorf("client: endpoint %T cannot route inbound frames (no transport.Demuxer)", ep)
 	}
 	opts = opts.withDefaults()
 	c := &Client{
@@ -129,18 +142,16 @@ func New(ep transport.Endpoint, opts Options) (*Client, error) {
 		inflight: make(map[uint64]chan result),
 		stopc:    make(chan struct{}),
 	}
-	c.wg.Add(1)
-	go c.receiverLoop()
+	d.SetDemux(c.deliver, nil)
 	return c, nil
 }
 
-// Close stops the receiver loop. It does not close the endpoint; the
-// caller owns it.
+// Close fails every pending operation with ErrClosed. It does not close
+// the endpoint; the caller owns it, and acks it still delivers are
+// dropped.
 func (c *Client) Close() error {
 	c.stopOnce.Do(func() { close(c.stopc) })
-	c.wg.Wait()
 	c.mu.Lock()
-	c.closed = true
 	for id, ch := range c.inflight {
 		close(ch)
 		delete(c.inflight, id)
@@ -166,7 +177,10 @@ func (c *Client) WriteDetailed(ctx context.Context, object wire.ObjectID, value 
 	env := wire.Envelope{
 		Kind:   wire.KindWriteRequest,
 		Object: object,
-		Value:  append([]byte(nil), value...),
+		// memnet hands frames over by reference, so without this copy
+		// the servers would store the caller's buffer, which the caller
+		// may reuse once Write returns.
+		Value: append([]byte(nil), value...),
 	}
 	res, attempts, err := c.do(ctx, env)
 	if err != nil {
@@ -328,28 +342,25 @@ func (c *Client) pickServer(attempt int) wire.ProcessID {
 	}
 }
 
-// receiverLoop routes acks to their waiting operations.
-func (c *Client) receiverLoop() {
-	defer c.wg.Done()
-	for {
+// deliver is the endpoint's route (transport.RouteFunc): it hands an
+// ack to its waiting operation and drops every frame. It runs on the
+// delivering goroutine — under memnet that is the sending server's — so
+// it never blocks: one short critical section and a send that gives up
+// when the slot is taken. The send happens under c.mu because Close
+// closes the waiting channels under it; without the lock an ack racing
+// Close could send on a closed channel.
+func (c *Client) deliver(in *transport.Inbound) int {
+	env := &in.Frame.Env
+	if env.Kind != wire.KindWriteAck && env.Kind != wire.KindReadAck {
+		return transport.RouteDrop
+	}
+	c.mu.Lock()
+	if ch := c.inflight[env.ReqID]; ch != nil { // nil: a late ack after a retry
 		select {
-		case in := <-c.ep.Inbox():
-			env := in.Frame.Env
-			if env.Kind != wire.KindWriteAck && env.Kind != wire.KindReadAck {
-				continue
-			}
-			c.mu.Lock()
-			ch := c.inflight[env.ReqID]
-			c.mu.Unlock()
-			if ch == nil {
-				continue // late ack after a retry; drop
-			}
-			select {
-			case ch <- result{value: env.Value, tag: env.Tag}:
-			default: // duplicate ack
-			}
-		case <-c.stopc:
-			return
+		case ch <- result{value: env.Value, tag: env.Tag}:
+		default: // duplicate ack
 		}
 	}
+	c.mu.Unlock()
+	return transport.RouteDrop
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -424,5 +425,160 @@ func TestClientBackoffDisabled(t *testing.T) {
 	}
 	if _, err := cl.Write(context.Background(), 0, []byte("x")); !errors.Is(err, ErrExhausted) {
 		t.Fatalf("err = %v, want ErrExhausted", err)
+	}
+}
+
+// TestClientNewStartsNoGoroutine: acks are delivered on the transport's
+// goroutine, so a client owns no goroutine of its own.
+func TestClientNewStartsNoGoroutine(t *testing.T) {
+	net := transport.NewMemNetwork(transport.MemNetworkOptions{})
+	ep, err := net.Register(999)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ep.Close() }()
+	before := runtime.NumGoroutine()
+	cl, err := New(ep, Options{Servers: []wire.ProcessID{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cl.Close() }()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New started %d goroutines", after-before)
+	}
+}
+
+// plainEndpoint hides every method but transport.Endpoint's.
+type plainEndpoint struct{ transport.Endpoint }
+
+func TestClientNewRequiresDemuxer(t *testing.T) {
+	net := transport.NewMemNetwork(transport.MemNetworkOptions{})
+	ep, err := net.Register(999)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ep.Close() }()
+	if _, err := New(plainEndpoint{ep}, Options{Servers: []wire.ProcessID{1}}); err == nil {
+		t.Fatal("endpoint without a demux accepted")
+	}
+}
+
+// TestClientCloseRacingAcks closes clients while a server floods them
+// with acks, each sent four times. The route sends on an operation's
+// channel while Close closes those channels; run under -race, a send
+// that escaped the client's lock would panic or be reported.
+func TestClientCloseRacingAcks(t *testing.T) {
+	net := transport.NewMemNetwork(transport.MemNetworkOptions{})
+	srv, err := net.Register(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var srvWG sync.WaitGroup
+	srvWG.Add(1)
+	go func() {
+		defer srvWG.Done()
+		for {
+			select {
+			case in := <-srv.Inbox():
+				ack := wire.NewFrame(wire.Envelope{Kind: wire.KindWriteAck, ReqID: in.Frame.Env.ReqID, Tag: tag.Tag{TS: 1, ID: 1}})
+				for range 4 {
+					_ = srv.Send(in.From, ack)
+				}
+			case <-stop:
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		srvWG.Wait()
+		_ = srv.Close()
+	}()
+
+	for round := range 20 {
+		ep, err := net.Register(wire.ProcessID(1000 + round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := New(ep, Options{Servers: []wire.ProcessID{1}, AttemptTimeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					if _, err := cl.Write(context.Background(), 0, []byte("x")); err != nil {
+						if !errors.Is(err, ErrClosed) {
+							t.Errorf("write: %v", err)
+						}
+						return
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%4) * time.Millisecond)
+		_ = cl.Close()
+		wg.Wait()
+		_ = ep.Close()
+	}
+}
+
+// TestClientDropsStrayFrames: non-ack frames, acks for unknown request
+// ids, duplicate acks and late acks are all dropped on the delivering
+// goroutine, so a non-blocking send to the client never fails for want
+// of inbox room — even far past the inbox's capacity — and the pending
+// operation completes with the first ack it was sent.
+func TestClientDropsStrayFrames(t *testing.T) {
+	net := transport.NewMemNetwork(transport.MemNetworkOptions{InboxCapacity: 4})
+	srv, err := net.Register(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	cl := newTestClient(t, net, Options{Servers: []wire.ProcessID{1}, AttemptTimeout: 5 * time.Second})
+
+	type outcome struct {
+		tag tag.Tag
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		tg, err := cl.Write(context.Background(), 0, []byte("x"))
+		done <- outcome{tg, err}
+	}()
+	var req wire.Envelope
+	select {
+	case in := <-srv.Inbox():
+		req = in.Frame.Env
+	case <-time.After(5 * time.Second):
+		t.Fatal("no request arrived")
+	}
+	send := func(env wire.Envelope) {
+		t.Helper()
+		if !srv.TrySend(999, wire.NewFrame(env)) {
+			t.Fatalf("non-blocking send of %v (req %d) refused", env.Kind, env.ReqID)
+		}
+	}
+	for i := range 100 {
+		send(wire.Envelope{Kind: wire.KindWriteRequest, ReqID: req.ReqID})
+		send(wire.Envelope{Kind: wire.KindReadAck, ReqID: req.ReqID + 1 + uint64(i)})
+	}
+	send(wire.Envelope{Kind: wire.KindWriteAck, ReqID: req.ReqID, Tag: tag.Tag{TS: 5, ID: 1}})
+	send(wire.Envelope{Kind: wire.KindWriteAck, ReqID: req.ReqID, Tag: tag.Tag{TS: 6, ID: 1}})
+	select {
+	case o := <-done:
+		if o.err != nil || o.tag != (tag.Tag{TS: 5, ID: 1}) {
+			t.Fatalf("write = %v, %v; want the first ack's tag 5.1", o.tag, o.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("write never completed")
+	}
+	send(wire.Envelope{Kind: wire.KindWriteAck, ReqID: req.ReqID, Tag: tag.Tag{TS: 7, ID: 1}})
+	if n := len(cl.ep.Inbox()); n != 0 {
+		t.Fatalf("%d frames reached the client endpoint's inbox", n)
 	}
 }

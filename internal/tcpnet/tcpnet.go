@@ -33,15 +33,24 @@
 // instead, because the kernel's per-iovec cost exceeds a tiny memcpy;
 // large frames ship zero-copy. Under load this amortizes the write
 // syscall over dozens of frames with no intermediate copy and no
-// encoding work serialized on the writer. The writer never waits for
-// stragglers, so an idle connection flushes every frame immediately
-// (a flush wait cost 15–20 % at every batch size on loopback,
-// EXPERIMENTS.md "batch re-tune"). Encode buffers, the slab,
-// and inbound frame bodies come from the wire package's buffer pool.
-// Inbound values do not: each is copied out of the body into an
-// exact-size heap slice that the GC owns, because the algorithm keeps
-// values for as long as it likes. DESIGN.md §14 states the
-// buffer-ownership rules end to end.
+// encoding work serialized on the writer. The writer never waits on a
+// timer (a flush wait cost 15–20 % at every batch size on loopback,
+// EXPERIMENTS.md "batch re-tune"), but a dial-only endpoint yields
+// once: when its queue runs dry it gives up the processor with
+// runtime.Gosched, drains again, and only then flushes. A client's op
+// goroutines each have one request out, and those that one ack burst
+// woke enqueue their next requests during the yield, so the burst
+// leaves in one write. An idle client pays one empty yield. Endpoints
+// built by Listen never yield: their producers (one lane per ring
+// link, one read loop or ack lane per ack burst) already hand over
+// whole bursts, and yielding there too cost contended_mixed 10–19 % of
+// its goodput and raised its write p50 8–12 % in three benchmark pairs
+// (EXPERIMENTS.md, "one write per burst on the client link"). Encode
+// buffers, the slab, and inbound frame bodies come from the wire
+// package's buffer pool. Inbound values do not: each is copied out of
+// the body into an exact-size heap slice that the GC owns, because the
+// algorithm keeps values for as long as it likes. DESIGN.md §14 states
+// the buffer-ownership rules end to end.
 package tcpnet
 
 import (
@@ -50,6 +59,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -618,19 +628,28 @@ func drainOut(p *peer) {
 }
 
 // writeBatch gathers first plus whatever is already queued and flushes
-// the batch with one vectored write the moment the queue runs dry or
-// the batch reaches MaxBatchBytes. Frames arrive already encoded, so
-// the only per-frame work here is an iovec append (or a slab memcpy
-// below the cutoff) — the writer goroutine no longer serializes the
-// encoding of every producer behind one scratch buffer.
+// the batch with one vectored write when the queue runs dry or the
+// batch reaches MaxBatchBytes. A dial-only endpoint yields once the
+// first time the queue runs dry and drains again before it flushes, so
+// the requests its op goroutines are about to enqueue share the write;
+// a Listen endpoint flushes at once (see the package doc for both
+// measurements). Frames arrive already encoded, so the only per-frame
+// work here is an iovec append (or a slab memcpy below the cutoff) —
+// the writer goroutine no longer serializes the encoding of every
+// producer behind one scratch buffer.
 func (e *Endpoint) writeBatch(p *peer, w *egressWriter, first *wire.EncodedFrame) error {
 	w.add(first)
+	yielded := e.ln != nil // only a dial-only endpoint yields
 	for w.batched < e.opts.MaxBatchBytes {
 		select {
 		case ef := <-p.out:
 			w.add(ef)
 		default:
-			return w.flush()
+			if yielded {
+				return w.flush()
+			}
+			yielded = true
+			runtime.Gosched()
 		}
 	}
 	return w.flush()

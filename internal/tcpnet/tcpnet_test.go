@@ -3,6 +3,10 @@ package tcpnet
 import (
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -423,5 +427,80 @@ func TestCoalescedWriterMixedSizes(t *testing.T) {
 				t.Fatalf("frame %d corrupted at %d", i, j)
 			}
 		}
+	}
+}
+
+// countingConn counts Write calls. With frames below the vectored
+// cutoff every flush is one slab entry, so writes counts flushes.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestClientEndpointCoalescesBurst pins the dial-only writer's yield:
+// a burst of concurrent Sends leaves in fewer writes than frames. On
+// one processor the writer is woken by the first Send, finds the queue
+// dry, yields, and the rest of the burst queues up behind it before it
+// flushes; without the yield it flushes each frame as it comes.
+func TestClientEndpointCoalescesBurst(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := <-accepted
+	defer far.Close()
+
+	e := NewClient(100, nil, Options{})
+	defer e.Close()
+	cc := &countingConn{Conn: raw}
+	e.adoptConn(1, cc)
+
+	const n = 32
+	start := make(chan struct{})
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			errs <- e.Send(1, frame(uint64(i)))
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := wire.NewReaderSize(far, 32<<10)
+	defer r.Close()
+	for i := 0; i < n; i++ {
+		if _, err := r.ReadFrame(); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	w := cc.writes.Load()
+	t.Logf("%d concurrent sends left in %d writes", n, w)
+	if w >= n/2 {
+		t.Fatalf("%d concurrent sends left in %d writes, want fewer than %d", n, w, n/2)
 	}
 }

@@ -32,7 +32,10 @@ type Inbound struct {
 
 // RouteFunc maps an inbound frame to the index of the per-lane inbox
 // that must receive it, or RouteDrop to discard it. It is called on the
-// delivering goroutine and must be safe for concurrent use.
+// delivering goroutine and must be safe for concurrent use. It must not
+// block: under memnet the delivering goroutine is the sender's. A route
+// may consume the frame itself and return RouteDrop, as the client's
+// ack route does.
 type RouteFunc func(*Inbound) int
 
 // RouteDrop, returned by a RouteFunc, discards the frame instead of
@@ -44,7 +47,8 @@ const RouteDrop = -1 << 30
 
 // Demuxer is implemented by endpoints that can deliver inbound frames
 // straight into per-lane inboxes, so a lane-sharded server never funnels
-// its ring traffic through one channel. After SetDemux, frames are
+// its ring traffic through one channel, and a client takes its acks on
+// the delivering goroutine with no inbox at all. After SetDemux, frames are
 // routed with route and delivered to inboxes[route(frame)]; an index out
 // of range falls back to the endpoint's main Inbox. Frames that arrived
 // before SetDemux stay in the main Inbox — the owner drains it.
