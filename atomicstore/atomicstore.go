@@ -12,7 +12,7 @@
 //
 // All three open connections through the versioned session handshake
 // (DESIGN.md §8): servers and clients assert their wire version, lane
-// fanout, and ring membership at connect time, and misconfigured peers
+// count, and ring membership at connect time, and misconfigured peers
 // are rejected with a typed *wire.HandshakeError instead of corrupting
 // ring state at runtime.
 //
@@ -27,10 +27,9 @@
 //	ver, err := cl.Write(ctx, 0, []byte("hello"))
 //	v, ver, err := cl.Read(ctx, 0)
 //
-// Behavior is tuned with functional options: WithWriteLanes picks the
-// ring lane fanout, WithTrainLength the per-frame ring message budget
-// (frame trains), WithPinnedServer pins a client to one server, and so
-// on.
+// Behavior is tuned with functional options: WithTrainLength sets the
+// per-frame ring message budget (frame trains), WithPinnedServer pins a
+// client to one server, and so on.
 package atomicstore
 
 import (
@@ -60,7 +59,6 @@ type Option func(*config)
 // config collects every knob; each constructor reads the subset that
 // applies to it.
 type config struct {
-	lanes           int
 	trainLength     int
 	logger          *slog.Logger
 	attemptTimeout  time.Duration
@@ -83,17 +81,8 @@ func buildConfig(base config, opts []Option) config {
 	return base
 }
 
-// WithWriteLanes sets the ring lane fanout: the write path is sharded
-// over n independent ring lanes (lane = hash(object) mod n), each with
-// its own event loop and send slot; every lane shares the one
-// connection to the successor. Every server of a cluster must use the
-// same value; the handshake enforces it. Zero means the default (one
-// lane, the paper's single queue handler); negative means a single
-// lane.
-func WithWriteLanes(n int) Option { return func(c *config) { c.lanes = n } }
-
 // WithTrainLength sets the maximum number of ring messages one frame
-// may carry ("frame trains"): a saturated lane drains up to n
+// may carry ("frame trains"): a saturated server drains up to n
 // fairness-selected messages into a single frame, amortizing per-frame
 // costs. Zero means the default (8); 1 (or negative) keeps the classic
 // framing; at most wire.MaxFrameEnvelopes (16).

@@ -136,18 +136,18 @@ func TestJoinDialTCP(t *testing.T) {
 	}
 }
 
-// TestJoinLaneMismatchFailsFast: a server joined with the wrong -lanes
-// is rejected by its successor's handshake, surfaced typed through
-// CheckRing; a client dialed with the wrong ring order is rejected at
-// Dial.
-func TestJoinLaneMismatchFailsFast(t *testing.T) {
+// TestJoinMembershipMismatchFailsFast: a server joined with a ring
+// order its successor does not share is rejected by the successor's
+// handshake, surfaced typed through CheckRing; a client dialed with the
+// wrong ring order is rejected at Dial.
+func TestJoinMembershipMismatchFailsFast(t *testing.T) {
 	ring := reserveRing(t, 2)
-	srv1, err := atomicstore.Join(ring[0].ID, ring, atomicstore.WithWriteLanes(4))
+	srv1, err := atomicstore.Join(ring[0].ID, ring)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = srv1.Close() }()
-	srv2, err := atomicstore.Join(ring[1].ID, ring, atomicstore.WithWriteLanes(2))
+	srv2, err := atomicstore.Join(ring[1].ID, []atomicstore.Member{ring[1], ring[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +157,15 @@ func TestJoinLaneMismatchFailsFast(t *testing.T) {
 	if err := srv1.CheckRing(); !errors.As(err, &herr) {
 		t.Fatalf("CheckRing: got %v, want *wire.HandshakeError", err)
 	}
-	if herr.Field != "lanes" {
+	if herr.Field != "membership" {
 		t.Fatalf("wrong field: %+v", herr)
 	}
 
-	// A client whose ring order disagrees with the servers' fails at
+	// A client whose ring order disagrees with its server's fails at
 	// Dial with a membership mismatch.
 	reversed := []atomicstore.Member{ring[1], ring[0]}
-	if _, err := atomicstore.Dial(reversed, atomicstore.WithAttemptTimeout(time.Second)); !errors.As(err, &herr) {
+	if _, err := atomicstore.Dial(reversed, atomicstore.WithPinnedServer(ring[0].ID),
+		atomicstore.WithAttemptTimeout(time.Second)); !errors.As(err, &herr) {
 		t.Fatalf("Dial: got %v, want *wire.HandshakeError", err)
 	}
 	if herr.Field != "membership" {

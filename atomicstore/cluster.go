@@ -17,7 +17,6 @@ func (c config) coreConfig(id ServerID, members []ServerID) core.Config {
 	cfg := core.Config{
 		ID:                  id,
 		Members:             members,
-		WriteLanes:          c.lanes,
 		TrainLength:         c.trainLength,
 		DisablePiggyback:    c.noPiggyback,
 		DisableValueElision: c.noElision,

@@ -17,7 +17,7 @@ import (
 // nothing: each has its own membership, its own control plane (crash
 // gossip, views, recovery), and its own network — a crash storm in one
 // ring cannot stall another, and aggregate throughput scales with ring
-// count the way per-ring throughput scales with lanes. Routing is
+// count. Routing is
 // entirely client-side: a FederatedClient holds one pinned client per
 // ring and steers every operation by object id, so servers never need
 // to know the federation exists.

@@ -79,7 +79,7 @@ type Server struct {
 
 // Join starts this host's server of the TCP ring: it listens on the
 // ring entry matching self, serves clients, and holds session
-// connections to its ring successor (one per lane). Other servers need
+// connection to its ring successor. Other servers need
 // not be up yet — ring connections are opened lazily with retries;
 // use CheckRing to validate the session against the successor once the
 // cluster is expected up.
@@ -119,7 +119,7 @@ func (s *Server) Addr() string { return s.ep.Addr() }
 
 // CheckRing eagerly opens and validates the session to the ring
 // successor. A *wire.HandshakeError (errors.As) means this server and
-// its successor disagree on wire version, lane fanout, or membership —
+// its successor disagree on wire version, lane count, or membership —
 // a configuration bug worth crashing over; any other error is a
 // transient connectivity failure worth retrying.
 func (s *Server) CheckRing() error {

@@ -1,9 +1,10 @@
 // Command atomicstore-server runs one storage server of the ring over
 // real TCP. Every server must be started with the same -servers list (the
 // ring order); each serves clients on its own address and holds one
-// session connection to its ring successor, shared by every write lane.
-// Peers whose wire version, lane fanout, or membership disagree are
-// rejected at handshake time.
+// session connection to its ring successor. Peers whose wire version,
+// lane count, or membership disagree are rejected at handshake time; a
+// server runs one lane, so a peer from an older build started with
+// several is refused.
 //
 // Example — a three-server ring on one machine:
 //
@@ -53,7 +54,6 @@ func run() error {
 		noPiggy     = flag.Bool("no-piggyback", false, "disable write/pre-write piggybacking (ablation)")
 		noElide     = flag.Bool("no-elision", false, "ship full values in write-phase messages (ablation)")
 		noFair      = flag.Bool("no-fairness", false, "FIFO forwarding instead of the nb_msg rule (ablation)")
-		lanes       = flag.Int("lanes", 0, "ring write lanes (hash(object) mod lanes; validated against peers at handshake; 0 = default 1, the paper's single queue handler; negative = 1)")
 		train       = flag.Int("train", 0, "max ring messages per frame (frame trains; 0 = default 8, 1 = classic piggyback)")
 		walDir      = flag.String("wal-dir", "", "write-ahead-log directory; empty runs without durability")
 		walAudit    = flag.Bool("wal-audit", false, "append a chained Merkle batch-root record per WAL sync (tamper evidence; check with -wal-verify)")
@@ -99,7 +99,6 @@ func run() error {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	opts := []atomicstore.Option{
-		atomicstore.WithWriteLanes(*lanes),
 		atomicstore.WithTrainLength(*train),
 		atomicstore.WithLogger(logger),
 	}
@@ -135,7 +134,7 @@ func run() error {
 
 	// Validate the session with the ring successor in the background:
 	// a handshake rejection means the cluster is misconfigured (wrong
-	// -lanes or -servers on some host) and this process should die
+	// -servers on some host, or a peer binary of another wire version) and this process should die
 	// loudly rather than retry forever; mere unreachability is normal
 	// while the other hosts boot. Once shutdown begins the check stays
 	// silent: closing the server fails an attempt still in flight, and

@@ -32,8 +32,8 @@ type configMod func(*core.Config)
 
 // assertCleanCounters takes one CounterSnapshot and fails on the
 // robustness invariants no test run should ever violate: recovery
-// buffer leaks (forbidden always) and lane-fanout drops (forbidden
-// unless a test deliberately mixes WriteLanes capabilities). Tests with
+// buffer leaks (forbidden always) and stray-lane drops (forbidden
+// unless a test deliberately sends a nonzero lane byte). Tests with
 // fault-specific expectations (ack failures under stalls, torn WAL
 // tails after kills) layer their own checks on the same snapshot.
 func assertCleanCounters(t *testing.T, id wire.ProcessID, srv *core.Server) {
@@ -453,27 +453,21 @@ func TestManyObjectsConcurrently(t *testing.T) {
 }
 
 // TestLaneConfigurations drives a mixed multi-object workload — one
-// writer and two concurrent readers per object — under the lane
-// fanout's extremes (single lane, more lanes than objects) and at a
-// lane count that is not a power of two, and checks every object's
-// history stays atomic. With -race this asserts the lane concurrency
-// contract: lanes, the delivering goroutines' snapshot reads, the ack
-// sender, and the control plane may only meet through published
-// snapshots, the lanes' copy-on-write object tables, and channels.
+// writer and two concurrent readers per object — through the server's
+// one lane and checks every object's history stays atomic. With -race
+// this asserts the lane concurrency contract: the lane, the delivering
+// goroutines' snapshot reads, the ack sender, and the control plane may
+// only meet through published snapshots, the lane's copy-on-write
+// object table, and channels.
 func TestLaneConfigurations(t *testing.T) {
-	firstSix := []wire.ObjectID{0, 1, 2, 3, 4, 5}
 	for _, tc := range []struct {
 		name    string
-		lanes   int
 		objects []wire.ObjectID
 	}{
-		{"singleLane", -1, firstSix},
-		{"fourLanes", 4, firstSix},
-		{"moreLanesThanObjects", 16, firstSix},
-		{"threeLanes", 3, firstSix},
+		{"singleLane", []wire.ObjectID{0, 1, 2, 3, 4, 5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newCluster(t, 3, func(c *core.Config) { c.WriteLanes = tc.lanes })
+			c := newCluster(t, 3)
 			ctx := ctxT(t)
 			recs := make([]opRecorder, len(tc.objects))
 			var wg sync.WaitGroup

@@ -62,13 +62,6 @@ type Config struct {
 	// throughput (DESIGN.md §3.6).
 	DisableValueElision bool
 
-	// WriteLanes is the number of independent ring lanes the write path
-	// is sharded over: each object belongs to lane hash(ObjectID) mod
-	// WriteLanes, and each lane runs its own event loop, forward queue,
-	// and send slot. Every server of a cluster must use the same value
-	// (like Members). Zero means DefaultWriteLanes (1); negative means
-	// 1; at most MaxWriteLanes.
-	WriteLanes int
 	// TrainLength is the maximum number of ring envelopes one outbound
 	// frame may carry ("frame trains", DESIGN.md §9): the lane's queue
 	// handler drains up to TrainLength fairness-selected messages into
@@ -82,46 +75,30 @@ type Config struct {
 
 	// WAL configures the durable write-ahead log (DESIGN.md §13). An
 	// empty WAL.Dir disables durability entirely — the pre-WAL behavior.
-	// WAL.Lanes is ignored: the server pins it to its resolved WriteLanes,
-	// giving each lane its own staging buffer in front of the server's
-	// one log file. Every outgoing ring frame is gated on a sync
-	// covering the records its envelopes staged, so an acknowledged
-	// write is durable at every server that applied it; wal.SyncTrain
-	// is the only sync policy.
+	// WAL.Lanes is ignored: the log has one staging buffer. Every
+	// outgoing ring frame is gated on a sync covering the records its
+	// envelopes staged, so an acknowledged write is durable at every
+	// server that applied it; wal.SyncTrain is the only sync policy.
 	WAL wal.Config
 
 	// Logger receives debug events; nil discards them.
 	Logger *slog.Logger
 }
 
-// DefaultWriteLanes is the lane fanout used when Config.WriteLanes is
-// zero: one lane, the paper's single queue handler. Over TCP, more
-// lanes split each server's forward queue, so trains carry fewer
-// envelopes and, with the WAL on, every smaller frame pays its own
-// sync; one lane halved the durable write p50 and cut CPU per op on
-// every workload measured (DESIGN.md §7, EXPERIMENTS.md).
+// DefaultWriteLanes is the number of ring lanes a server runs: one,
+// the paper's single queue handler, and not configurable. Over TCP,
+// more lanes split each server's forward queue, so trains carried fewer
+// envelopes and, with the WAL on, every smaller frame paid its own
+// sync: two and four lanes lost goodput and CPU per op on every write
+// workload measured before the option was removed (DESIGN.md §7,
+// EXPERIMENTS.md).
 const DefaultWriteLanes = 1
-
-// MaxWriteLanes bounds the lane fanout: the lane index travels in one
-// byte of the frame header.
-const MaxWriteLanes = 256
 
 // DefaultTrainLength is the per-frame envelope budget used when
 // Config.TrainLength is zero. Longer trains amortize per-frame costs
 // further but add nothing once they exceed the queue depth a saturated
 // lane actually accumulates (EXPERIMENTS.md's train-length sweep).
 const DefaultTrainLength = 8
-
-// writeLanes resolves WriteLanes to a lane count.
-func (c *Config) writeLanes() int {
-	if c.WriteLanes < 0 {
-		return 1
-	}
-	if c.WriteLanes == 0 {
-		return DefaultWriteLanes
-	}
-	return c.WriteLanes
-}
 
 // trainLength resolves TrainLength to a per-frame envelope budget; 1 is
 // the classic primary+piggyback framing. The piggyback ablation caps
@@ -145,9 +122,6 @@ func (c *Config) validate() error {
 	if len(c.Members) == 0 {
 		return errNoMembers
 	}
-	if c.WriteLanes > MaxWriteLanes {
-		return fmt.Errorf("core: WriteLanes %d exceeds %d", c.WriteLanes, MaxWriteLanes)
-	}
 	if c.TrainLength > wire.MaxFrameEnvelopes {
 		return fmt.Errorf("core: TrainLength %d exceeds %d", c.TrainLength, wire.MaxFrameEnvelopes)
 	}
@@ -160,15 +134,18 @@ func (c *Config) validate() error {
 }
 
 // SessionHello returns the HELLO this server asserts when opening or
-// accepting session connections: its wire version, resolved lane
-// fanout and ring-membership hash. Endpoints built from it reject peers
-// with a different WriteLanes or membership at handshake time instead
-// of misrouting ring frames at runtime.
+// accepting session connections: its wire version, its one lane
+// (DefaultWriteLanes) and its ring-membership hash. Endpoints built
+// from it reject peers with a different membership at handshake time.
+// Asserting Lanes 1 rather than the lane-unaware 0 is what still
+// refuses a server binary from before lanes were removed that was
+// started with more than one: wire.CheckCompatible requires servers
+// that both assert a lane count to agree on it.
 func (c *Config) SessionHello() wire.Hello {
 	return wire.Hello{
 		Version:        wire.HelloVersion,
 		From:           c.ID,
-		Lanes:          uint16(c.writeLanes()),
+		Lanes:          DefaultWriteLanes,
 		MembershipHash: wire.MembershipHash(c.Members),
 	}
 }

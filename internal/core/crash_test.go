@@ -192,10 +192,10 @@ func TestCrashDuringLoadPreservesAtomicity(t *testing.T) {
 	}
 }
 
-// TestCrashDuringMultiObjectLoadPreservesAtomicity is the lane-sharded
-// crash storm: 8 objects spread across the default 4 lanes, each with a
-// dedicated writer and reader, and a server crashing mid-write — so some
-// lanes lose in-flight writes and others do not. Every object's history
+// TestCrashDuringMultiObjectLoadPreservesAtomicity is the multi-object
+// crash storm: 8 objects, each with a dedicated writer and reader, and a
+// server crashing mid-write — so some objects lose in-flight writes and
+// others do not. Every object's history
 // must stay atomic (per-object linearizability is the paper's guarantee)
 // and the whole cluster must remain operational on every object.
 func TestCrashDuringMultiObjectLoadPreservesAtomicity(t *testing.T) {
@@ -254,7 +254,7 @@ func TestCrashDuringMultiObjectLoadPreservesAtomicity(t *testing.T) {
 	}
 
 	time.Sleep(150 * time.Millisecond)
-	c.crash(2) // mid-write on whatever lanes are in flight
+	c.crash(2) // mid-write on whatever objects are in flight
 	time.Sleep(200 * time.Millisecond)
 	close(stopc)
 	wg.Wait()

@@ -13,8 +13,7 @@ import (
 // addressed to the successor with the WAL sequence the sender must wait
 // for. The paper's "primary plus optional piggyback" generalizes to a
 // train of up to TrainLength envelopes (DESIGN.md §9). The caller
-// guarantees hasWork, so the frame carries at least one envelope, and
-// every envelope belongs to this lane, so one lane byte describes it.
+// guarantees hasWork, so the frame carries at least one envelope.
 //
 // Object-state budget (DESIGN.md §10): forwards touch no object state
 // here (pre-writes joined the pending set at receive time), and each
@@ -46,7 +45,7 @@ func (ln *lane) nextFrame() outFrame {
 	clear(ln.initiated)
 	ln.initiated = ln.initiated[:0]
 
-	f := wire.NewLaneFrame(envs[0], uint8(ln.idx))
+	f := wire.NewFrame(envs[0])
 	if len(envs) > 1 {
 		// The frame escapes to the transport (encoding happens later on
 		// the link's writer), so its envelope storage must be owned, not
@@ -57,7 +56,7 @@ func (ln *lane) nextFrame() outFrame {
 	}
 	clear(envs)
 	ln.envs = envs[:0]
-	// The highest WAL sequence this lane has staged covers every record
+	// The highest WAL sequence the lane has staged covers every record
 	// the frame implies: its initiations staged above, its forwards at
 	// receive time.
 	return outFrame{to: ln.view.Successor(s.cfg.ID), f: f, seq: ln.walSeq}

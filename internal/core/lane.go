@@ -1,7 +1,6 @@
 package core
 
 import (
-	"log/slog"
 	"sync/atomic"
 
 	"repro/internal/ring"
@@ -10,18 +9,13 @@ import (
 	"repro/internal/wire"
 )
 
-// lane is one independent slice of the server's ring write path: the
-// objects with hash(ObjectID) mod L equal to idx. A lane owns its own
-// event loop, write queue, forward queue with fairness table, in-flight
-// write bookkeeping, and a one-frame send slot — the full §3 algorithm,
-// restricted to its objects. Because an object's ring messages land in
-// the same lane on every server, each lane is exactly the paper's
-// single-loop protocol running over a sub-ring of lane event loops, and
-// the §3.1 read barrier, §3.2 fairness, and §3.4 orphan-adoption
-// arguments apply per lane unchanged (DESIGN.md §7). A server runs one
-// lane by default — the paper's single queue handler. Over TCP, more
-// lanes split the forward queue into shorter trains and, with the WAL
-// on, more syncs, so they are a tuning option (WriteLanes), not a gain.
+// lane is the server's queue handler, the paper's single event loop:
+// it owns the write queue, the forward queue with its fairness table,
+// the in-flight write bookkeeping and a one-frame send slot — the full
+// §3 algorithm (DESIGN.md §7). A server has exactly one: splitting the
+// forward queue over several lanes made trains shorter and, with the
+// WAL on, syncs more frequent, and lost on every write workload
+// measured.
 //
 // All lane fields are confined to the lane's event-loop goroutine, and
 // so are the per-object states in its object table: the lane is the
@@ -30,36 +24,33 @@ import (
 // which any goroutine may load (DESIGN.md §10).
 type lane struct {
 	srv *Server
-	idx int
-	log *slog.Logger
 
 	// objs is the lane's object table, the replica state of every
-	// object this lane owns, spread over objSlots copy-on-write maps.
+	// object, spread over objSlots copy-on-write maps.
 	// Only the lane goroutine (or the single-threaded replay before
 	// Start) writes it, through obj; any goroutine may read it through
 	// lookup. Creating an object copies one slot's map, so creation
 	// costs a copy of 1/objSlots of the lane's objects, not of all.
 	objs [objSlots]atomic.Pointer[map[wire.ObjectID]*objectState]
 
-	// view is the lane's ring view replica. It starts identical to the
-	// control plane's view and transitions only on crash events fanned
-	// out by the control plane, so all lane views converge; between
-	// events lanes may briefly disagree on the successor, which is the
-	// same asynchrony servers already tolerate of each other.
+	// view is the lane's ring view replica: the control plane's view is
+	// confined to the control-plane goroutine. It starts identical to
+	// that view and transitions only on crash events the control plane
+	// hands over, so the two converge; between events they may briefly
+	// disagree on the successor, which is the same asynchrony servers
+	// already tolerate of each other.
 	view *ring.View
 
 	// inbox receives the lane's demuxed inbound frames.
 	inbox chan transport.Inbound
-	// crashc receives crash fan-out from the control plane.
+	// crashc receives crash events from the control plane.
 	crashc chan wire.ProcessID
 	// slot is the lane's send slot: it holds one token while the sender
 	// is free. The event loop takes the token, builds the next frame
 	// (nextFrame) and hands it over on ringOut; the sender returns the
 	// token once the frame is on the transport. So a frame is built only
 	// when the link is free, as in the paper's queue handler, at most one
-	// frame of this lane is in flight locally, and ringOut (capacity 1)
-	// never blocks. With several lanes, each lane's frames pipeline
-	// independently.
+	// frame is in flight locally, and ringOut (capacity 1) never blocks.
 	slot    chan struct{}
 	ringOut chan outFrame
 	// walSeq is the highest WAL sequence this lane has staged; event-
@@ -70,12 +61,12 @@ type lane struct {
 	// retransmission; nil afterwards and during normal operation.
 	replayVals map[writeKey][]byte
 
-	// writeQueue holds client writes for this lane's objects not yet
-	// initiated (paper: write_queue).
+	// writeQueue holds client writes not yet initiated (paper:
+	// write_queue).
 	writeQueue []writeIntent
 	// fq is the forward queue plus the nb_msg fairness table.
 	fq *fairQueue
-	// myWrites tracks writes this server originated on this lane.
+	// myWrites tracks writes this server originated.
 	myWrites map[writeKey]ownWrite
 
 	// envs and initiated are nextFrame's scratch: the frame's envelopes
@@ -84,23 +75,22 @@ type lane struct {
 	initiated []*objectState
 }
 
-// objSlots is the fanout of a lane's object table: 64 slots, indexed
+// objSlots is the fanout of the lane's object table: 64 slots, indexed
 // by the top objSlotBits bits of the object's hash.
 const (
 	objSlotBits = 6
 	objSlots    = 1 << objSlotBits
 )
 
-// objSlot returns the slot of a lane's object table holding id: the top
-// bits of Knuth's multiplicative hash. LaneOf's verdict comes from the
-// low bits, so it does not determine these, and each lane's objects
-// spread over all of its slots.
+// objSlot returns the slot of the lane's object table holding id: the
+// top bits of Knuth's multiplicative hash, so dense sequential object
+// ids spread over every slot.
 func objSlot(id wire.ObjectID) int {
 	return int(uint32(id) * 2654435761 >> (32 - objSlotBits))
 }
 
-// obj returns the replica state for an object this lane owns, creating
-// it on first use. Only the lane goroutine calls it (or the replay
+// obj returns the replica state for an object, creating it on first
+// use. Only the lane goroutine calls it (or the replay
 // before Start), so the copy-on-write slot has a single writer.
 func (ln *lane) obj(id wire.ObjectID) *objectState {
 	slot := &ln.objs[objSlot(id)]
@@ -121,7 +111,7 @@ func (ln *lane) obj(id wire.ObjectID) *objectState {
 	return o
 }
 
-// lookup returns the replica state for an object, or nil when this lane
+// lookup returns the replica state for an object, or nil when the lane
 // has never touched it: one atomic load and one lookup in an immutable
 // map, safe from any goroutine. Other goroutines may use only the
 // returned state's snap.
@@ -195,10 +185,8 @@ func (ln *lane) loop() {
 	}
 }
 
-// senderLoop drains the lane's outbound channel onto the transport —
-// every lane's frames share the one link to the successor, which routes
-// them by the lane byte in their header — and returns the send slot
-// after each frame. A send failure is logged and dropped: the failure
+// senderLoop drains the lane's outbound channel onto the transport's
+// one link to the successor and returns the send slot after each frame. A send failure is logged and dropped: the failure
 // detector will report the peer and recovery retransmits whatever
 // mattered.
 //
@@ -223,7 +211,7 @@ func (ln *lane) senderLoop() {
 		select {
 		case of := <-ln.ringOut:
 			if s.wal != nil {
-				if err := s.wal.WaitLane(ln.idx, of.seq, s.stopc); err != nil {
+				if err := s.wal.WaitLane(0, of.seq, s.stopc); err != nil {
 					if err == wal.ErrAborted || err == wal.ErrClosed {
 						return // stopping; the unsent frame dies with us
 					}
@@ -235,7 +223,7 @@ func (ln *lane) senderLoop() {
 				}
 			}
 			if err := s.ep.Send(of.to, of.f); err != nil {
-				ln.log.Debug("ring send failed", "to", of.to, "err", err)
+				s.log.Debug("ring send failed", "to", of.to, "err", err)
 			}
 			ln.slot <- struct{}{}
 		case <-s.stopc:
@@ -263,7 +251,7 @@ func (ln *lane) handleInbound(in transport.Inbound) {
 // handleEnvelope dispatches one received envelope.
 func (ln *lane) handleEnvelope(from wire.ProcessID, env *wire.Envelope) {
 	if err := env.Validate(); err != nil {
-		ln.log.Debug("dropping invalid envelope", "err", err)
+		ln.srv.log.Debug("dropping invalid envelope", "err", err)
 		return
 	}
 	switch env.Kind {
@@ -276,7 +264,7 @@ func (ln *lane) handleEnvelope(from wire.ProcessID, env *wire.Envelope) {
 	case wire.KindWrite:
 		ln.onWrite(env)
 	default:
-		ln.log.Debug("dropping unexpected kind", "kind", env.Kind)
+		ln.srv.log.Debug("dropping unexpected kind", "kind", env.Kind)
 	}
 }
 
@@ -299,8 +287,8 @@ func (ln *lane) onWriteRequest(from wire.ProcessID, env *wire.Envelope) {
 // published snapshot on the delivering goroutine (Server.route). The
 // lane sees the rest (cold objects, outstanding barriers, pre-demux or
 // non-demux deliveries) plus snapshot races, so it retries the snapshot
-// once, then serves or parks. The decision runs on the owning lane, so
-// no apply can interleave with it. The ack goes through the
+// once, then serves or parks. The decision runs on the lane, so no
+// apply can interleave with it. The ack goes through the
 // non-blocking ack sender, so the lane never waits on a client.
 func (ln *lane) onReadRequest(from wire.ProcessID, env *wire.Envelope) {
 	s := ln.srv
@@ -422,9 +410,8 @@ func (ln *lane) onWrite(env *wire.Envelope) {
 	if env.Origin == s.cfg.ID {
 		// My own write completed the ring: acknowledge the client
 		// (paper lines 49-51). Only the lane's write bookkeeping is
-		// touched, not the object's state. Recovery can
-		// re-deliver writes whose bookkeeping is gone; those are
-		// absorbed silently.
+		// touched, not the object's state. Recovery can re-deliver
+		// writes whose bookkeeping is gone; those are absorbed silently.
 		key := writeKey{object: env.Object, tag: env.Tag}
 		w, ok := ln.myWrites[key]
 		if ok && w.phase == phaseWrite {
@@ -468,7 +455,7 @@ func (ln *lane) onWrite(env *wire.Envelope) {
 		}
 		if !elided {
 			// A full-value write (recovery retransmission) may have no
-			// covering pre-write record in this lane's log.
+			// covering pre-write record in this server's log.
 			rec.Flags = wal.FlagHasValue
 			rec.Value = env.Value
 		}
@@ -482,10 +469,10 @@ func (ln *lane) onWrite(env *wire.Envelope) {
 
 // isOrphanAdopter reports whether origin has crashed and this server is
 // the alive predecessor of its ring position — the server responsible
-// for finishing or absorbing the messages origin originated. Each lane
-// answers from its own view replica: a lane that has not yet processed
-// the crash fan-out forwards the message instead, and converts it from
-// its forward queue when the fan-out arrives, exactly as a server whose
+// for finishing or absorbing the messages origin originated. The lane
+// answers from its own view replica: before it has processed the crash
+// hand-off it forwards the message instead, and converts it from its
+// forward queue when the hand-off arrives, exactly as a server whose
 // failure detector fires late would.
 func (ln *lane) isOrphanAdopter(origin wire.ProcessID) bool {
 	if ln.view.Alive(origin) || !ln.view.Contains(origin) {

@@ -10,7 +10,7 @@ import (
 // The three tests below pin the DESIGN §10 contracts once stated as
 // shard-lock counts (hence their names) by the behaviour those counts
 // stood for: which steps publish a new read snapshot, and which reads
-// the published snapshot serves without the owning lane.
+// the published snapshot serves without the lane.
 
 // TestTrainCommitOneLockPerObject asserts the initiation contract: a
 // train that initiates several writes on each of two objects records
@@ -19,10 +19,9 @@ import (
 // them.
 func TestTrainCommitOneLockPerObject(t *testing.T) {
 	h := newStormHarness(t, 0, func(c *Config) {
-		c.WriteLanes = 1
 		c.TrainLength = 8
 	})
-	ln := h.s.lanes[0]
+	ln := h.s.lane
 
 	// Queue 6 client writes over 2 objects (3 initiations each), on
 	// objects whose snapshots already exist.
@@ -72,8 +71,8 @@ func TestTrainCommitOneLockPerObject(t *testing.T) {
 // frame that forwards it leaves the object's snapshot untouched; a forwarded
 // write applies and publishes at receive time.
 func TestForwardedEnvelopeSingleLock(t *testing.T) {
-	h := newStormHarness(t, 0, func(c *Config) { c.WriteLanes = 1 })
-	ln := h.s.lanes[0]
+	h := newStormHarness(t, 0)
+	ln := h.s.lane
 
 	pw := tag.Tag{TS: 1, ID: 2}
 	ln.onPreWrite(&wire.Envelope{
@@ -108,11 +107,11 @@ func TestForwardedEnvelopeSingleLock(t *testing.T) {
 // TestReadServeTakesNoLock asserts the read-side contract through
 // loadSnapshot's verdict: a warm object's reads are served from the
 // published snapshot by any goroutine; only a cold object and a read
-// that must park need the owning lane. The serve decision must not
+// that must park need the lane. The serve decision must not
 // allocate.
 func TestReadServeTakesNoLock(t *testing.T) {
-	h := newStormHarness(t, 0, func(c *Config) { c.WriteLanes = 1 })
-	ln := h.s.lanes[0]
+	h := newStormHarness(t, 0)
+	ln := h.s.lane
 	servable := func(obj wire.ObjectID) bool {
 		_, ok := h.s.loadSnapshot(obj)
 		return ok

@@ -5,14 +5,10 @@ import (
 	"repro/internal/wire"
 )
 
-// handleCrash applies one crash event fanned out by the control plane to
-// this lane: update the lane's view replica, splice the ring if the
-// crashed server was the successor, and adopt the messages the crashed
-// server originated on this lane. Duplicate events are no-ops. The §3.4
-// recovery argument is re-proven per lane because an object's entire
-// message history lives on one lane: a server dying mid-write on some
-// lanes but not others just means each lane runs the seed's single-ring
-// recovery for its own objects, at its own pace.
+// handleCrash applies one crash event handed over by the control plane:
+// update the lane's view replica, splice the ring if the crashed server
+// was the successor, and adopt the messages the crashed server
+// originated (§3.4). Duplicate events are no-ops.
 func (ln *lane) handleCrash(crashed wire.ProcessID) {
 	s := ln.srv
 	if crashed == s.cfg.ID || !ln.view.Contains(crashed) || !ln.view.Alive(crashed) {
@@ -40,7 +36,7 @@ func (ln *lane) handleCrash(crashed wire.ProcessID) {
 }
 
 // retransmitAfterSuccessorCrash implements the paper's recovery rule for
-// this lane's objects: send the current value as a write message and
+// every object: send the current value as a write message and
 // re-send every pending pre-write to the new successor. Each
 // retransmitted message carries its original origin, so it continues its
 // interrupted journey around the ring and terminates at its originator

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ackq"
-	"repro/internal/placement"
 	"repro/internal/ring"
 	"repro/internal/tag"
 	"repro/internal/transport"
@@ -57,7 +56,7 @@ type writeKey struct {
 }
 
 // outFrame is a ring frame addressed to a concrete process, with the
-// lane's WAL sequence the sender must see synced before it sends.
+// WAL sequence the sender must see synced before it sends.
 type outFrame struct {
 	to  wire.ProcessID
 	f   wire.Frame
@@ -67,43 +66,40 @@ type outFrame struct {
 // Server is one storage server of the ring. Create it with NewServer,
 // start its goroutines with Start, and stop them with Stop.
 //
-// Concurrency contract (DESIGN.md §7): the write path is sharded over
-// WriteLanes independent ring lanes — lane hash(ObjectID) mod L — and
-// each lane's algorithm state (its slice of the write queue, its forward
-// queue and fairness table, its in-flight write bookkeeping, its ring
-// view replica) is confined to that lane's event-loop goroutine. The
-// transports demultiplex inbound frames straight into the owning lane's
-// inbox, so lanes never synchronize on the hot path. Per-object replica
-// state lives in the owning lane's object table and only that lane
-// touches it; the delivering goroutines serve reads from the published
-// snapshot, the one piece of object state other goroutines read. What
-// remains shared is the control plane — one goroutine owning the
-// authoritative ring view, consuming the failure detector and crash
-// gossip and fanning recovery out to every lane — and the ack sender,
-// sharded per client (DESIGN.md §11): each destination gets its own
-// FIFO ack lane and drain goroutine, and transports whose Send is
-// provably non-blocking right now are bypassed entirely, so no lane
-// ever blocks on a client and no client ever waits behind another
-// client's connection.
+// Concurrency contract (DESIGN.md §7): the server runs one queue
+// handler, the lane, as in the paper. The lane's algorithm state (the
+// write queue, the forward queue and fairness table, the in-flight
+// write bookkeeping, its ring view replica) and every object's replica
+// state are confined to the lane's event-loop goroutine; the
+// transports demultiplex inbound frames straight into its inbox, and
+// the delivering goroutines serve reads from the published snapshot,
+// the one piece of object state other goroutines read. Beside the lane
+// run the control plane — one goroutine owning the authoritative ring
+// view, consuming the failure detector and crash gossip and handing
+// each crash to the lane — and the ack sender, sharded per client
+// (DESIGN.md §11): each destination gets its own FIFO ack queue and
+// drain goroutine, and transports whose Send is provably non-blocking
+// right now are bypassed entirely, so the lane never blocks on a client
+// and no client ever waits behind another client's connection.
 type Server struct {
 	cfg Config
 	ep  transport.Endpoint
 	log *slog.Logger
 
 	// view is the authoritative ring view, confined to the control-plane
-	// goroutine; each lane holds its own replica, updated by crash
-	// fan-out.
+	// goroutine; the lane holds its own replica, updated by the crash
+	// hand-off.
 	view *ring.View
 
-	// lanes are the independent ring lanes of the write path.
-	lanes []*lane
+	// lane is the server's queue handler: the whole write path.
+	lane *lane
 
 	// ctrlc receives crash-notice frames (demuxed by kind); the
 	// control-plane goroutine consumes it alongside ep.Failures().
 	ctrlc chan transport.Inbound
 
 	// acks is the sharded per-client ack sender: every client-bound
-	// frame from the lanes and the delivering goroutines goes through
+	// frame from the lane and the delivering goroutines goes through
 	// it (non-blocking enqueue, one FIFO lane per client, transport
 	// fast path when Send provably cannot block).
 	acks *ackq.Sharded[wire.ProcessID, wire.Frame]
@@ -113,10 +109,11 @@ type Server struct {
 	// the drop must be observable (happy-path clusters read 0).
 	ackFails atomic.Uint64
 
-	// laneDrops counts inbound ring frames discarded because they named
-	// a lane this server does not have — a peer with a mismatched
-	// WriteLanes on a link no handshake validated (raw endpoints).
-	// Dropping beats silently misrouting them to lane 0.
+	// laneDrops counts inbound ring frames discarded because their
+	// header's lane byte is not 0 — a multi-lane peer on a link no
+	// handshake validated (raw endpoints), or a header that lies. The
+	// byte is input from outside the process; dropping beats feeding
+	// another lane's traffic into this lane's protocol state.
 	laneDrops atomic.Uint64
 
 	// trainLen is the resolved Config.TrainLength.
@@ -141,7 +138,7 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// laneInboxCapacity buffers each lane's demuxed inbox and caps how many
+// laneInboxCapacity buffers the lane's demuxed inbox and caps how many
 // events one loop iteration drains before it waits for the send slot,
 // so a burst of arrivals forms one train without starving the send; the
 // buffer absorbs scheduling jitter between the delivering goroutines
@@ -153,8 +150,9 @@ const laneInboxCapacity = 64
 
 // NewServer builds a server over the given transport endpoint. The
 // endpoint's id must equal cfg.ID. If the endpoint supports demultiplexing
-// (transport.Demuxer), inbound frames are routed straight to the owning
-// lane; otherwise the router goroutine fans the shared inbox out.
+// (transport.Demuxer), inbound frames are routed straight to the lane or
+// the control plane; otherwise the router goroutine routes the shared
+// inbox.
 func NewServer(cfg Config, ep transport.Endpoint) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -182,38 +180,27 @@ func NewServer(cfg Config, ep transport.Endpoint) (*Server, error) {
 	s.acks = ackq.NewSharded(ep.Send, try, func(wire.ProcessID, error) {
 		s.ackFails.Add(1)
 	})
-	nLanes := cfg.writeLanes()
-	s.lanes = make([]*lane, nLanes)
-	for i := range s.lanes {
-		s.lanes[i] = &lane{
-			srv:      s,
-			idx:      i,
-			view:     view.Clone(),
-			inbox:    make(chan transport.Inbound, laneInboxCapacity),
-			crashc:   make(chan wire.ProcessID, len(cfg.Members)),
-			slot:     make(chan struct{}, 1),
-			ringOut:  make(chan outFrame, 1),
-			fq:       newFairQueue(),
-			myWrites: make(map[writeKey]ownWrite),
-			log:      s.log.With("lane", i),
-		}
-		s.lanes[i].slot <- struct{}{}
+	s.lane = &lane{
+		srv:      s,
+		view:     view.Clone(),
+		inbox:    make(chan transport.Inbound, laneInboxCapacity),
+		crashc:   make(chan wire.ProcessID, len(cfg.Members)),
+		slot:     make(chan struct{}, 1),
+		ringOut:  make(chan outFrame, 1),
+		fq:       newFairQueue(),
+		myWrites: make(map[writeKey]ownWrite),
 	}
+	s.lane.slot <- struct{}{}
 	if cfg.WAL.Dir != "" {
-		// Open replays the log into the lanes and objects built above;
-		// the interrupted ring traversals it re-queues sit in the lanes'
-		// forward queues until Start — recovery before adoption.
+		// Open replays the log into the lane and objects built above;
+		// the interrupted ring traversals it re-queues sit in the lane's
+		// forward queue until Start — recovery before adoption.
 		if err := s.openWAL(); err != nil {
 			return nil, fmt.Errorf("core: wal: %w", err)
 		}
 	}
 	if d, ok := ep.(transport.Demuxer); ok {
-		inboxes := make([]chan transport.Inbound, 0, nLanes+1)
-		for _, ln := range s.lanes {
-			inboxes = append(inboxes, ln.inbox)
-		}
-		inboxes = append(inboxes, s.ctrlc)
-		d.SetDemux(s.route, inboxes)
+		d.SetDemux(s.route, []chan transport.Inbound{laneRoute: s.lane.inbox, ctrlRoute: s.ctrlc})
 	}
 	return s, nil
 }
@@ -221,37 +208,33 @@ func NewServer(cfg Config, ep transport.Endpoint) (*Server, error) {
 // ID returns the server's process id.
 func (s *Server) ID() wire.ProcessID { return s.cfg.ID }
 
-// laneFor returns the lane owning an object. The assignment lives in
-// internal/placement (shared with the façade and the bench harnesses)
-// so no layer can ever disagree with the server about lane ownership.
-func (s *Server) laneFor(obj wire.ObjectID) int {
-	return placement.LaneOf(obj, len(s.lanes))
-}
+// Route indices: the lane's inbox and the control plane's.
+const (
+	laneRoute = 0
+	ctrlRoute = 1
+)
 
-// route maps an inbound frame to its inbox index: ring data frames go
-// to the lane byte in their frame header, crash notices go to the
-// control plane (index len(lanes)), and client requests — whose senders
-// do not know the lane fanout — are routed by object hash. A ring frame
-// naming a lane this server does not have is counted and dropped
-// (transport.RouteDrop): the handshake already refused peers with a
-// different WriteLanes, so it can only come from a raw endpoint or a
-// peer whose header lies, and misrouting it to an arbitrary lane would
-// corrupt that lane's protocol state. All envelopes of a piggybacked or
-// train frame share a lane, so routing by the primary is exact.
+// route maps an inbound frame to its inbox index: crash notices go to
+// the control plane, everything else to the lane. A ring frame whose
+// header names a lane other than 0 is counted and dropped
+// (transport.RouteDrop): the lane byte is input from outside the
+// process, and only a multi-lane peer (an older binary on a link no
+// handshake validated) or a lying header sets it, so that frame's
+// envelopes belong to another server's lane layout and would corrupt
+// this lane's protocol state.
 func (s *Server) route(in *transport.Inbound) int {
 	switch in.Frame.Env.Kind {
 	case wire.KindPreWrite, wire.KindWrite:
-		lane := int(in.Frame.Lane)
-		if lane >= len(s.lanes) {
+		if in.Frame.Lane != 0 {
 			if s.laneDrops.Add(1) == 1 {
-				s.log.Warn("dropping ring frame for unknown lane (peer WriteLanes mismatch?)",
-					"lane", lane, "lanes", len(s.lanes), "from", in.From)
+				s.log.Warn("dropping ring frame for a lane other than 0 (multi-lane peer?)",
+					"lane", in.Frame.Lane, "from", in.From)
 			}
 			return transport.RouteDrop
 		}
-		return lane
+		return laneRoute
 	case wire.KindCrash:
-		return len(s.lanes)
+		return ctrlRoute
 	case wire.KindReadRequest:
 		// Serve readable reads right here, on the delivering goroutine:
 		// one snapshot load, one non-blocking ack enqueue, zero channel
@@ -262,13 +245,13 @@ func (s *Server) route(in *transport.Inbound) int {
 		// completed the ring (this server's forward is causally
 		// required), so no write for it can exist anywhere and the
 		// snapshot's admission verdict is still exact. Reads the
-		// snapshot cannot admit go to the owning lane as before.
+		// snapshot cannot admit go to the lane as before.
 		if s.serveReadFromSnapshot(in.From, &in.Frame.Env) {
 			return transport.RouteDrop
 		}
-		return s.laneFor(in.Frame.Env.Object)
+		return laneRoute
 	default:
-		return s.laneFor(in.Frame.Env.Object)
+		return laneRoute
 	}
 }
 
@@ -301,27 +284,24 @@ func (s *Server) enqueueAck(to wire.ProcessID, f wire.Frame) {
 
 // inboxAt returns the inbox channel for a route index.
 func (s *Server) inboxAt(i int) chan transport.Inbound {
-	if i >= 0 && i < len(s.lanes) {
-		return s.lanes[i].inbox
+	if i == laneRoute {
+		return s.lane.inbox
 	}
 	return s.ctrlc
 }
 
-// Start launches the lane event loops and ring senders, the control
+// Start launches the lane's event loop and ring sender, the control
 // plane, and the router. The sharded ack sender needs no launch — its
 // per-client drain goroutines are created lazily on first ack.
 func (s *Server) Start() {
 	if s.wal != nil {
 		s.wal.Start()
 	}
-	s.wg.Add(2)
+	s.wg.Add(4)
 	go s.controlLoop()
 	go s.routerLoop()
-	for _, ln := range s.lanes {
-		s.wg.Add(2)
-		go ln.loop()
-		go ln.senderLoop()
-	}
+	go s.lane.loop()
+	go s.lane.senderLoop()
 }
 
 // Stop terminates the server's goroutines. It does not close the
@@ -376,11 +356,14 @@ func (s *Server) routerLoop() {
 	}
 }
 
-// controlLoop is the shared control plane: it owns the authoritative
-// ring view, consumes the failure detector and crash gossip, fans
-// recovery out to every lane, and gossips crash notices to the ring
-// successor. Crash handling never rides the data lanes, so ring
-// reconfiguration cannot wait behind data traffic.
+// controlLoop is the control plane: it owns the authoritative ring
+// view, consumes the failure detector and crash gossip, hands each
+// crash to the lane for recovery, and gossips crash notices to the ring
+// successor. It is a goroutine of its own, not a case of the lane's
+// loop, because the gossip is a blocking ep.Send and the lane must
+// never block on a send: a cycle of blocking queues around the ring can
+// deadlock (laneInboxCapacity). For the same reason crash handling
+// never waits behind data traffic.
 func (s *Server) controlLoop() {
 	defer s.wg.Done()
 	for {
@@ -417,16 +400,14 @@ func (s *Server) noteCrash(crashed wire.ProcessID) {
 	s.view.MarkCrashed(crashed)
 	s.log.Info("ring member crashed", "crashed", crashed, "epoch", s.view.Epoch())
 
-	// Fan the crash out to every lane first: local recovery (ring
-	// splice, retransmission, orphan adoption) must not wait on gossip.
-	// Lane event loops always offer a receive on crashc, so the sends
-	// cannot wedge while the lanes live.
-	for _, ln := range s.lanes {
-		select {
-		case ln.crashc <- crashed:
-		case <-s.stopc:
-			return
-		}
+	// Hand the crash to the lane first: local recovery (ring splice,
+	// retransmission, orphan adoption) must not wait on gossip. The
+	// lane's event loop always offers a receive on crashc, so the send
+	// cannot wedge while the lane lives.
+	select {
+	case s.lane.crashc <- crashed:
+	case <-s.stopc:
+		return
 	}
 
 	// Gossip the crash around the ring so non-adjacent servers update
@@ -445,9 +426,9 @@ func (s *Server) noteCrash(crashed wire.ProcessID) {
 // loadSnapshot returns the object's published read snapshot when it is
 // servable from any goroutine: the admission check passed at publish
 // time. Everything else (park, cold object) reports false and falls to
-// the owning lane.
+// the lane.
 func (s *Server) loadSnapshot(id wire.ObjectID) (*readSnapshot, bool) {
-	o := s.lanes[s.laneFor(id)].lookup(id)
+	o := s.lane.lookup(id)
 	if o == nil {
 		return nil, false
 	}
@@ -459,7 +440,7 @@ func (s *Server) loadSnapshot(id wire.ObjectID) (*readSnapshot, bool) {
 }
 
 // ackRead queues a read_ack with the stored value. Called on the
-// object's lane; the enqueue never blocks it.
+// lane; the enqueue never blocks it.
 func (s *Server) ackRead(to wire.ProcessID, reqID uint64, obj wire.ObjectID, o *objectState) {
 	s.enqueueAck(to, wire.NewFrame(wire.Envelope{
 		Kind:   wire.KindReadAck,
@@ -472,7 +453,7 @@ func (s *Server) ackRead(to wire.ProcessID, reqID uint64, obj wire.ObjectID, o *
 
 // applyAndRelease installs (t, v) if newer and releases any parked reads
 // whose barrier is now satisfied, reporting whether the stored value
-// changed. Called on the object's lane, which also makes every
+// changed. Called on the lane, which also makes every
 // park-or-serve decision for the object, so the two never interleave;
 // the caller republishes the read snapshot afterwards.
 func (s *Server) applyAndRelease(objID wire.ObjectID, o *objectState, t tag.Tag, v []byte) bool {

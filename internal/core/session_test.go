@@ -16,10 +16,9 @@ import (
 
 // newSessionTCPCluster is newTCPCluster with every endpoint in session
 // mode: servers assert their Config.SessionHello, so connections are
-// validated and every lane's ring traffic shares the one link to the
-// successor. mods tweak each
-// server's config after ID/Members/WriteLanes are set.
-func newSessionTCPCluster(t *testing.T, n, lanes int, mods ...configMod) (*tcpCluster, []*core.Server) {
+// validated and the ring traffic shares the one link to the successor.
+// mods tweak each server's config after ID and Members are set.
+func newSessionTCPCluster(t *testing.T, n int, mods ...configMod) (*tcpCluster, []*core.Server) {
 	t.Helper()
 	c := &tcpCluster{
 		t:       t,
@@ -44,7 +43,7 @@ func newSessionTCPCluster(t *testing.T, n, lanes int, mods ...configMod) (*tcpCl
 	}
 	var servers []*core.Server
 	for _, id := range c.members {
-		cfg := core.Config{ID: id, Members: c.members, WriteLanes: lanes}
+		cfg := core.Config{ID: id, Members: c.members}
 		for _, mod := range mods {
 			mod(&cfg)
 		}
@@ -115,7 +114,7 @@ func (c *tcpCluster) sessionClient(opts client.Options) *client.Client {
 // validated connections, one shared ring link per peer, and crash
 // recovery.
 func TestSessionTCPCluster(t *testing.T) {
-	c, _ := newSessionTCPCluster(t, 3, 4)
+	c, _ := newSessionTCPCluster(t, 3)
 	cl := c.newSessionClient(time.Second)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -157,13 +156,23 @@ func TestSessionTCPCluster(t *testing.T) {
 }
 
 // TestSessionWriteLanesMismatch is the acceptance test for the
-// handshake: two servers whose configs disagree on WriteLanes (or
-// membership) must fail to connect with a typed *wire.HandshakeError,
-// on both the TCP and the in-memory transport.
+// handshake: a server must refuse, with a typed *wire.HandshakeError
+// on both the TCP and the in-memory transport, a peer whose HELLO
+// asserts four lanes — what a server binary from before lanes were
+// removed sends when started with four — and a server whose config
+// disagrees on membership.
 func TestSessionWriteLanesMismatch(t *testing.T) {
 	members := []wire.ProcessID{1, 2}
-	mkCfg := func(id wire.ProcessID, lanes int, m []wire.ProcessID) core.Config {
-		return core.Config{ID: id, Members: m, WriteLanes: lanes}
+	mkCfg := func(id wire.ProcessID, m []wire.ProcessID) core.Config {
+		return core.Config{ID: id, Members: m}
+	}
+	// fourLanes is the older peer's HELLO: same version and membership,
+	// four lanes.
+	fourLanes := func(id wire.ProcessID) wire.Hello {
+		cfg := mkCfg(id, members)
+		h := cfg.SessionHello()
+		h.Lanes = 4
+		return h
 	}
 
 	t.Run("tcp", func(t *testing.T) {
@@ -176,8 +185,8 @@ func TestSessionWriteLanesMismatch(t *testing.T) {
 			book[id] = ep.Addr()
 			_ = ep.Close()
 		}
-		cfg1, cfg2 := mkCfg(1, 4, members), mkCfg(2, 2, members)
-		h1, h2 := cfg1.SessionHello(), cfg2.SessionHello()
+		cfg1 := mkCfg(1, members)
+		h1, h2 := cfg1.SessionHello(), fourLanes(2)
 		ep1, err := tcpnet.Listen(1, book[1], book, tcpnet.Options{Hello: &h1})
 		if err != nil {
 			t.Fatal(err)
@@ -193,20 +202,20 @@ func TestSessionWriteLanesMismatch(t *testing.T) {
 		if err := ep1.Handshake(2); !errors.As(err, &herr) {
 			t.Fatalf("got %v, want *wire.HandshakeError", err)
 		}
-		if herr.Field != "lanes" || herr.Local != 4 || herr.Remote != 2 {
+		if herr.Field != "lanes" || herr.Local != 1 || herr.Remote != 4 {
 			t.Fatalf("wrong error detail: %+v", herr)
 		}
 	})
 
 	t.Run("memnet", func(t *testing.T) {
 		net := transport.NewMemNetwork(transport.MemNetworkOptions{})
-		cfg1, cfg2 := mkCfg(1, 4, members), mkCfg(2, 2, members)
+		cfg1 := mkCfg(1, members)
 		ep1, err := net.RegisterSession(cfg1.SessionHello())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer func() { _ = ep1.Close() }()
-		ep2, err := net.RegisterSession(cfg2.SessionHello())
+		ep2, err := net.RegisterSession(fourLanes(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,15 +225,15 @@ func TestSessionWriteLanesMismatch(t *testing.T) {
 		if err := ep1.Handshake(2); !errors.As(err, &herr) {
 			t.Fatalf("got %v, want *wire.HandshakeError", err)
 		}
-		if herr.Field != "lanes" {
-			t.Fatalf("wrong field: %+v", herr)
+		if herr.Field != "lanes" || herr.Local != 1 || herr.Remote != 4 {
+			t.Fatalf("wrong error detail: %+v", herr)
 		}
 	})
 
 	t.Run("membership", func(t *testing.T) {
 		net := transport.NewMemNetwork(transport.MemNetworkOptions{})
-		cfg1 := mkCfg(1, 4, members)
-		cfg2 := mkCfg(2, 4, []wire.ProcessID{1, 2, 3})
+		cfg1 := mkCfg(1, members)
+		cfg2 := mkCfg(2, []wire.ProcessID{1, 2, 3})
 		ep1, err := net.RegisterSession(cfg1.SessionHello())
 		if err != nil {
 			t.Fatal(err)
@@ -247,17 +256,16 @@ func TestSessionWriteLanesMismatch(t *testing.T) {
 }
 
 // TestStrayLaneByteDropped covers the guard on the frame header's lane
-// byte, the only routing input for ring frames: a ring frame naming a
-// lane this server does not have is counted and dropped, not routed to
-// lane 0, and the server keeps serving. Both kinds of sender are
-// covered: a raw endpoint no handshake validated, and a session peer
-// that passed the handshake with a matching WriteLanes yet writes a
-// stray lane byte.
+// byte, input from outside the process: a ring frame with a nonzero
+// lane byte is counted and dropped, not delivered to the lane, and the
+// server keeps serving. Both kinds of sender are covered: a raw
+// endpoint no handshake validated, and a session peer that passed the
+// handshake asserting one lane yet writes a stray lane byte.
 func TestStrayLaneByteDropped(t *testing.T) {
 	members := []wire.ProcessID{1}
 	for _, tc := range []struct {
 		name string
-		// start runs a one-server, two-lane ring and returns it, the
+		// start runs a one-server ring and returns it, the
 		// rogue endpoint (id 9) and a client of the ring.
 		start func(t *testing.T) (*core.Server, transport.Endpoint, *client.Client)
 	}{
@@ -268,7 +276,7 @@ func TestStrayLaneByteDropped(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = ep.Close() })
-			srv, err := core.NewServer(core.Config{ID: 1, Members: members, WriteLanes: 2}, ep)
+			srv, err := core.NewServer(core.Config{ID: 1, Members: members}, ep)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,11 +299,11 @@ func TestStrayLaneByteDropped(t *testing.T) {
 			return srv, rogue, cl
 		}},
 		{"session tcp", func(t *testing.T) (*core.Server, transport.Endpoint, *client.Client) {
-			c, servers := newSessionTCPCluster(t, 1, 2)
+			c, servers := newSessionTCPCluster(t, 1)
 			rogue := tcpnet.NewClient(9, c.book, tcpnet.Options{Hello: &wire.Hello{
 				Version:        wire.HelloVersion,
 				From:           9,
-				Lanes:          2,
+				Lanes:          core.DefaultWriteLanes,
 				MembershipHash: wire.MembershipHash(c.members),
 			}})
 			t.Cleanup(func() { _ = rogue.Close() })
@@ -307,11 +315,11 @@ func TestStrayLaneByteDropped(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, rogue, cl := tc.start(t)
-			// The frame header names lane 5 of a 2-lane server.
-			stray := wire.NewLaneFrame(wire.Envelope{
+			// The frame header names lane 5 of a one-lane server.
+			stray := wire.Frame{Env: wire.Envelope{
 				Kind: wire.KindPreWrite, Object: 3, Origin: 9,
 				Tag: tag.Tag{TS: 1, ID: 9}, Value: []byte("stray"),
-			}, 5)
+			}, Lane: 5}
 			if err := rogue.Send(1, stray); err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,7 @@ import (
 // TestSnapshotReadsRaceLaneApplies hammers the lock-free read fast path
 // from many reader goroutines while a writer drives lane applies on the
 // same object. Under -race this exercises the snapshot publication
-// discipline (stores by the owning lane only, loads anywhere); the
+// discipline (stores by the lane only, loads anywhere); the
 // functional assertions pin the two properties lock-freedom must not
 // cost: per-reader tag monotonicity (regular reads would show tag
 // regressions) and read values matching their tags.

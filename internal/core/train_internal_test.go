@@ -13,8 +13,8 @@ import (
 // — and when they hit the same object, each gets a strictly larger tag
 // than the previous.
 func TestTrainPlanMultipleInitiations(t *testing.T) {
-	h := newStormHarness(t, 0, func(c *Config) { c.WriteLanes = 1; c.TrainLength = 8 })
-	ln := h.s.lanes[0]
+	h := newStormHarness(t, 0, func(c *Config) { c.TrainLength = 8 })
+	ln := h.s.lane
 	for i := 0; i < 3; i++ {
 		ln.onWriteRequest(500, &wire.Envelope{Kind: wire.KindWriteRequest, Object: 0, ReqID: uint64(i), Value: []byte{byte(i)}})
 	}
@@ -47,8 +47,8 @@ func TestTrainPlanMultipleInitiations(t *testing.T) {
 // fairness rule alternates between forwarding the least-served origins
 // and initiating local writes within one frame.
 func TestTrainPlanInterleavesForwardsAndInitiations(t *testing.T) {
-	h := newStormHarness(t, 0, func(c *Config) { c.WriteLanes = 1; c.TrainLength = 8 })
-	ln := h.s.lanes[0]
+	h := newStormHarness(t, 0, func(c *Config) { c.TrainLength = 8 })
+	ln := h.s.lane
 	// Two queued forwards from distinct origins, two local writes.
 	ln.onPreWrite(&wire.Envelope{Kind: wire.KindPreWrite, Object: 0, Tag: tag.Tag{TS: 1, ID: 2}, Origin: 2, Value: []byte("a")})
 	ln.onPreWrite(&wire.Envelope{Kind: wire.KindPreWrite, Object: 0, Tag: tag.Tag{TS: 2, ID: 3}, Origin: 3, Value: []byte("b")})
@@ -81,10 +81,9 @@ func TestTrainFairness(t *testing.T) {
 	prop := func(seed uint32) bool {
 		h := newStormHarness(t, 0, func(c *Config) {
 			c.Members = append([]wire.ProcessID{1}, origins...)
-			c.WriteLanes = 1
 			c.TrainLength = 4
 		})
-		ln := h.s.lanes[0]
+		ln := h.s.lane
 		forwarded := make(map[wire.ProcessID]int)
 		rng := seed
 		next := func(n int) int {

@@ -139,7 +139,7 @@ func TestTrainLengthsLinearizableMem(t *testing.T) {
 func TestTrainLengthsLinearizableTCP(t *testing.T) {
 	for _, train := range []int{1, 8} {
 		t.Run(fmt.Sprintf("train=%d", train), func(t *testing.T) {
-			c, _ := newSessionTCPCluster(t, 3, 4, func(cfg *core.Config) { cfg.TrainLength = train })
+			c, _ := newSessionTCPCluster(t, 3, func(cfg *core.Config) { cfg.TrainLength = train })
 			mk := func(pin wire.ProcessID) *client.Client {
 				return c.newSessionClient(2 * time.Second)
 			}

@@ -25,18 +25,16 @@ import (
 // The lane's sender gates every outgoing ring frame on WaitLane for the
 // highest sequence the lane has staged, so a frame (and transitively
 // the ack its full traversal produces) exists on the wire only after
-// the state it implies is on disk. Replay runs
-// inside wal.Open — before NewServer returns, hence strictly before
-// Start spins up lanes, the control plane, or any ring adoption.
+// the state it implies is on disk. Replay runs inside wal.Open — before
+// NewServer returns, hence strictly before Start spins up the lane, the
+// control plane, or any ring adoption.
 
 // openWAL opens the configured log, replays it into protocol state,
 // compacts it to a snapshot, and queues the retransmissions
 // that resume interrupted ring traversals. Called by NewServer after
 // lane construction; single-threaded, nothing is running yet.
 func (s *Server) openWAL() error {
-	wcfg := s.cfg.WAL
-	wcfg.Lanes = len(s.lanes)
-	wlog, err := wal.Open(wcfg, s.replayRecord)
+	wlog, err := wal.Open(s.cfg.WAL, s.replayRecord)
 	if err != nil {
 		return err
 	}
@@ -50,16 +48,17 @@ func (s *Server) openWAL() error {
 	return nil
 }
 
-// replayRecord folds one replayed WAL record into protocol state, on
-// the lane that owns the record's object: every lane's records share
-// one stream, and an object's records all come from its own lane, in
-// the order that lane staged them. The fold re-runs the handlers'
-// state transitions in that order, so it is idempotent over the
+// replayRecord folds one replayed WAL record into the lane's protocol
+// state. Records arrive in the order they were staged — a log written
+// by a server that still ran several lanes interleaves them, but each
+// object's records came from one lane in that lane's order, which is
+// all the fold needs. The fold re-runs the handlers' state
+// transitions in that order, so it is idempotent over the
 // history-plus-partial-snapshot a crash mid-compaction leaves behind:
 // addPending refuses duplicates and tags at or below the stored tag,
 // apply refuses stale tags, and myWrites upserts.
 func (s *Server) replayRecord(r *wal.Record) error {
-	ln := s.lanes[s.laneFor(r.Object)]
+	ln := s.lane
 	switch r.Type {
 	case wal.RecInit:
 		key := writeKey{object: r.Object, tag: r.Tag}
@@ -116,60 +115,59 @@ func (s *Server) replayRecord(r *wal.Record) error {
 }
 
 // compactWAL rewrites the log as a snapshot of the live state the
-// replay produced: lane by lane, every object's stored value and
-// pending pre-writes, then the lane's in-flight own writes, so each
-// object's own writes follow its stored state as they would in history.
-// History the snapshot supersedes is deleted, bounding restart replay
-// work by live state instead of log age.
+// replay produced: every object's stored value and pending pre-writes,
+// then the in-flight own writes, so each object's own writes follow its
+// stored state as they would in history. History the snapshot
+// supersedes is deleted, bounding restart replay work by live state
+// instead of log age.
 func (s *Server) compactWAL() error {
 	return s.wal.Compact(func(add func(*wal.Record)) {
-		for _, ln := range s.lanes {
-			ln.rangeObjects(func(objID wire.ObjectID, o *objectState) {
-				if !o.tag.IsZero() {
-					add(&wal.Record{
-						Type:   wal.RecWrite,
-						Object: objID,
-						Tag:    o.tag,
-						Origin: wire.ProcessID(o.tag.ID),
-						Flags:  wal.FlagHasValue,
-						Value:  o.value,
-					})
-				}
-				for i := range o.pending.entries {
-					e := &o.pending.entries[i]
-					add(&wal.Record{
-						Type:   wal.RecPreWrite,
-						Object: objID,
-						Tag:    e.tag,
-						Origin: wire.ProcessID(e.tag.ID),
-						Flags:  wal.FlagHasValue,
-						Value:  e.value,
-					})
-				}
-			})
-			for key, w := range ln.myWrites {
-				rec := wal.Record{
-					Type:   wal.RecInit,
-					Object: key.object,
-					Tag:    key.tag,
-					Origin: s.cfg.ID,
-					Client: w.client,
-					ReqID:  w.reqID,
-				}
-				if w.phase == phaseWrite {
-					rec.Flags = wal.FlagPhaseWrite
-				} else if v, ok := ln.replayVals[key]; ok {
-					rec.Flags = wal.FlagHasValue
-					rec.Value = v
-				}
-				add(&rec)
+		ln := s.lane
+		ln.rangeObjects(func(objID wire.ObjectID, o *objectState) {
+			if !o.tag.IsZero() {
+				add(&wal.Record{
+					Type:   wal.RecWrite,
+					Object: objID,
+					Tag:    o.tag,
+					Origin: wire.ProcessID(o.tag.ID),
+					Flags:  wal.FlagHasValue,
+					Value:  o.value,
+				})
 			}
+			for i := range o.pending.entries {
+				e := &o.pending.entries[i]
+				add(&wal.Record{
+					Type:   wal.RecPreWrite,
+					Object: objID,
+					Tag:    e.tag,
+					Origin: wire.ProcessID(e.tag.ID),
+					Flags:  wal.FlagHasValue,
+					Value:  e.value,
+				})
+			}
+		})
+		for key, w := range ln.myWrites {
+			rec := wal.Record{
+				Type:   wal.RecInit,
+				Object: key.object,
+				Tag:    key.tag,
+				Origin: s.cfg.ID,
+				Client: w.client,
+				ReqID:  w.reqID,
+			}
+			if w.phase == phaseWrite {
+				rec.Flags = wal.FlagPhaseWrite
+			} else if v, ok := ln.replayVals[key]; ok {
+				rec.Flags = wal.FlagHasValue
+				rec.Value = v
+			}
+			add(&rec)
 		}
 	})
 }
 
 // requeueReplayedState resumes the ring traversals the crash
-// interrupted. Each lane runs retransmitAfterSuccessorCrash: its stored
+// interrupted. The lane runs retransmitAfterSuccessorCrash: its stored
 // values re-circulate as writes and its pending pre-writes as
 // pre-writes (each with its original origin, so it terminates at its
 // originator or adopter). Then this server's own in-flight writes
@@ -179,58 +177,57 @@ func (s *Server) compactWAL() error {
 // cluster restart, expected — restart tests must not assert
 // AckSendFailures == 0).
 func (s *Server) requeueReplayedState() {
-	for _, ln := range s.lanes {
-		// Publish what replay rebuilt, so reads after a restart are
-		// served from snapshots from the first one on.
-		ln.rangeObjects(func(_ wire.ObjectID, o *objectState) { o.publish() })
-		ln.retransmitAfterSuccessorCrash()
-		for key, w := range ln.myWrites {
-			switch w.phase {
-			case phasePreWrite:
-				// Restart the pre-write phase with the logged value. A
-				// write that already installed a newer tag may have
-				// pruned the pending entry; the RecInit side copy in
-				// replayVals still holds the client's bytes.
-				v, ok := ln.replayVals[key]
-				if !ok {
-					v, _ = ln.obj(key.object).pending.get(key.tag)
-				}
-				ln.fq.push(wire.Envelope{
-					Kind:   wire.KindPreWrite,
-					Object: key.object,
-					Tag:    key.tag,
-					Origin: s.cfg.ID,
-					Value:  v,
-				})
-			case phaseWrite:
-				if o := ln.obj(key.object); o.tag == key.tag {
-					continue // the stored-value requeue above re-circulates it
-				}
-				// Elided, like the live write phase: any server whose
-				// stored tag is still below this one holds the value in
-				// its pending set (the pre-write completed the full ring
-				// and only a write at or above this tag could have pruned
-				// it); everyone else absorbs the tag-only message.
-				ln.fq.push(wire.Envelope{
-					Kind:   wire.KindWrite,
-					Object: key.object,
-					Tag:    key.tag,
-					Origin: s.cfg.ID,
-					Flags:  wire.FlagValueElided,
-				})
+	ln := s.lane
+	// Publish what replay rebuilt, so reads after a restart are
+	// served from snapshots from the first one on.
+	ln.rangeObjects(func(_ wire.ObjectID, o *objectState) { o.publish() })
+	ln.retransmitAfterSuccessorCrash()
+	for key, w := range ln.myWrites {
+		switch w.phase {
+		case phasePreWrite:
+			// Restart the pre-write phase with the logged value. A
+			// write that already installed a newer tag may have
+			// pruned the pending entry; the RecInit side copy in
+			// replayVals still holds the client's bytes.
+			v, ok := ln.replayVals[key]
+			if !ok {
+				v, _ = ln.obj(key.object).pending.get(key.tag)
 			}
+			ln.fq.push(wire.Envelope{
+				Kind:   wire.KindPreWrite,
+				Object: key.object,
+				Tag:    key.tag,
+				Origin: s.cfg.ID,
+				Value:  v,
+			})
+		case phaseWrite:
+			if o := ln.obj(key.object); o.tag == key.tag {
+				continue // the stored-value requeue above re-circulates it
+			}
+			// Elided, like the live write phase: any server whose
+			// stored tag is still below this one holds the value in
+			// its pending set (the pre-write completed the full ring
+			// and only a write at or above this tag could have pruned
+			// it); everyone else absorbs the tag-only message.
+			ln.fq.push(wire.Envelope{
+				Kind:   wire.KindWrite,
+				Object: key.object,
+				Tag:    key.tag,
+				Origin: s.cfg.ID,
+				Flags:  wire.FlagValueElided,
+			})
 		}
-		ln.replayVals = nil
 	}
+	ln.replayVals = nil
 }
 
-// walStage stages one record in the lane's WAL buffer, tracking
-// the highest staged sequence for the sender gate. Called only from
+// walStage stages one record in the WAL's buffer, tracking the highest
+// staged sequence for the sender gate. Called only from
 // the lane's event-loop goroutine (handlers and nextFrame), so
 // walSeq needs no synchronization. No-op without a WAL.
 func (ln *lane) walStage(r *wal.Record) {
 	if w := ln.srv.wal; w != nil {
-		ln.walSeq = w.Append(ln.idx, r)
+		ln.walSeq = w.Append(0, r)
 	}
 }
 

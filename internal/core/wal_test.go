@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -92,7 +93,7 @@ func TestAckedWriteDurableAfterKillEncodedEgress(t *testing.T) {
 		base := t.TempDir()
 		ctx := ctxT(t)
 
-		c, servers := newSessionTCPCluster(t, 3, 0, walMod(base))
+		c, servers := newSessionTCPCluster(t, 3, walMod(base))
 		cl := c.newSessionClient(0)
 		const writes = 20
 		tags := make(map[int]string)
@@ -111,7 +112,7 @@ func TestAckedWriteDurableAfterKillEncodedEgress(t *testing.T) {
 			_ = c.eps[id].Close()
 		}
 
-		re, _ := newSessionTCPCluster(t, 3, 0, walMod(base))
+		re, _ := newSessionTCPCluster(t, 3, walMod(base))
 		for _, id := range re.members {
 			pinned := re.pinnedSessionClient(id)
 			for obj, want := range tags {
@@ -278,5 +279,69 @@ func TestRecoveryReplaysBeforeAdoption(t *testing.T) {
 	defer srv.Stop()
 	if st := srv.WALStats(); st.Replayed == 0 {
 		t.Fatal("NewServer returned with no records replayed: recovery did not precede startup")
+	}
+}
+
+// TestFourLaneWALReplaysIntoOneLane is the upgrade path: a WAL written
+// by servers that still sharded their ring over four lanes replays into
+// today's one lane. The lane count was never part of the on-disk
+// format; each object's records came from one lane, in that lane's
+// order, interleaved with the other lanes' records in the one segment
+// sequence.
+//
+// testdata/wal-four-lanes was generated by a build that still had
+// Config.WriteLanes: a 3-server memnet cluster (newCluster with
+// WriteLanes 4 and walMod), eight concurrent clients each writing
+// "o<obj>-r0".."o<obj>-r4" sequentially to objects 0..7 (which spread
+// over all four lanes by that build's placement.LaneOf), then server 3
+// crashed with Kill and servers 1 and 2 killed too. Each segment was
+// then cut back to its last record, as wal.Open does, so the fixture
+// holds no zero-filled run.
+func TestFourLaneWALReplaysIntoOneLane(t *testing.T) {
+	// The last acked write of every object.
+	want := map[wire.ObjectID]string{
+		0: "o0-r4", 1: "o1-r4", 2: "o2-r4", 3: "o3-r4",
+		4: "o4-r4", 5: "o5-r4", 6: "o6-r4", 7: "o7-r4",
+	}
+	base := t.TempDir()
+	if err := os.CopyFS(base, os.DirFS(filepath.Join("testdata", "wal-four-lanes"))); err != nil {
+		t.Fatal(err)
+	}
+	verified := make(map[wire.ProcessID]wal.VerifyResult)
+	for id := wire.ProcessID(1); id <= 3; id++ {
+		res, err := wal.Verify(filepath.Join(base, fmt.Sprintf("server-%d", id)))
+		if err != nil {
+			t.Fatalf("server %d: Verify rejects the four-lane log: %v", id, err)
+		}
+		if res.Records == 0 {
+			t.Fatalf("server %d: fixture holds no records", id)
+		}
+		verified[id] = res
+	}
+
+	ctx := ctxT(t)
+	re := newCluster(t, 3, walMod(base))
+	for id, res := range verified {
+		st := re.servers[id].WALStats()
+		if st.Replayed != res.Records {
+			t.Fatalf("server %d replayed %d records, the fixture holds %d", id, st.Replayed, res.Records)
+		}
+		wantTorn := uint64(0)
+		if res.TornTail {
+			wantTorn = 1
+		}
+		if got := re.servers[id].WALTornTails(); got != wantTorn {
+			t.Fatalf("server %d: WALTornTails = %d, fixture torn tail %v", id, got, res.TornTail)
+		}
+		pinned := re.pinnedClient(id)
+		for obj, v := range want {
+			got, _, err := pinned.Read(ctx, obj)
+			if err != nil {
+				t.Fatalf("server %d read obj %d: %v", id, obj, err)
+			}
+			if string(got) != v {
+				t.Fatalf("server %d obj %d: %q after replay, want %q", id, obj, got, v)
+			}
+		}
 	}
 }

@@ -74,62 +74,6 @@ func TestRingOfConsistent(t *testing.T) {
 	}
 }
 
-// TestLaneUniformWithinRingSlices is the hash-independence property the
-// federation design requires: conditioning on "object belongs to ring
-// r" must not bias which lane the object takes inside r. For every
-// ring slice, the lane occupancy must stay near-uniform — if RingOf
-// and LaneOf shared structure (say both were hash(obj) mod n), a ring
-// slice could starve some lanes entirely.
-func TestLaneUniformWithinRingSlices(t *testing.T) {
-	const objects = 1 << 16
-	for _, rings := range []int{2, 4} {
-		for _, lanes := range []int{2, 4, 8} {
-			// laneCount[r][l] = objects of ring r on lane l.
-			laneCount := make([][]int, rings)
-			sliceSize := make([]int, rings)
-			for r := range laneCount {
-				laneCount[r] = make([]int, lanes)
-			}
-			for obj := 0; obj < objects; obj++ {
-				r := placement.RingOf(wire.ObjectID(obj), rings)
-				l := placement.LaneOf(wire.ObjectID(obj), lanes)
-				laneCount[r][l]++
-				sliceSize[r]++
-			}
-			for r := 0; r < rings; r++ {
-				mean := float64(sliceSize[r]) / float64(lanes)
-				for l := 0; l < lanes; l++ {
-					dev := (float64(laneCount[r][l]) - mean) / mean
-					if dev < -0.10 || dev > 0.10 {
-						t.Fatalf("rings=%d lanes=%d: ring %d lane %d holds %d of %d slice objects (%.1f%% from uniform)",
-							rings, lanes, r, l, laneCount[r][l], sliceSize[r], dev*100)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestLaneOfMatchesLegacyScheme pins LaneOf to the exact PR-2 hash the
-// wire protocol has always used: changing it would make a new server
-// route objects to different lanes than its peers and the frame
-// headers already in flight.
-func TestLaneOfMatchesLegacyScheme(t *testing.T) {
-	for _, lanes := range []int{1, 2, 4, 8} {
-		for obj := 0; obj < 4096; obj++ {
-			got := placement.LaneOf(wire.ObjectID(obj), lanes)
-			want := 0
-			if lanes > 1 {
-				h := uint32(obj) * 2654435761
-				want = int((h>>16 ^ h) % uint32(lanes))
-			}
-			if got != want {
-				t.Fatalf("LaneOf(%d, %d) = %d, want legacy %d", obj, lanes, got, want)
-			}
-		}
-	}
-}
-
 // TestObjectOfKeyMatchesLegacyScheme pins ObjectOfKey to the FNV-32a
 // fold the KV store has used since PR 3, so existing deployments' key
 // placement does not shift under them.

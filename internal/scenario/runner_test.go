@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/atomicstore"
 	"repro/internal/checker"
 )
 
@@ -45,21 +44,6 @@ func runAndReport(t *testing.T, sc Scenario) *Result {
 func TestCanonicalScenarios(t *testing.T) {
 	for _, sc := range Canonical(t.TempDir()) {
 		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			runAndReport(t, sc)
-		})
-	}
-}
-
-// TestCanonicalScenariosFourLanes runs the canonical library again with
-// the write path sharded over four ring lanes. The default is one lane,
-// so without this pass no fault scenario would reach the multi-lane
-// paths: per-lane recovery fan-out, lane-byte routing, interleaved
-// lanes sharing one peer connection.
-func TestCanonicalScenariosFourLanes(t *testing.T) {
-	for _, sc := range Canonical(t.TempDir()) {
-		sc := sc
-		sc.Options = append(sc.Options[:len(sc.Options):len(sc.Options)], atomicstore.WithWriteLanes(4))
 		t.Run(sc.Name, func(t *testing.T) {
 			runAndReport(t, sc)
 		})

@@ -100,7 +100,7 @@ func TestTCPSessionOneLinkPerPeer(t *testing.T) {
 	env := wire.Envelope{Kind: wire.KindPreWrite, Origin: 1, Tag: tag.Tag{TS: 1, ID: 1}}
 	for lane := 0; lane < 4; lane++ {
 		env.ReqID = uint64(lane)
-		if err := a.Send(2, wire.NewLaneFrame(env, uint8(lane))); err != nil {
+		if err := a.Send(2, wire.Frame{Env: env, Lane: uint8(lane)}); err != nil {
 			t.Fatalf("Send(lane %d): %v", lane, err)
 		}
 	}

@@ -6,7 +6,7 @@
 //
 // Connections open with a session handshake (DESIGN.md §8): endpoints
 // configured with a wire.Hello exchange versioned HELLOs carrying the
-// wire version, lane fanout and ring-membership hash, and reject
+// wire version, lane count and ring-membership hash, and reject
 // incompatible peers at connect time with a typed *wire.HandshakeError.
 // Endpoints without a Hello are raw: they open with a bare preamble
 // (magic + process id, nothing validated) and talk only to each other —
@@ -14,9 +14,8 @@
 // cannot answer a HELLO.
 //
 // An endpoint holds one connection per peer, created lazily on first
-// send and cached. Every ring lane's frames share it, as in the paper's
-// one FIFO channel per successor; the receiver routes each ring frame
-// by the lane byte in its header. Each connection has one reader and
+// send and cached, as in the paper's one FIFO channel per successor.
+// Each connection has one reader and
 // one writer goroutine; the bounded outbound queue gives senders the
 // same backpressure semantics as the in-memory transport. Acks to
 // clients travel back on the connection the client opened, so clients
@@ -41,8 +40,8 @@
 // goroutines each have one request out, and those that one ack burst
 // woke enqueue their next requests during the yield, so the burst
 // leaves in one write. An idle client pays one empty yield. Endpoints
-// built by Listen never yield: their producers (one lane per ring
-// link, one read loop or ack lane per ack burst) already hand over
+// built by Listen never yield: their producers (the server's lane on a
+// ring link, one read loop or ack queue per ack burst) already hand over
 // whole bursts, and yielding there too cost contended_mixed 10–19 % of
 // its goodput and raised its write p50 8–12 % in three benchmark pairs
 // (EXPERIMENTS.md, "one write per burst on the client link"). Encode
@@ -181,7 +180,7 @@ type Endpoint struct {
 	downOnce sync.Once
 	down     chan struct{}
 
-	// demux, when set, routes inbound frames to per-lane inboxes
+	// demux, when set, routes inbound frames to the owner's inboxes
 	// instead of the shared inbox (transport.Demuxer).
 	demux atomic.Pointer[transport.DemuxTable]
 
@@ -557,7 +556,7 @@ func (e *Endpoint) acceptLoop() {
 }
 
 // readLoop decodes frames from the connection into the inbox (or, when
-// a demux is installed, straight into the owning lane's inbox). The
+// a demux is installed, straight into the owner's routed inbox). The
 // Reader's body buffer comes from the shared pool and goes back when
 // the connection dies; every decoded value is copied out of it into an
 // exact-size heap slice, because the algorithm retains values (pending

@@ -228,7 +228,7 @@ func TestLargePayloadRoundTrip(t *testing.T) {
 }
 
 // TestDemuxedInboundValueExactSize pins the server-side inbound path: a
-// demuxed endpoint (what a lane server installs) delivers every value in
+// demuxed endpoint (what a server installs) delivers every value in
 // its own heap slice of exactly its length, not in a shared pool buffer
 // that a retained 128 B value would pin at 4 KiB.
 func TestDemuxedInboundValueExactSize(t *testing.T) {
@@ -237,7 +237,7 @@ func TestDemuxedInboundValueExactSize(t *testing.T) {
 	eps[1].SetDemux(func(*transport.Inbound) int { return 0 }, []chan transport.Inbound{lane})
 	val := make([]byte, 128)
 	env := wire.Envelope{Kind: wire.KindPreWrite, Origin: 1, Tag: tagOf(1, 1), Value: val}
-	if err := eps[0].Send(2, wire.NewLaneFrame(env, 0)); err != nil {
+	if err := eps[0].Send(2, wire.NewFrame(env)); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -67,7 +67,7 @@ func (n *MemNetwork) Register(id wire.ProcessID) (*MemEndpoint, error) {
 
 // RegisterSession attaches a new endpoint that asserts the given HELLO.
 // Frames between two session endpoints flow only if their HELLOs are
-// compatible (wire version, lane fanout, membership hash); the first
+// compatible (wire version, lane count, membership hash); the first
 // Send or Handshake to an incompatible peer fails with a typed
 // *wire.HandshakeError — the in-memory equivalent of tcpnet rejecting
 // the connection at handshake time. A session-less Register endpoint is
@@ -151,7 +151,7 @@ type MemEndpoint struct {
 	inbox    chan Inbound
 	failures chan wire.ProcessID
 
-	// demux, when set, routes inbound frames to per-lane inboxes
+	// demux, when set, routes inbound frames to the owner's inboxes
 	// instead of the shared inbox (Demuxer).
 	demux atomic.Pointer[DemuxTable]
 

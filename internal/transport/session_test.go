@@ -17,26 +17,27 @@ func serverHello(id wire.ProcessID, lanes uint16, members []wire.ProcessID) wire
 }
 
 // TestMemSessionMismatch pins the fail-fast contract on the in-memory
-// transport: two servers configured with different WriteLanes (or
-// different memberships, or wire versions — a v3 build, or a
+// transport: two servers asserting different lane counts (a one-lane
+// server and an older build started with four), or different
+// memberships, or wire versions — a v3 build, or a
 // session-less endpoint, which has none) cannot exchange a single frame
 // — both Handshake and Send surface a typed *wire.HandshakeError.
 func TestMemSessionMismatch(t *testing.T) {
 	members := []wire.ProcessID{1, 2}
-	v3 := serverHello(2, 4, members)
+	v3 := serverHello(2, 1, members)
 	v3.Version = 3
 	for name, tc := range map[string]struct {
 		other *wire.Hello // nil registers a session-less endpoint
 		field string
 	}{
-		"lanes":       {ptr(serverHello(2, 8, members)), "lanes"},
-		"membership":  {ptr(serverHello(2, 4, []wire.ProcessID{1, 2, 3})), "membership"},
+		"lanes":       {ptr(serverHello(2, 4, members)), "lanes"},
+		"membership":  {ptr(serverHello(2, 1, []wire.ProcessID{1, 2, 3})), "membership"},
 		"version":     {&v3, "wire version"},
 		"sessionless": {nil, "wire version"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			net := NewMemNetwork(MemNetworkOptions{})
-			a, err := net.RegisterSession(serverHello(1, 4, members))
+			a, err := net.RegisterSession(serverHello(1, 1, members))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,11 +80,11 @@ func ptr(h wire.Hello) *wire.Hello { return &h }
 func TestMemSessionCompatible(t *testing.T) {
 	members := []wire.ProcessID{1, 2}
 	net := NewMemNetwork(MemNetworkOptions{})
-	a, err := net.RegisterSession(serverHello(1, 4, members))
+	a, err := net.RegisterSession(serverHello(1, 1, members))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := net.RegisterSession(serverHello(2, 4, members))
+	b, err := net.RegisterSession(serverHello(2, 1, members))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,8 +30,8 @@ type Inbound struct {
 	Frame wire.Frame
 }
 
-// RouteFunc maps an inbound frame to the index of the per-lane inbox
-// that must receive it, or RouteDrop to discard it. It is called on the
+// RouteFunc maps an inbound frame to the index of the inbox that must
+// receive it, or RouteDrop to discard it. It is called on the
 // delivering goroutine and must be safe for concurrent use. It must not
 // block: under memnet the delivering goroutine is the sender's. A route
 // may consume the frame itself and return RouteDrop, as the client's
@@ -39,16 +39,16 @@ type Inbound struct {
 type RouteFunc func(*Inbound) int
 
 // RouteDrop, returned by a RouteFunc, discards the frame instead of
-// delivering it anywhere — a ring frame addressed to a lane this server
-// does not have is misconfiguration, and routing it to an arbitrary
-// lane would corrupt that lane's protocol state. Any other out-of-range
-// index falls back to the endpoint's main inbox.
+// delivering it anywhere — a server drops a ring frame whose header
+// names a lane it does not run, since delivering it would corrupt the
+// lane's protocol state. Any other out-of-range index falls back to
+// the endpoint's main inbox.
 const RouteDrop = -1 << 30
 
 // Demuxer is implemented by endpoints that can deliver inbound frames
-// straight into per-lane inboxes, so a lane-sharded server never funnels
-// its ring traffic through one channel, and a client takes its acks on
-// the delivering goroutine with no inbox at all. After SetDemux, frames are
+// straight into their owner's inboxes — a server's lane and control
+// plane, so neither waits behind a router goroutine — and let a client
+// take its acks on the delivering goroutine with no inbox at all. After SetDemux, frames are
 // routed with route and delivered to inboxes[route(frame)]; an index out
 // of range falls back to the endpoint's main Inbox. Frames that arrived
 // before SetDemux stay in the main Inbox — the owner drains it.
@@ -57,7 +57,7 @@ type Demuxer interface {
 	SetDemux(route RouteFunc, inboxes []chan Inbound)
 }
 
-// DemuxTable is an installed per-lane routing table, shared by the
+// DemuxTable is an installed routing table, shared by the
 // transport implementations so the routing-and-fallback contract lives
 // in exactly one place.
 type DemuxTable struct {
@@ -121,7 +121,7 @@ type TrySender interface {
 // Handshaker is implemented by session endpoints that can eagerly open
 // and validate the session to a peer instead of waiting for the first
 // Send. A *wire.HandshakeError (via errors.As) means the peer is
-// incompatibly configured — wrong wire version, lane fanout, or ring
+// incompatibly configured — wrong wire version, lane count, or ring
 // membership — and retrying is pointless; other errors are transient
 // connectivity failures.
 type Handshaker interface {

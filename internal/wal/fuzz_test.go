@@ -76,7 +76,7 @@ func FuzzOpenSegmentTail(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		cfg := Config{Dir: dir, Lanes: 1}
+		cfg := Config{Dir: dir}
 		var got []Record
 		l, err := Open(cfg, collect(&got))
 		if err != nil {

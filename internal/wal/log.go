@@ -14,19 +14,18 @@ type SyncMode uint8
 
 // SyncTrain, the only mode, gates every outgoing ring frame on a sync
 // covering the records its envelopes staged: one file sync per sync
-// pass, shared by every lane that staged during it.
-// Acknowledged writes are durable at every server.
+// pass, shared by every frame staged during it. Acknowledged writes are
+// durable at every server.
 const SyncTrain SyncMode = 0
 
 // Config configures one server's log. The zero value of every field
-// but Dir and Lanes is usable.
+// but Dir is usable.
 type Config struct {
 	// Dir is the log directory; empty disables the WAL entirely at the
 	// layers above this package.
 	Dir string
-	// Lanes is the number of staging lanes, each with its own buffer and
-	// sequence numbers. All lanes share the log's one segment sequence,
-	// so the count is not part of the on-disk format.
+	// Lanes is unused: the log has one staging buffer. The field stays
+	// for existing callers; it was never part of the on-disk format.
 	Lanes int
 	// Sync is the durability policy; Open rejects anything but
 	// SyncTrain.
@@ -40,7 +39,7 @@ type Config struct {
 }
 
 const (
-	// defaultBatchBytes kicks a sync pass early once a lane has staged
+	// defaultBatchBytes kicks a sync pass early once the log has staged
 	// this much (the group-commit accumulator, mirroring the transport's
 	// MaxBatchBytes).
 	defaultBatchBytes   = 256 << 10
@@ -52,7 +51,7 @@ const (
 	// growing the file (DESIGN.md §13.2). 256 KiB and 4 MiB measured
 	// slower on durable_write.
 	zeroChunk = 1 << 20
-	// housekeepEvery flushes lanes that stopped sending.
+	// housekeepEvery flushes records whose stager stopped sending.
 	housekeepEvery = 100 * time.Millisecond
 )
 
@@ -77,7 +76,6 @@ var (
 type Stats struct {
 	Appends       uint64 // records staged
 	AppendBytes   uint64 // framed bytes staged
-	Batches       uint64 // non-empty lane buffers written by sync passes
 	Syncs         uint64 // file syncs that covered staged records
 	SyncBytes     uint64 // record bytes written by those passes
 	ZeroFillBytes uint64 // zeros written to extend segments ahead of their records
@@ -88,10 +86,16 @@ type Stats struct {
 	Failed        bool   // a disk error stopped the log
 }
 
-// laneLog is one lane's staging buffer. Appends land in buf under mu;
-// the syncer swaps buf out, writes and syncs outside the lock (appends
-// continue into the spare), then publishes the new synced watermark.
-type laneLog struct {
+// Log is one server's write-ahead log: one staging buffer over one
+// segment sequence. Append and WaitLane are safe for concurrent use;
+// Open/Compact/Start/Close follow the lifecycle
+// Open → Compact → Start → Close|Kill.
+type Log struct {
+	cfg Config
+
+	// Appends land in buf under mu; the syncer swaps buf out, writes and
+	// syncs outside the lock (appends continue into the spare), then
+	// publishes the new synced watermark and wakes waitc's waiters.
 	mu     sync.Mutex
 	buf    []byte
 	spare  []byte
@@ -100,23 +104,6 @@ type laneLog struct {
 	staged uint64 // records staged, monotonic; the Append/WaitLane seq
 	synced uint64 // records covered by the last successful sync
 	waitc  chan struct{}
-}
-
-// swapped is one lane's batch, taken by a sync pass.
-type swapped struct {
-	lane   int
-	buf    []byte
-	leaves [][32]byte
-	target uint64
-}
-
-// Log is one server's write-ahead log: per-lane staging over one
-// segment sequence. Append and WaitLane are safe for concurrent use;
-// Open/Compact/Start/Close follow the lifecycle
-// Open → Compact → Start → Close|Kill.
-type Log struct {
-	cfg   Config
-	lanes []laneLog
 
 	// The open segment, the audit chain and the pass scratch are touched
 	// only by the syncer (or before Start, single-threaded). Records end
@@ -128,8 +115,6 @@ type Log struct {
 	alloc    int64
 	segs     []uint32 // live segment indices, oldest first
 	prevRoot [32]byte // audit chain link
-	pass     []swapped
-	passL    [][32]byte
 	rootBuf  []byte
 
 	reqc    chan struct{} // sync kick, capacity 1 (kicks coalesce)
@@ -142,15 +127,15 @@ type Log struct {
 	failErr error
 
 	appends, appendBytes atomic.Uint64
-	batches, syncs       atomic.Uint64
+	syncs                atomic.Uint64
 	syncBytes, zeroFill  atomic.Uint64
 	rotations, roots     atomic.Uint64
 	replayed, tornTails  atomic.Uint64
 	closeErr             error
 }
 
-// ReplayFn receives every data record of the log in append order (each
-// lane's records in that lane's order). The Record (and its Value) is
+// ReplayFn receives every data record of the log in append order. The
+// Record (and its Value) is
 // owned by the callee.
 type ReplayFn func(r *Record) error
 
@@ -168,9 +153,6 @@ func Open(cfg Config, replay ReplayFn) (*Log, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("wal: Config.Dir required")
 	}
-	if cfg.Lanes <= 0 {
-		return nil, errors.New("wal: Config.Lanes must be positive")
-	}
 	if cfg.Sync != SyncTrain {
 		return nil, fmt.Errorf("wal: unknown sync mode %d (only SyncTrain exists)", cfg.Sync)
 	}
@@ -182,13 +164,10 @@ func Open(cfg Config, replay ReplayFn) (*Log, error) {
 	}
 	l := &Log{
 		cfg:   cfg,
-		lanes: make([]laneLog, cfg.Lanes),
+		waitc: make(chan struct{}),
 		reqc:  make(chan struct{}, 1),
 		stopc: make(chan struct{}),
 		done:  make(chan struct{}),
-	}
-	for i := range l.lanes {
-		l.lanes[i].waitc = make(chan struct{})
 	}
 	if err := l.openSegments(replay); err != nil {
 		if l.f != nil {
@@ -319,24 +298,24 @@ func (l *Log) Start() {
 	go l.syncLoop()
 }
 
-// Append stages one record on a lane and returns its sequence number
-// for WaitLane. The record's bytes (value included) are copied into
-// the lane's staging buffer immediately: the caller's buffers — pooled
-// or not — are never referenced after Append returns, and nothing
-// reaches the OS until a sync pass writes the batch. Amortized zero
-// allocations.
+// Append stages one record and returns its sequence number for
+// WaitLane. The lane argument is unused: the log has one staging
+// buffer, and the signature stays for existing callers. The record's
+// bytes (value included) are copied into the staging buffer
+// immediately: the caller's buffers — pooled or not — are never
+// referenced after Append returns, and nothing reaches the OS until a
+// sync pass writes the batch. Amortized zero allocations.
 func (l *Log) Append(lane int, r *Record) uint64 {
-	ll := &l.lanes[lane]
-	ll.mu.Lock()
-	start := len(ll.buf)
-	ll.buf = appendRecord(ll.buf, r)
+	l.mu.Lock()
+	start := len(l.buf)
+	l.buf = appendRecord(l.buf, r)
 	if l.cfg.MerkleRoots {
-		ll.leaves = append(ll.leaves, leafHash(ll.buf[start+frameHeaderSize:]))
+		l.leaves = append(l.leaves, leafHash(l.buf[start+frameHeaderSize:]))
 	}
-	ll.staged++
-	seq := ll.staged
-	size := len(ll.buf)
-	ll.mu.Unlock()
+	l.staged++
+	seq := l.staged
+	size := len(l.buf)
+	l.mu.Unlock()
 	l.appends.Add(1)
 	l.appendBytes.Add(uint64(size - start))
 	if size >= defaultBatchBytes {
@@ -345,26 +324,25 @@ func (l *Log) Append(lane int, r *Record) uint64 {
 	return seq
 }
 
-// WaitLane blocks until a sync covers the lane's records up to seq (as
-// returned by Append), kicking the group-commit pass. It returns
-// ErrAborted when abort fires, ErrClosed when the log stops, or the
-// disk error that failed the log. This is the send gate: a ring frame
-// leaves only after WaitLane returns nil for the highest sequence its
-// envelopes staged.
+// WaitLane blocks until a sync covers the records up to seq (as
+// returned by Append), kicking the group-commit pass. Like Append's,
+// the lane argument is unused. It returns ErrAborted when abort fires,
+// ErrClosed when the log stops, or the disk error that failed the log.
+// This is the send gate: a ring frame leaves only after WaitLane
+// returns nil for the highest sequence its envelopes staged.
 func (l *Log) WaitLane(lane int, seq uint64, abort <-chan struct{}) error {
-	ll := &l.lanes[lane]
 	for {
-		ll.mu.Lock()
-		if ll.synced >= seq {
-			ll.mu.Unlock()
+		l.mu.Lock()
+		if l.synced >= seq {
+			l.mu.Unlock()
 			return nil
 		}
 		if err := l.failed(); err != nil {
-			ll.mu.Unlock()
+			l.mu.Unlock()
 			return err
 		}
-		w := ll.waitc
-		ll.mu.Unlock()
+		w := l.waitc
+		l.mu.Unlock()
 		l.kick()
 		select {
 		case <-w:
@@ -384,9 +362,8 @@ func (l *Log) kick() {
 	}
 }
 
-// syncLoop is the group-commit engine: one goroutine serving every
-// lane, so trains staged by concurrent lanes during the same pass share
-// its file sync.
+// syncLoop is the group-commit engine: one goroutine, so every record
+// staged before a pass shares its file sync.
 func (l *Log) syncLoop() {
 	defer close(l.done)
 	tick := time.NewTicker(housekeepEvery)
@@ -403,103 +380,69 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// syncPass swaps out every dirty lane's staging buffer, writes the
-// batches back to back at the data end (then the audit root, when
-// enabled), issues one file sync, and publishes each swapped lane's
-// new watermark. On a disk error the log fails permanently, and every
-// lane's waiters are woken to receive the error instead of a watermark
-// they would wait on forever.
+// syncPass swaps out the staging buffer, writes the batch at the data
+// end (then the audit root, when enabled), issues one file sync, and
+// publishes the new watermark. On a disk error the log fails
+// permanently, and the waiters are woken to receive the error instead
+// of a watermark they would wait on forever.
 func (l *Log) syncPass() {
 	if l.failed() != nil {
-		l.wakeAll()
+		l.wake()
 		return
 	}
-	l.pass = l.pass[:0]
-	for i := range l.lanes {
-		ll := &l.lanes[i]
-		ll.mu.Lock()
-		if len(ll.buf) > 0 {
-			l.pass = append(l.pass, swapped{lane: i, buf: ll.buf, leaves: ll.leaves, target: ll.staged})
-			ll.buf = ll.spare[:0]
-			ll.leaves = ll.spareL[:0]
-		}
-		ll.mu.Unlock()
-	}
-	if len(l.pass) == 0 {
+	l.mu.Lock()
+	if len(l.buf) == 0 {
+		l.mu.Unlock()
 		return
 	}
+	buf, leaves, target := l.buf, l.leaves, l.staged
+	l.buf, l.leaves = l.spare[:0], l.spareL[:0]
+	l.mu.Unlock()
 
-	err := l.writePass()
+	err := l.writePass(buf, leaves)
 	if err == nil {
 		err = l.f.Sync()
 	}
 	if err != nil {
 		l.setFailed(err)
 	} else {
-		// Count the pass before publishing its watermarks, so a waiter
+		// Count the pass before publishing its watermark, so a waiter
 		// that returns finds the sync it waited on in Stats.
-		var written uint64
-		for i := range l.pass {
-			written += uint64(len(l.pass[i].buf))
-		}
-		l.batches.Add(uint64(len(l.pass)))
 		l.syncs.Add(1)
-		l.syncBytes.Add(written)
+		l.syncBytes.Add(uint64(len(buf)))
 	}
 
-	for i := range l.pass {
-		p := &l.pass[i]
-		ll := &l.lanes[p.lane]
-		ll.mu.Lock()
-		if err == nil {
-			ll.synced = p.target
-		}
-		ll.spare = p.buf[:0]
-		ll.spareL = p.leaves[:0]
-		close(ll.waitc)
-		ll.waitc = make(chan struct{})
-		ll.mu.Unlock()
-		p.buf, p.leaves = nil, nil
+	l.mu.Lock()
+	if err == nil {
+		l.synced = target
 	}
-	if err != nil {
-		l.wakeAll()
-	}
+	l.spare, l.spareL = buf[:0], leaves[:0]
+	l.mu.Unlock()
+	l.wake()
 }
 
-// writePass writes the pass's batches, then its audit root when
-// enabled, at the data end of the open segment, rotating first when
-// the segment is full.
-func (l *Log) writePass() error {
+// writePass writes one batch, then its audit root when enabled, at the
+// data end of the open segment, rotating first when the segment is
+// full.
+func (l *Log) writePass(buf []byte, leaves [][32]byte) error {
 	if l.segBytes >= l.cfg.SegmentBytes {
 		if err := l.rotate(); err != nil {
 			return err
 		}
 	}
 	l.rootBuf = l.rootBuf[:0]
-	if l.cfg.MerkleRoots {
-		l.passL = l.passL[:0]
-		for i := range l.pass {
-			l.passL = append(l.passL, l.pass[i].leaves...)
-		}
-		if len(l.passL) > 0 {
-			count := uint32(len(l.passL))
-			root := merkleFold(l.passL)
-			l.rootBuf = appendRecord(l.rootBuf, &Record{Type: RecRoot, Count: count, Prev: l.prevRoot, Root: root})
-			l.prevRoot = root
-			l.roots.Add(1)
-		}
+	if len(leaves) > 0 {
+		count := uint32(len(leaves))
+		root := merkleFold(leaves)
+		l.rootBuf = appendRecord(l.rootBuf, &Record{Type: RecRoot, Count: count, Prev: l.prevRoot, Root: root})
+		l.prevRoot = root
+		l.roots.Add(1)
 	}
-	n := int64(len(l.rootBuf))
-	for i := range l.pass {
-		n += int64(len(l.pass[i].buf))
-	}
-	if err := l.reserve(n); err != nil {
+	if err := l.reserve(int64(len(buf) + len(l.rootBuf))); err != nil {
 		return err
 	}
-	for i := range l.pass {
-		if err := l.writeAt(l.pass[i].buf); err != nil {
-			return err
-		}
+	if err := l.writeAt(buf); err != nil {
+		return err
 	}
 	return l.writeAt(l.rootBuf)
 }
@@ -550,22 +493,18 @@ func (l *Log) rotate() error {
 	return nil
 }
 
-// wakeAll wakes every lane's waiters so they observe a failure.
-func (l *Log) wakeAll() {
-	for i := range l.lanes {
-		ll := &l.lanes[i]
-		ll.mu.Lock()
-		close(ll.waitc)
-		ll.waitc = make(chan struct{})
-		ll.mu.Unlock()
-	}
+// wake wakes the waiters, to observe a new watermark or a failure.
+func (l *Log) wake() {
+	l.mu.Lock()
+	close(l.waitc)
+	l.waitc = make(chan struct{})
+	l.mu.Unlock()
 }
 
 // Compact rewrites the log as a snapshot: rotate to a fresh segment,
 // let the caller re-log the live state through add, sync it, then
 // delete every segment the snapshot replaced. Call between Open and
-// Start. The snapshot stages on lane 0; replay routes records by their
-// content, not by the lane that staged them. Crash-safe: old segments
+// Start. Crash-safe: old segments
 // are deleted only after the snapshot is on disk, and the replay fold
 // is idempotent, so a crash mid-compaction replays history plus a
 // partial snapshot.
@@ -608,7 +547,7 @@ func (l *Log) setFailed(err error) {
 	l.failMu.Unlock()
 }
 
-// Close stops the syncer, flushes every lane, and syncs — a graceful
+// Close stops the syncer, flushes the staging buffer, and syncs — a graceful
 // stop never relies on torn-tail repair.
 func (l *Log) Close() error {
 	l.once.Do(func() { l.closeErr = l.shutdown(false) })
@@ -650,7 +589,6 @@ func (l *Log) Stats() Stats {
 	return Stats{
 		Appends:       l.appends.Load(),
 		AppendBytes:   l.appendBytes.Load(),
-		Batches:       l.batches.Load(),
 		Syncs:         l.syncs.Load(),
 		SyncBytes:     l.syncBytes.Load(),
 		ZeroFillBytes: l.zeroFill.Load(),

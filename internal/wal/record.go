@@ -1,10 +1,10 @@
 // Package wal is the durable write-ahead log behind the ring server:
-// one segmented log per server whose fsync is amortized over every
-// lane's frame trains (DESIGN.md §13). Records are length-prefixed and
-// CRC32C-framed with a versioned header; appends stage into an
-// in-memory lane buffer and reach the file only at a sync pass, which
-// writes every dirty lane's batch in place over a zero-filled run and
-// covers them all with one file sync. A killed process therefore loses
+// one segmented log per server whose fsync is amortized over the
+// server's frame trains (DESIGN.md §13). Records are length-prefixed
+// and CRC32C-framed with a versioned header; appends stage into one
+// in-memory buffer and reach the file only at a sync pass, which
+// writes the batch in place over a zero-filled run and covers it with
+// one file sync. A killed process therefore loses
 // exactly what a crashed machine would — everything after the last
 // covering sync — even when the test runs on a real filesystem.
 package wal
@@ -62,7 +62,7 @@ const (
 
 // Record is one logical WAL entry. Decoded Values are freshly
 // allocated and owned by the caller; encoded Values are copied into the
-// lane's staging buffer at Append time and never referenced afterwards
+// log's staging buffer at Append time and never referenced afterwards
 // (the §7/§10 ownership rule: the log takes a copy, not the buffer).
 type Record struct {
 	Type   RecordType

@@ -13,8 +13,10 @@ import (
 )
 
 // On-disk layout: one MANIFEST per log directory pinning the format
-// version, plus one sequence of segment files named wal-<segment>.log
-// that every lane's records share. The open segment ends in a
+// version, plus one sequence of segment files named wal-<segment>.log.
+// Since version 2 the lane count is not part of the format: a log
+// written by a server that ran several lanes holds their records
+// interleaved in this one sequence. The open segment ends in a
 // zero-filled run that the next records overwrite; a sealed one ends
 // at its last record. Format version 1 kept one sequence per lane
 // (wal-<lane>-<segment>.log) and pinned the lane count; Open refuses

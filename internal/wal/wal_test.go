@@ -67,29 +67,29 @@ func collect(dst *[]Record) ReplayFn {
 	}
 }
 
-// TestOpenAppendReplayRoundTrip stages records on two lanes, closes the
-// log, and reopens it: one pass wrote lane 0's batch, then lane 1's,
-// into the one segment, ahead of a zero-filled run that the reopen must
-// read as the clean end of the log, not as a torn tail.
+// TestOpenAppendReplayRoundTrip stages records, closes the log, and
+// reopens it: one pass wrote the batch into the one segment, ahead of a
+// zero-filled run that the reopen must read as the clean end of the
+// log, not as a torn tail.
 func TestOpenAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Lanes: 2}
+	cfg := Config{Dir: dir}
 	l, err := Open(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := testRecords()
 	for i := range recs {
-		if seq := l.Append(i%2, &recs[i]); seq == 0 {
-			t.Fatal("Append returned sequence 0")
+		if seq := l.Append(0, &recs[i]); seq != uint64(i+1) {
+			t.Fatalf("Append %d returned sequence %d", i, seq)
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st := l.Stats()
-	if st.Syncs != 1 || st.Batches != 2 {
-		t.Fatalf("close flushed with %d syncs over %d batches, want 1 over 2", st.Syncs, st.Batches)
+	if st.Syncs != 1 {
+		t.Fatalf("close flushed with %d syncs, want 1", st.Syncs)
 	}
 	info, err := os.Stat(segPath(dir, 0))
 	if err != nil {
@@ -109,49 +109,10 @@ func TestOpenAppendReplayRoundTrip(t *testing.T) {
 	if st := l2.Stats(); st.Replayed != uint64(len(recs)) || st.TornTails != 0 {
 		t.Fatalf("replayed %d records, %d torn tails; want %d, 0", st.Replayed, st.TornTails, len(recs))
 	}
-	var want []Record
-	for lane := 0; lane < 2; lane++ {
-		for i := lane; i < len(recs); i += 2 {
-			want = append(want, decoded(recs[i]))
+	for i := range recs {
+		if want := decoded(recs[i]); !recordsEqual(got[i], want) {
+			t.Fatalf("record %d: got %+v want %+v", i, got[i], want)
 		}
-	}
-	for i := range want {
-		if !recordsEqual(got[i], want[i]) {
-			t.Fatalf("record %d: got %+v want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestOneSyncCoversEveryLane pins the group commit's promise: a pass
-// writes every dirty lane's batch into the one segment and covers them
-// all with a single file sync, so the other lanes' waits then return
-// without another.
-func TestOneSyncCoversEveryLane(t *testing.T) {
-	const lanes = 4
-	l, err := Open(Config{Dir: t.TempDir(), Lanes: lanes}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	rec := Record{Type: RecPreWrite, Object: 1, Tag: tag.Tag{TS: 1, ID: 2}, Origin: 2, Flags: FlagHasValue, Value: []byte("v")}
-	var seqs [lanes]uint64
-	for lane := range seqs {
-		seqs[lane] = l.Append(lane, &rec)
-	}
-	l.Start()
-	if err := l.WaitLane(0, seqs[0], nil); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.Syncs != 1 || st.Batches != lanes {
-		t.Fatalf("after waiting on lane 0: %d syncs over %d batches, want 1 over %d", st.Syncs, st.Batches, lanes)
-	}
-	for lane := 1; lane < lanes; lane++ {
-		if err := l.WaitLane(lane, seqs[lane], nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := l.Stats(); st.Syncs != 1 {
-		t.Fatalf("lanes 1-%d needed %d more syncs, want 0", lanes-1, st.Syncs-1)
 	}
 }
 
@@ -168,7 +129,7 @@ func TestOpenRefusesPerLaneFormat(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, manifestName), m[:], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, err := Open(Config{Dir: dir, Lanes: 2}, nil)
+	l, err := Open(Config{Dir: dir}, nil)
 	if err == nil {
 		l.Close()
 		t.Fatal("Open accepted a per-lane (version 1) directory")
@@ -188,14 +149,14 @@ func TestOpenRefusesPerLaneFormat(t *testing.T) {
 	}
 }
 
-// seedSegment builds a pristine single-lane log with the test records
+// seedSegment builds a pristine log with the test records
 // and returns the manifest bytes, the segment bytes — zero-filled run
 // included — each record's frame offset, and the offset just past the
 // last record.
 func seedSegment(t *testing.T) (manifest, segment []byte, offsets []int, end int) {
 	t.Helper()
 	dir := t.TempDir()
-	l, err := Open(Config{Dir: dir, Lanes: 1}, nil)
+	l, err := Open(Config{Dir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +237,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 
 	check := func(t *testing.T, dir string, wantN int, wantTorn uint64) {
 		var got []Record
-		cfg := Config{Dir: dir, Lanes: 1}
+		cfg := Config{Dir: dir}
 		l, err := Open(cfg, collect(&got))
 		if err != nil {
 			t.Fatalf("open after damage: %v", err)
@@ -360,7 +321,7 @@ func TestZeroRunWithStrayByteIsTorn(t *testing.T) {
 			mut := append([]byte(nil), segment...)
 			mut[at] = 1
 			dir := restoreDir(t, manifest, mut)
-			cfg := Config{Dir: dir, Lanes: 1}
+			cfg := Config{Dir: dir}
 			for round, wantTorn := range []uint64{1, 0} {
 				var got []Record
 				l, err := Open(cfg, collect(&got))
@@ -382,7 +343,7 @@ func TestZeroRunWithStrayByteIsTorn(t *testing.T) {
 
 func TestCorruptionInSealedSegmentIsFatal(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Lanes: 1, SegmentBytes: 1} // rotate on every pass
+	cfg := Config{Dir: dir, SegmentBytes: 1} // rotate on every pass
 	l, err := Open(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +378,7 @@ func TestCorruptionInSealedSegmentIsFatal(t *testing.T) {
 
 func TestRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Lanes: 1, SegmentBytes: 256}
+	cfg := Config{Dir: dir, SegmentBytes: 256}
 	l, err := Open(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +452,7 @@ func TestRotationAndCompaction(t *testing.T) {
 
 func TestWaitLaneTrainGate(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Config{Dir: dir, Lanes: 1, Sync: SyncTrain}, nil)
+	l, err := Open(Config{Dir: dir, Sync: SyncTrain}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +467,7 @@ func TestWaitLaneTrainGate(t *testing.T) {
 	if st.Syncs == 0 {
 		t.Fatal("WaitLane returned without a covering sync")
 	}
-	if st.Appends != 1 || st.Batches == 0 {
+	if st.Appends != 1 {
 		t.Fatalf("stats after one gated append: %+v", st)
 	}
 	// An abort channel firing must unblock a waiter for an unsynced seq.
@@ -522,7 +483,7 @@ func TestWaitLaneTrainGate(t *testing.T) {
 // that would have kept buffered writes.
 func TestKillDropsStagedRecords(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Lanes: 1, Sync: SyncTrain}
+	cfg := Config{Dir: dir, Sync: SyncTrain}
 	l, err := Open(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -555,11 +516,11 @@ func TestKillDropsStagedRecords(t *testing.T) {
 }
 
 // TestVerifyAuditChain checks the one audit chain of a log: each pass
-// appends one root covering every lane's batch in file order, the chain
+// appends one root covering its batch, the chain
 // survives a reopen, and a CRC-consistent tamper breaks it.
 func TestVerifyAuditChain(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Lanes: 2, Sync: SyncTrain, MerkleRoots: true}
+	cfg := Config{Dir: dir, Sync: SyncTrain, MerkleRoots: true}
 	l, err := Open(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +529,7 @@ func TestVerifyAuditChain(t *testing.T) {
 	const rounds = 3
 	for round := 0; round < rounds; round++ {
 		for i := range recs {
-			l.Append(i%2, &recs[i])
+			l.Append(0, &recs[i])
 		}
 		l.syncPass()
 	}
@@ -590,7 +551,7 @@ func TestVerifyAuditChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2.Append(1, &recs[0])
+	l2.Append(0, &recs[0])
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -634,27 +595,26 @@ func TestVerifyAuditChain(t *testing.T) {
 // policy: any other numeric mode must fail at Open, so that no
 // configuration can silently mean "never gate an ack".
 func TestOpenRejectsUnknownSyncMode(t *testing.T) {
-	if l, err := Open(Config{Dir: t.TempDir(), Lanes: 1, Sync: SyncMode(1)}, nil); err == nil {
+	if l, err := Open(Config{Dir: t.TempDir(), Sync: SyncMode(1)}, nil); err == nil {
 		l.Close()
 		t.Fatal("Open accepted SyncMode(1)")
 	}
 }
 
-// truncateStaging empties a lane's staging buffer in place, as a flush
+// truncateStaging empties the staging buffer in place, as a flush
 // would, without writing it: the syncer is never started by the
 // staging-path measurements below, so nothing else drains it (a kick
 // only fills the unserved request channel).
-func truncateStaging(l *Log, lane int) {
-	ll := &l.lanes[lane]
-	ll.mu.Lock()
-	ll.buf = ll.buf[:0]
-	ll.mu.Unlock()
+func truncateStaging(l *Log) {
+	l.mu.Lock()
+	l.buf = l.buf[:0]
+	l.mu.Unlock()
 }
 
 func BenchmarkAppend(b *testing.B) {
 	// The syncer is never started, so this isolates the staging path the
-	// lane goroutines execute (the 0 allocs/op hot-path gate).
-	l, err := Open(Config{Dir: b.TempDir(), Lanes: 1}, nil)
+	// lane goroutine executes (the 0 allocs/op hot-path gate).
+	l, err := Open(Config{Dir: b.TempDir()}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -667,17 +627,17 @@ func BenchmarkAppend(b *testing.B) {
 		rec.Tag = tag.Tag{TS: uint64(i + 1), ID: 1}
 		l.Append(0, &rec)
 		if i%8192 == 8191 {
-			truncateStaging(l, 0) // bound staging growth; amortizes to ~0 allocs/op
+			truncateStaging(l) // bound staging growth; amortizes to ~0 allocs/op
 		}
 	}
 }
 
 // TestAppendNoAlloc gates the cost a lane's event loop pays per committed
-// envelope — encode, CRC, copy into the lane's staging buffer — at zero
+// envelope — encode, CRC, copy into the staging buffer — at zero
 // steady-state allocations. The syncer is never started; each run
 // truncates the staging buffer once it has grown to the burst's size.
 func TestAppendNoAlloc(t *testing.T) {
-	l, err := Open(Config{Dir: t.TempDir(), Lanes: 1}, nil)
+	l, err := Open(Config{Dir: t.TempDir()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,7 +650,7 @@ func TestAppendNoAlloc(t *testing.T) {
 			rec.Tag = tag.Tag{TS: ts, ID: 2}
 			l.Append(0, &rec)
 		}
-		truncateStaging(l, 0)
+		truncateStaging(l)
 	}
 	burst()
 	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {

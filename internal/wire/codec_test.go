@@ -218,7 +218,7 @@ func TestDecodeFrameBodyCorruption(t *testing.T) {
 func TestLaneRoundTrip(t *testing.T) {
 	pb := Envelope{Kind: KindWrite, Origin: 2, Tag: tag.Tag{TS: 4, ID: 2}, Flags: FlagValueElided}
 	for _, f := range []Frame{
-		NewLaneFrame(Envelope{Kind: KindPreWrite, Origin: 3, Tag: tag.Tag{TS: 5, ID: 3}, Value: []byte("v")}, 7),
+		{Env: Envelope{Kind: KindPreWrite, Origin: 3, Tag: tag.Tag{TS: 5, ID: 3}, Value: []byte("v")}, Lane: 7},
 		{Env: Envelope{Kind: KindPreWrite, Origin: 3, Tag: tag.Tag{TS: 5, ID: 3}, Value: []byte("v")}, Piggyback: &pb, Lane: 255},
 	} {
 		buf, err := AppendFrame(nil, &f)

@@ -131,15 +131,16 @@ func FuzzDecodeHello(f *testing.F) {
 		f.Add(AppendHello(nil, &h))
 	}
 	// The accept paths.
-	seed(Hello{Version: HelloVersion, From: 1, Lanes: 4, MembershipHash: MembershipHash([]ProcessID{1, 2, 3})})
-	seed(Hello{Version: HelloVersion, From: 2, Lanes: 4, MembershipHash: MembershipHash([]ProcessID{1, 2, 3})})
+	seed(Hello{Version: HelloVersion, From: 1, Lanes: 1, MembershipHash: MembershipHash([]ProcessID{1, 2, 3})})
+	seed(Hello{Version: HelloVersion, From: 2, Lanes: 1, MembershipHash: MembershipHash([]ProcessID{1, 2, 3})})
 	seed(Hello{Version: HelloVersion, From: 100}) // lane-unaware client
-	// The reject paths: wrong wire version, wrong lane count, wrong
-	// membership hash — all decode fine (rejection happens in
-	// CheckCompatible) — plus structurally corrupt bodies.
-	seed(Hello{Version: HelloVersion + 1, From: 1, Lanes: 4, MembershipHash: 7})
-	seed(Hello{Version: HelloVersion, From: 1, Lanes: 8, MembershipHash: 7})
-	seed(Hello{Version: HelloVersion, From: 1, Lanes: 4, MembershipHash: 8})
+	// The reject paths: wrong wire version, wrong lane count (an older
+	// server binary started with four lanes), wrong membership hash —
+	// all decode fine (rejection happens in CheckCompatible) — plus
+	// structurally corrupt bodies.
+	seed(Hello{Version: HelloVersion + 1, From: 1, Lanes: 1, MembershipHash: 7})
+	seed(Hello{Version: HelloVersion, From: 1, Lanes: 4, MembershipHash: 7})
+	seed(Hello{Version: HelloVersion, From: 1, Lanes: 1, MembershipHash: 8})
 	f.Add([]byte{})                      // truncated
 	f.Add(make([]byte, HelloWireSize())) // zero process id
 	// A 22-byte v4 body (version, id, lanes, link, hash, capabilities):
@@ -170,7 +171,7 @@ func FuzzDecodeHello(f *testing.F) {
 
 		// CheckCompatible must be total and symmetric in verdict on
 		// anything the decoder accepts.
-		local := Hello{Version: HelloVersion, From: 1, Lanes: 4,
+		local := Hello{Version: HelloVersion, From: 1, Lanes: 1,
 			MembershipHash: MembershipHash([]ProcessID{1, 2, 3})}
 		lr, rl := local.CheckCompatible(&h), h.CheckCompatible(&local)
 		if (lr == nil) != (rl == nil) {

@@ -8,17 +8,17 @@ import (
 
 // The session handshake (DESIGN.md §8): every connection between two
 // processes opens with a HELLO carrying the sender's wire version, lane
-// fanout and ring-membership hash. Peers whose HELLOs are incompatible
+// count and ring-membership hash. Peers whose HELLOs are incompatible
 // are rejected at connect time with a typed *HandshakeError instead of
-// misrouting frames at runtime (a WriteLanes mismatch used to silently
-// collapse ring traffic onto the wrong lane).
+// misrouting frames at runtime. Servers assert one lane, so the lane
+// check refuses an older server binary that was started with several.
 
 // HelloVersion is the wire protocol version this build speaks. History:
 // v1 was the seed codec, v2 added the lane byte to the frame header,
 // v3 added the session handshake, v4 made frame trains (up to
 // MaxFrameEnvelopes envelopes per frame, DESIGN.md §9) part of the
 // format every peer decodes, v5 dropped the HELLO's link pin and
-// capability bitmap (one connection per peer carries every lane). Peers
+// capability bitmap (one connection per peer). Peers
 // must match exactly: any other version is refused with a
 // *HandshakeError naming "wire version", so a new feature arrives with
 // a version bump, not a negotiated bit.
@@ -33,9 +33,11 @@ type Hello struct {
 	Version uint16
 	// From is the sender's process id.
 	From ProcessID
-	// Lanes is the sender's ring lane fanout (Config.WriteLanes). Zero
-	// means lane-unaware — clients, which never originate ring frames —
-	// and exempts the sender from the lane-count check.
+	// Lanes is the sender's ring lane count: 1 for every server of this
+	// build (core.DefaultWriteLanes). Zero means lane-unaware — clients,
+	// which never originate ring frames — and exempts the sender from
+	// the lane-count check. Older server binaries asserted how many
+	// lanes they were started with, so a multi-lane one is refused.
 	Lanes uint16
 	// MembershipHash commits to the ring membership, in ring order
 	// (MembershipHash). Zero means unknown and exempts the sender from

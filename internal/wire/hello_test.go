@@ -9,7 +9,7 @@ func validHello() Hello {
 	return Hello{
 		Version:        HelloVersion,
 		From:           7,
-		Lanes:          4,
+		Lanes:          1,
 		MembershipHash: MembershipHash([]ProcessID{1, 2, 3}),
 	}
 }
@@ -85,7 +85,7 @@ func TestCheckCompatible(t *testing.T) {
 		field  string
 	}{
 		{"wire version", func(h *Hello) { h.Version = HelloVersion + 1 }, "wire version"},
-		{"lanes", func(h *Hello) { h.Lanes = 8 }, "lanes"},
+		{"lanes", func(h *Hello) { h.Lanes = 4 }, "lanes"},
 		{"membership", func(h *Hello) { h.MembershipHash = 99 }, "membership"},
 	}
 	for _, tc := range cases {

@@ -153,7 +153,7 @@ func (e *Envelope) String() string {
 
 // MaxFrameEnvelopes bounds the number of envelopes one frame may carry.
 // Beyond the classic pair (a primary plus a piggyback), a "frame train"
-// lets a saturated ring lane amortize its per-frame costs over many
+// lets a saturated ring amortize its per-frame costs over many
 // protocol messages (DESIGN.md §9).
 const MaxFrameEnvelopes = 16
 
@@ -168,29 +168,23 @@ const MaxFrameEnvelopes = 16
 type Frame struct {
 	// Env is the primary envelope; always present.
 	Env Envelope
-	// Piggyback is an optional second ring envelope. It always belongs
-	// to the same lane as Env (a lane only piggybacks its own queue).
+	// Piggyback is an optional second ring envelope.
 	Piggyback *Envelope
 	// Extra holds the train members after the second envelope (wire v4).
-	// Like the piggyback, every entry is a ring envelope of the frame's
-	// lane. A non-empty Extra requires a non-nil Piggyback (the decoder
-	// always fills the slots in order).
+	// Like the piggyback, every entry is a ring envelope. A non-empty
+	// Extra requires a non-nil Piggyback (the decoder always fills the
+	// slots in order).
 	Extra []Envelope
-	// Lane is the ring lane the frame belongs to (hash(ObjectID) mod the
-	// lane count, identical on every server of a cluster). Servers use
-	// it to demultiplex inbound ring traffic to the owning lane without
-	// touching the envelopes. Client-originated frames leave it zero;
-	// servers route those by object hash instead.
+	// Lane is the frame header's lane byte. Every server runs one lane,
+	// so every frame this build sends carries 0; servers drop and count
+	// inbound ring frames that carry anything else (they come from a
+	// binary that still sharded its ring over several lanes). The byte
+	// stays in the header so the encoding is unchanged.
 	Lane uint8
 }
 
 // NewFrame wraps a single envelope in a frame.
 func NewFrame(env Envelope) Frame { return Frame{Env: env} }
-
-// NewLaneFrame wraps a single envelope in a frame tagged with a lane.
-func NewLaneFrame(env Envelope, lane uint8) Frame {
-	return Frame{Env: env, Lane: lane}
-}
 
 // Retire is a no-op. Decoded values are exact-size heap slices the GC
 // owns (DESIGN.md §14), so a dropped frame has nothing to give back; the
